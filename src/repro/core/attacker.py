@@ -13,7 +13,10 @@ and differ only in the inner loop body:
   with a (coarse) cache-occupancy signal.
 
 The collector hands each attacker the execution time available in a
-period; the attacker converts it into a counter value.
+period; the attacker converts it into a counter value.  ``count`` does
+that for one period; ``count_many`` does it for every period of a trace
+at once and must agree with ``count`` bit for bit, given the same
+normal draws.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ class Attacker(abc.ABC):
 
     name: str = "attacker"
 
+    @property
+    def draw_scales(self) -> tuple[float, ...]:
+        """Std-devs of the zero-mean normal draws :meth:`count` makes, in order."""
+        return ()
+
     @abc.abstractmethod
     def count(
         self,
@@ -42,6 +50,21 @@ class Attacker(abc.ABC):
         rng: np.random.Generator,
     ) -> float:
         """Expected inner-loop iterations completed in ``exec_ns``."""
+
+    @abc.abstractmethod
+    def count_many(
+        self,
+        exec_ns: np.ndarray,
+        t_begin_ns: np.ndarray,
+        run: MachineRun,
+        draws: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`count` over arrays of periods.
+
+        ``draws[i, j]`` is the ``j``-th normal draw :meth:`count` would
+        take from its generator for period ``i`` (scale
+        ``draw_scales[j]``); the result equals :meth:`count` bit for bit.
+        """
 
 
 @dataclass
@@ -58,6 +81,16 @@ class LoopCountingAttacker(Attacker):
         run: MachineRun,
         rng: np.random.Generator,
     ) -> float:
+        ghz = run.frequency.ghz_at(t_begin_ns)
+        return exec_ns * self.rate_model.iterations_per_ns(ghz)
+
+    def count_many(
+        self,
+        exec_ns: np.ndarray,
+        t_begin_ns: np.ndarray,
+        run: MachineRun,
+        draws: np.ndarray,
+    ) -> np.ndarray:
         ghz = run.frequency.ghz_at(t_begin_ns)
         return exec_ns * self.rate_model.iterations_per_ns(ghz)
 
@@ -85,6 +118,10 @@ class SweepCountingAttacker(Attacker):
     occupancy_coupling: float = 1.0
     name: str = "sweep-counting"
 
+    @property
+    def draw_scales(self) -> tuple[float, ...]:
+        return (self.sweep_jitter,)
+
     def count(
         self,
         exec_ns: float,
@@ -98,4 +135,23 @@ class SweepCountingAttacker(Attacker):
         sweep_ns *= max(0.1, 1.0 + rng.normal(0.0, self.sweep_jitter))
         ghz = run.frequency.ghz_at(t_begin_ns)
         speedup = (ghz / self.base_ghz) ** self.frequency_sensitivity
+        return exec_ns * speedup / sweep_ns
+
+    def count_many(
+        self,
+        exec_ns: np.ndarray,
+        t_begin_ns: np.ndarray,
+        run: MachineRun,
+        draws: np.ndarray,
+    ) -> np.ndarray:
+        victim, ambient = run.occupancy_components_at(t_begin_ns)
+        occupancy = np.clip(self.occupancy_coupling * victim + ambient, 0.0, 1.0)
+        jitter = 1.0 + draws[:, 0]
+        sweep_ns = self.sweep_model.sweep_ns(occupancy) * np.where(jitter > 0.1, jitter, 0.1)
+        # NumPy's vectorized power may differ from Python's scalar ``**``
+        # in the last ulp, so raise each distinct frequency (a handful of
+        # turbo bins) with the scalar operator, as count() does.
+        levels, level_of = np.unique(run.frequency.ghz_at(t_begin_ns), return_inverse=True)
+        powered = [(ghz / self.base_ghz) ** self.frequency_sensitivity for ghz in levels.tolist()]
+        speedup = np.array(powered, dtype=np.float64)[level_of]
         return exec_ns * speedup / sweep_ns

@@ -23,7 +23,8 @@ shims and are now gone.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.core.attacker import Attacker, LoopCountingAttacker
 from repro.core.trace import Trace, TraceSpec, stack_dataset
 from repro.sim.interrupts import InterruptBatch
 from repro.sim.machine import InterruptSynthesizer, MachineConfig, MachineRun
+from repro.sim.timeline import GapTimeline
 from repro.timers.spec import TimerSpec
 from repro.workload.browser import Browser
 from repro.workload.phases import ActivityTimeline, merge_timelines
@@ -104,7 +106,7 @@ class TraceCollector:
         self.machine = machine
         self.browser = browser
         self.attacker = attacker or LoopCountingAttacker()
-        self.period_ns = int(period_ns) if period_ns else 5_000_000  # paper default 5 ms
+        self.period_ns = 5_000_000 if period_ns is None else int(period_ns)  # paper default 5 ms
         self.timer_spec = timer or browser.timer
         self.seed = int(seed)
         self.synthesizer = InterruptSynthesizer(machine)
@@ -242,7 +244,9 @@ class TraceCollector:
         with obs.span("collect.trace", site=site.name, index=int(trace_index)):
             run = self._simulate(site, rng, noise)
             timer = self.timer_spec.build(seed=int(rng.integers(0, 2**31)))
-            trace = self._walk_periods(run, timer, rng, label=site.name)
+            with obs.span("collect.walk") as walk:
+                trace = self._walk_periods(run, timer, rng, label=site.name)
+                walk.set(periods=len(trace.counters))
         obs.counter("collect.traces").inc()
         obs.counter("collect.periods").inc(len(trace.counters))
         return trace
@@ -284,43 +288,85 @@ class TraceCollector:
         rng: np.random.Generator,
         label: str,
     ) -> Trace:
-        """Replay the attacker loop (Fig 2) over one simulated run."""
+        """Replay the attacker loop (Fig 2) over one simulated run.
+
+        Only the period boundaries form a serial recurrence (each period
+        starts where the previous one ended), so the walk runs in two
+        phases: :func:`_period_boundaries` steps through the timer once,
+        then every period's executed time and counter are computed in
+        bulk.  All normal draws of the trace come from one
+        ``rng.normal`` call whose C order is the per-period draw order —
+        the attacker's draws, then measurement noise — so the result is
+        bit-identical to the per-period loop kept in
+        :mod:`repro.core.walk_ref`.
+        """
         gaps = run.attacker_timeline.gaps
         horizon = float(self.spec.horizon_ns)
-        period = float(self.period_ns)
+        begins, ends, observed_starts = _period_boundaries(
+            gaps, timer, horizon, float(self.period_ns)
+        )
+        ends = np.minimum(ends, horizon)
+        exec_ns = (ends - begins) - (gaps.stolen_before(ends) - gaps.stolen_before(begins))
         noise_sigma = self.browser.measurement_noise
-        observed_starts: list[float] = []
-        counters: list[float] = []
-        timer.reset()
-        t = gaps.next_execution_time(0.0)
-        for _ in range(_MAX_PERIODS):
-            if t >= horizon:
-                break
-            obs_begin = timer.read(t)
-            t_cross = timer.first_crossing(t, period)
-            # The attacker only notices the crossing once it is executing
-            # again: a gap spanning the boundary stretches the period.
-            t_end = gaps.next_execution_time(t_cross)
-            if t_end <= t:  # degenerate timer (e.g. randomized, lagging)
-                t_end = gaps.next_execution_time(t + period)
-            exec_ns = gaps.executed_between(t, min(t_end, horizon))
-            counter = self.attacker.count(exec_ns, t, run, rng)
-            if noise_sigma > 0:
-                counter *= max(0.0, 1.0 + rng.normal(0.0, noise_sigma))
-            observed_starts.append(obs_begin)
-            counters.append(np.floor(max(counter, 0.0)))
-            t = t_end
-        else:
-            raise RuntimeError(
-                f"trace exceeded {_MAX_PERIODS} periods; timer never advances"
-            )
+        scales = self.attacker.draw_scales + ((noise_sigma,) if noise_sigma > 0 else ())
+        n_own = len(self.attacker.draw_scales)
+        draws = rng.normal(0.0, scales, size=(len(begins), len(scales)))
+        counters = self.attacker.count_many(exec_ns, begins, run, draws[:, :n_own])
+        # np.where, not np.maximum: it keeps the loop's Python max() on ties
+        # of signed zeros and on NaN.
+        if noise_sigma > 0:
+            factor = 1.0 + draws[:, n_own]
+            counters = counters * np.where(factor > 0.0, factor, 0.0)
         return Trace(
             spec=self.spec,
-            observed_starts=np.array(observed_starts),
-            counters=np.array(counters),
+            observed_starts=observed_starts,
+            counters=np.floor(np.where(counters < 0.0, 0.0, counters)),
             label=label,
             attacker=self.attacker.name,
         )
+
+
+def _period_boundaries(
+    gaps: GapTimeline, timer, horizon: float, period: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The serial phase of the walk: ``(begins, ends, observed_starts)``.
+
+    Per period, in the loop's order: read the timer, ask it when ``period``
+    has elapsed, and resume at the next instant the attacker executes
+    (a gap spanning the boundary stretches the period).  Gap lookups
+    bisect memoryviews of the gap arrays: no copy, and each probe yields
+    a plain float, far cheaper per call than a scalar ``searchsorted``.
+    Ends are not clipped to the horizon.
+    """
+    gap_starts = memoryview(gaps.gap_starts)
+    gap_ends = memoryview(gaps.gap_ends)
+    n_gaps = len(gap_ends)
+
+    def resume(t) -> float:
+        # GapTimeline.next_execution_time, on the memoryviews.
+        i = bisect_right(gap_ends, t)
+        return gap_ends[i] if i < n_gaps and gap_starts[i] <= t else float(t)
+
+    begins: list[float] = []
+    ends: list[float] = []
+    observed: list[float] = []
+    timer.reset()
+    t = resume(0.0)
+    for _ in range(_MAX_PERIODS):
+        if t >= horizon:
+            break
+        observed.append(timer.read(t))
+        t_end = resume(timer.first_crossing(t, period))
+        if t_end <= t:  # degenerate timer (e.g. randomized, lagging)
+            t_end = resume(t + period)
+        begins.append(t)
+        ends.append(t_end)
+        t = t_end
+    else:
+        raise RuntimeError(
+            f"trace exceeded {_MAX_PERIODS} periods; timer never advances"
+        )
+    return np.array(begins), np.array(ends), np.array(observed)
 
 
 def _collect_task(task: tuple) -> Trace:

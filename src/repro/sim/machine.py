@@ -294,7 +294,13 @@ class InterruptSynthesizer:
         gain = rng.lognormal(0.0, _OCCUPANCY_GAIN_SIGMA)
         white = rng.normal(0.0, _OCCUPANCY_NOISE_SIGMA, len(occupancy))
         kernel = np.ones(_OCCUPANCY_NOISE_SMOOTHING) / _OCCUPANCY_NOISE_SMOOTHING
-        ambient = np.abs(np.convolve(white, kernel, mode="same"))
+        if len(white) >= len(kernel):
+            ambient = np.abs(np.convolve(white, kernel, mode="same"))
+        else:
+            # mode="same" returns as many samples as the longer input, so a
+            # run shorter than the kernel takes the centred slice itself.
+            offset = (len(kernel) - 1) // 2
+            ambient = np.abs(np.convolve(white, kernel)[offset : offset + len(white)])
         victim = np.clip(_OCCUPANCY_RESIDENCY * occupancy * gain, 0.0, 1.0)
         return victim, ambient
 

@@ -20,6 +20,10 @@ oracle                 mode       certifies
                                   quantized / jittered / randomized timers
 ``data.roundtrip``     bit        sharded store build -> streaming read-back ==
                                   the same collection held in memory
+``collect.walk``       bit        two-phase period walk == retained per-period
+                                  loop (``core/walk_ref.py``) for every timer
+                                  kind, both attackers, noise off and on; plus
+                                  unfloored ``count_many`` == per-period ``count``
 ====================== ========== =================================================
 
 All callables derive every RNG stream from the case alone, so a failing
@@ -29,21 +33,31 @@ All callables derive every RNG stream from the case alone, so a failing
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import tempfile
 from typing import List, Optional
 
 import numpy as np
 
-from repro.core.collector import TraceCollector
+from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
+from repro.core.collector import NoiseHooks, TraceCollector
+from repro.core.walk_ref import ReferenceTraceCollector
 from repro.engine.cache import TraceCache, cache_key
 from repro.engine.engine import ExecutionEngine
 from repro.ml.artifact import load_artifact
 from repro.ml.models import FeatureFingerprinter
 from repro.sim.events import MS
+from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
-from repro.timers.spec import CHROME_TIMER, FIREFOX_TIMER, RANDOMIZED_DEFENSE_TIMER
+from repro.timers.spec import (
+    CHROME_TIMER,
+    FIREFOX_TIMER,
+    NATIVE_TIMER,
+    RANDOMIZED_DEFENSE_TIMER,
+    TOR_TIMER,
+)
 from repro.verify.oracle import Case, Oracle, register
 from repro.workload.browser import CHROME
 from repro.workload.catalog import closed_world
@@ -519,6 +533,105 @@ def _data_streamed(case: Case) -> dict:
 
 
 # ----------------------------------------------------------------------
+# collect.walk — two-phase period walk vs the retained per-period loop
+# ----------------------------------------------------------------------
+
+#: Precise, quantized 1 ms, quantized 100 ms, jittered, randomized.
+_WALK_TIMERS = (
+    NATIVE_TIMER,
+    FIREFOX_TIMER,
+    TOR_TIMER,
+    CHROME_TIMER,
+    RANDOMIZED_DEFENSE_TIMER,
+)
+_WALK_ATTACKERS = (LoopCountingAttacker(), SweepCountingAttacker())
+_WALK_NOISE = (0.0, CHROME.measurement_noise)
+#: One fixed frequency at which NumPy's array ``**`` and Python's scalar
+#: ``**`` disagree on the sweep attacker's frequency factor.
+_PINNED_MACHINE = MachineConfig(
+    frequency=FrequencyConfig(scaling_enabled=False, pinned_ghz=2.0)
+)
+
+
+def _walk_runs(case: Case, machine: MachineConfig):
+    """``(trace seed, run)`` for every site and trace index of the case."""
+    collector = TraceCollector(machine, _case_browser(case), seed=case.seed)
+    for site in _case_sites(case):
+        for k in range(case.traces):
+            seed = (case.seed * 1_000_003 + site.seed * 7_919 + k) & 0x7FFFFFFF
+            run = collector._simulate(site, np.random.default_rng(seed), NoiseHooks())
+            yield seed, run
+
+
+def _walks(case: Case, collector_cls) -> List[dict]:
+    """Walk each run under every timer x attacker x noise combination."""
+    browser = _case_browser(case)
+    configs = list(itertools.product(_WALK_TIMERS, _WALK_ATTACKERS, _WALK_NOISE))
+    walks = []
+    for seed, run in _walk_runs(case, MachineConfig()):
+        for i, (timer, attacker, noise) in enumerate(configs):
+            collector = collector_cls(
+                MachineConfig(),
+                dataclasses.replace(browser, measurement_noise=noise),
+                attacker=attacker,
+                timer=timer,
+                seed=case.seed,
+            )
+            rng = np.random.default_rng([seed, i])
+            trace = collector._walk_periods(run, timer.build(seed=seed), rng, "walk")
+            walks.append(
+                {
+                    "observed_starts": trace.observed_starts,
+                    "counters": trace.counters,
+                    # A string: the state holds 128-bit integers.
+                    "rng_state": repr(rng.bit_generator.state),
+                }
+            )
+    return walks
+
+
+def _count_probes(case: Case):
+    """Period-grid ``(seed, run, begins, exec_ns)`` on the pinned machine."""
+    horizon = float(_horizon_ns(case))
+    period = 5.0 * MS
+    for seed, run in _walk_runs(case, _PINNED_MACHINE):
+        gaps = run.attacker_timeline.gaps
+        begins = np.arange(0.0, horizon, period)
+        exec_ns = np.array(
+            [gaps.executed_between(t, min(t + period, horizon)) for t in begins]
+        )
+        yield seed, run, begins, exec_ns
+
+
+def _walk_reference(case: Case) -> dict:
+    counts = []
+    for seed, run, begins, exec_ns in _count_probes(case):
+        for attacker in _WALK_ATTACKERS:
+            rng = np.random.default_rng(seed)
+            counts.append(
+                np.array(
+                    [
+                        attacker.count(e, t, run, rng)
+                        for e, t in zip(exec_ns.tolist(), begins.tolist())
+                    ]
+                )
+            )
+    return {"walks": _walks(case, ReferenceTraceCollector), "counts": counts}
+
+
+def _walk_optimized(case: Case) -> dict:
+    counts = []
+    for seed, run, begins, exec_ns in _count_probes(case):
+        for attacker in _WALK_ATTACKERS:
+            scales = attacker.draw_scales
+            draws = np.random.default_rng(seed).normal(
+                0.0, scales, size=(len(begins), len(scales))
+            )
+            counts.append(attacker.count_many(exec_ns, begins, run, draws))
+    return {"walks": _walks(case, TraceCollector), "counts": counts}
+
+
+# ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
 
@@ -603,6 +716,21 @@ register(
         mode="bit",
         reference=_data_memory,
         optimized=_data_streamed,
+    )
+)
+
+register(
+    Oracle(
+        name="collect.walk",
+        description=(
+            "two-phase TraceCollector period walk vs the retained per-period "
+            "loop (core/walk_ref.py): observed starts, counters and RNG state "
+            "for 5 timers x 2 attackers x noise off/on, plus unfloored "
+            "count_many vs count at a pinned 2.0 GHz"
+        ),
+        mode="bit",
+        reference=_walk_reference,
+        optimized=_walk_optimized,
     )
 )
 

@@ -69,5 +69,7 @@ class TestCollectorGuards:
             TraceSpec(horizon_ns=1_000, period_ns=2_000)
 
     def test_nonpositive_period_refused(self):
-        with pytest.raises(ValueError):
-            TraceCollector(MachineConfig(), SHORT, period_ns=-5)
+        # 0 is refused too, rather than read as "use the 5 ms default".
+        for period_ns in (-5, 0):
+            with pytest.raises(ValueError):
+                TraceCollector(MachineConfig(), SHORT, period_ns=period_ns)

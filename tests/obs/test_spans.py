@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 from repro import obs
+from repro.core.collector import TraceCollector
 from repro.obs import spans as spans_module
 from repro.obs.export import merge_spool
 from repro.obs.spans import NULL_SPAN
+from repro.sim.machine import MachineConfig
+from repro.workload.browser import CHROME
+from repro.workload.website import profile_for
 
 
 def _read_events(spool_dir):
@@ -85,6 +90,19 @@ class TestEnabled:
             s.set(events=42)
         (event,) = _read_events(spool)
         assert event["attrs"] == {"events": 42}
+
+
+class TestCollectorSpans:
+    def test_walk_span_names_the_period_walk(self, spool):
+        browser = dataclasses.replace(CHROME, trace_seconds=0.5)
+        (trace,) = TraceCollector(MachineConfig(), browser).collect(
+            profile_for("nytimes.com")
+        )
+        by_name = {e["name"]: e for e in _read_events(spool)}
+        walk, collect = by_name["collect.walk"], by_name["collect.trace"]
+        assert walk["parent_id"] == collect["span_id"]
+        assert walk["attrs"] == {"periods": len(trace.counters)}
+        assert by_name["sim.synthesize"]["parent_id"] == collect["span_id"]
 
 
 class TestEnvActivation:

@@ -136,6 +136,21 @@ class TestSynthesis:
         value = run.occupancy_at(HORIZON / 2)
         assert 0.0 <= float(value) <= 1.0
 
+    @pytest.mark.parametrize("horizon_ms", [10, 50, 140, 150, 160])
+    def test_short_run_occupancy_has_one_sample_per_time(self, horizon_ms):
+        """Runs shorter than the ambient-noise kernel (15 samples of
+        10 ms) used to get a kernel-length ambient curve, and every
+        occupancy query on them raised."""
+        site = profile_for("nytimes.com")
+        rng = np.random.default_rng(3)
+        timeline = site.generate_load(rng, horizon_ms * 1_000_000)
+        run = InterruptSynthesizer(MachineConfig()).synthesize(
+            timeline, style=site.style, rng=rng
+        )
+        assert len(run.occupancy_ambient) == len(run.occupancy_times)
+        assert len(run.occupancy_victim) == len(run.occupancy_times)
+        assert 0.0 <= float(run.occupancy_at(horizon_ms * 500_000)) <= 1.0
+
     def test_frequency_schedule_covers_horizon(self):
         run = simulate()
         for t in (0, HORIZON // 2, HORIZON - 1):

@@ -78,6 +78,7 @@ class TestRegistry:
     def test_builtins_are_registered(self):
         names = list_oracles()
         assert {
+            "collect.walk",
             "engine.parallel",
             "engine.trace_cache",
             "ml.artifact",
