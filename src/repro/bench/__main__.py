@@ -1,8 +1,8 @@
-"""``python -m repro.bench`` — alias for ``biggerfish bench``."""
+"""``python -m repro.bench``: the same as ``biggerfish bench``."""
 
 import sys
 
-from repro.bench.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

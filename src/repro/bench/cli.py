@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
 
 from repro.bench import compare as bench_compare
 from repro.bench import harness
@@ -28,9 +27,11 @@ from repro.bench.results import BenchFormatError, BenchReport, default_results_d
 from repro.bench.scenarios import SCENARIOS, list_scenarios
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biggerfish bench",
+def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
+    """Register ``bench`` on the ``biggerfish`` parser."""
+    parser = sub.add_parser(
+        "bench",
+        help="perf-regression harness",
         description=(
             "Run seeded performance scenarios, record schema-versioned "
             "bench_*.json results, and gate on regressions vs a baseline."
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiplier on the observed coefficient of variation used "
         "to widen --threshold for noisy scenarios",
     )
-    return parser
+    parser.set_defaults(handler=_run)
 
 
 def _list_command() -> int:
@@ -99,8 +100,7 @@ def _list_command() -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     if args.list:
         return _list_command()
     unknown = [name for name in args.scenarios if name not in SCENARIOS]
@@ -169,7 +169,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             "different hosts; absolute comparisons are indicative only",
         )
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,6 @@ baseline fails loudly instead of producing a nonsense comparison.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pathlib
@@ -22,6 +21,8 @@ import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
+
+from repro.jsondoc import read_json, write_json
 
 #: Bump on any incompatible change to the JSON layout below.
 SCHEMA_VERSION = 1
@@ -145,7 +146,6 @@ class BenchReport:
     scenarios: Dict[str, ScenarioRecord]
     host: Dict[str, object] = field(default_factory=host_fingerprint)
     created: str = ""
-    schema: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if not self.created:
@@ -153,7 +153,7 @@ class BenchReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "label": self.label,
             "created": self.created,
             "host": self.host,
@@ -166,9 +166,7 @@ class BenchReport:
         """Write ``bench_<label>.json`` under ``out_dir`` and return the path."""
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{FILENAME_PREFIX}{self.label}.json"
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        return path
+        return write_json(out / f"{FILENAME_PREFIX}{self.label}.json", self.as_dict())
 
     @classmethod
     def load(cls, path: os.PathLike) -> "BenchReport":
@@ -179,21 +177,12 @@ class BenchReport:
         always naming the path and the problem.
         """
         path = pathlib.Path(path)
-        try:
-            raw = path.read_text()
-        except OSError as error:
-            raise BenchFormatError(f"{path}: cannot read baseline ({error})") from error
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise BenchFormatError(f"{path}: not valid JSON ({error})") from error
-        _require(isinstance(data, dict), path, "top level is not a JSON object")
-        schema = data.get("schema")
-        _require(
-            schema == SCHEMA_VERSION,
+        data = read_json(
             path,
-            f"schema version {schema!r} is not the supported {SCHEMA_VERSION} "
-            "(re-record the baseline with this version of biggerfish bench)",
+            noun="baseline",
+            version_key="schema",
+            version=SCHEMA_VERSION,
+            error=BenchFormatError,
         )
         raw_scenarios = data.get("scenarios")
         _require(
@@ -210,7 +199,6 @@ class BenchReport:
             scenarios=scenarios,
             host=dict(data.get("host", {})),
             created=str(data.get("created", "")),
-            schema=int(schema),
         )
 
 

@@ -3,7 +3,7 @@
 from repro.core.analysis import ClockPollingAttacker, LeakageAnalysis, ObservedGap, analyze_run
 from repro.core.attacker import Attacker, LoopCountingAttacker, SweepCountingAttacker
 from repro.core.collector import NoiseHooks, TraceBatch, TraceCollector
-from repro.core.dataset import TraceDataset, collect_and_save
+from repro.core.dataset import TraceDataset
 from repro.core.keystroke import (
     KeystrokeAttacker,
     KeystrokeRecovery,
@@ -16,8 +16,7 @@ from repro.core.trace import Trace, TraceSpec, average_traces, stack_dataset, tr
 __all__ = [
     "ClockPollingAttacker", "LeakageAnalysis", "ObservedGap", "analyze_run",
     "Attacker", "LoopCountingAttacker", "SweepCountingAttacker", "NoiseHooks",
-    "TraceBatch", "TraceCollector", "TraceDataset", "collect_and_save",
-    "KeystrokeAttacker",
+    "TraceBatch", "TraceCollector", "TraceDataset", "KeystrokeAttacker",
     "KeystrokeRecovery", "TypingModel", "run_keystroke_attack",
     "FingerprintingPipeline", "OpenWorldResult", "Trace", "TraceSpec",
     "average_traces", "stack_dataset", "trace_correlation",

@@ -1,22 +1,19 @@
-"""Trace dataset persistence and manipulation.
+"""In-memory labeled trace datasets: merge, subsample, split.
 
 The paper's pipeline separates trace collection (slow, Selenium-driven)
-from model training.  This module provides the same separation for the
-simulated stack: collected datasets can be saved to a single ``.npz``
-archive with their labels and collection metadata, reloaded, merged
-(e.g. closed world + open world), subsampled and split.
+from model training.  On disk that separation is a sharded
+:mod:`repro.data` store; :meth:`ShardedDataset.to_trace_dataset
+<repro.data.reader.ShardedDataset.to_trace_dataset>` loads one into a
+:class:`TraceDataset`, which can then be merged (e.g. closed world +
+open world), subsampled and split.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -30,8 +27,8 @@ class TraceDataset:
     filtering produces on site-ordered collections), and an owned copy
     otherwise.  In-place writes to a view are visible through the parent
     and vice versa; callers that need independence should copy
-    explicitly (``dataset.x = dataset.x.copy()``).  :meth:`merge` and
-    :meth:`load` always return owned arrays.
+    explicitly (``dataset.x = dataset.x.copy()``).  :meth:`merge` always
+    returns an owned array.
     """
 
     x: np.ndarray
@@ -137,57 +134,3 @@ class TraceDataset:
         return self.select(np.flatnonzero(~test_mask)), self.select(
             np.flatnonzero(test_mask)
         )
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the dataset to one ``.npz`` archive."""
-        path = Path(path)
-        np.savez_compressed(
-            path,
-            x=self.x,
-            labels=np.array(self.labels, dtype=object),
-            metadata=json.dumps({"format": _FORMAT_VERSION, **self.metadata}),
-        )
-
-    @classmethod
-    def load(cls, path) -> "TraceDataset":
-        """Read a dataset written by :meth:`save`."""
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(path)
-        with np.load(path, allow_pickle=True) as archive:
-            metadata = json.loads(str(archive["metadata"]))
-            version = metadata.pop("format", None)
-            if version != _FORMAT_VERSION:
-                raise ValueError(f"unsupported dataset format {version!r}")
-            return cls(
-                x=archive["x"],
-                labels=[str(l) for l in archive["labels"]],
-                metadata=metadata,
-            )
-
-
-def collect_and_save(
-    collector,
-    sites,
-    traces_per_site: int,
-    path,
-    noise=None,
-    extra_metadata: Optional[Mapping] = None,
-) -> TraceDataset:
-    """Collect a dataset with ``collector`` and persist it."""
-    x, labels = collector.collect(sites, traces_per_site, noise=noise).stacked()
-    metadata = {
-        "attacker": collector.attacker.name,
-        "browser": collector.browser.name,
-        "period_ns": collector.period_ns,
-        "horizon_ns": collector.spec.horizon_ns,
-        "traces_per_site": traces_per_site,
-        **(extra_metadata or {}),
-    }
-    dataset = TraceDataset(x=x, labels=labels, metadata=metadata)
-    dataset.save(path)
-    return dataset

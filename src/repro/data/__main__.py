@@ -1,8 +1,8 @@
-"""``python -m repro.data`` — alias for ``biggerfish data``."""
+"""``python -m repro.data``: the same as ``biggerfish data``."""
 
 import sys
 
-from repro.data.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["data", *sys.argv[1:]]))

@@ -12,15 +12,15 @@ Usage::
     python -m repro.data build store/ --sites 4 --traces 2
 
 Exit status: 0 success, 1 verification failures or build errors, 2 usage
-errors (unknown subcommand, bad shapes, config mismatch on resume).
+errors (unknown subcommand, bad shapes, bad ``--jobs`` / ``--retries`` /
+``--task-timeout``, config mismatch on resume).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
-from typing import List, Optional
 
 from repro.data.manifest import DataError, DatasetConfig, DatasetManifest
 from repro.data.reader import ShardedDataset, verify_store
@@ -30,20 +30,22 @@ from repro.data.writer import (
     build_dataset,
     merge_stores,
 )
-
-#: Same worker-count knob as the experiment runner.
-JOBS_ENV_VAR = "BIGGERFISH_JOBS"
+from repro.engine.engine import ExecutionEngine
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biggerfish data",
+def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
+    """Register ``data`` and its ``build|ls|verify|merge`` commands."""
+    parser = sub.add_parser(
+        "data",
+        help="sharded trace-dataset stores",
         description="Sharded trace-dataset stores: build, inspect, verify, merge.",
     )
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.set_defaults(handler=functools.partial(_run, parser))
+    commands = parser.add_subparsers(dest="data_command", metavar="COMMAND")
 
     build = commands.add_parser(
         "build",
+        parents=[engine_flags],
         help="collect a dataset into (or resume) a sharded store",
         description=(
             "Partition the closed-world catalog into shards and collect them "
@@ -84,22 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=f"catalog sites per shard (default: ${SHARD_SITES_ENV_VAR} or 8)",
     )
-    build.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
-    )
-    build.add_argument(
-        "--retries", type=int, default=None, help="per-task retry budget"
-    )
-    build.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abandon and retry shard tasks running longer than this",
-    )
 
     ls = commands.add_parser(
         "ls",
@@ -132,14 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument("out", help="output store directory (must not be a store yet)")
     merge.add_argument("sources", nargs="+", help="two or more source stores")
-    return parser
-
-
-def _resolve_jobs(value: Optional[int]) -> Optional[int]:
-    if value is not None:
-        return value
-    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-    return int(raw) if raw else None
 
 
 def _progress(message: str) -> None:
@@ -147,8 +125,13 @@ def _progress(message: str) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from repro.engine.engine import ExecutionEngine
-
+    try:
+        engine = ExecutionEngine(
+            jobs=args.jobs, retries=args.retries, task_timeout=args.task_timeout
+        )
+    except ValueError as exc:  # bad --jobs / --retries / --task-timeout
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = DatasetConfig(
         n_sites=args.sites,
         traces_per_site=args.traces,
@@ -157,12 +140,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         browser=args.browser,
         seed=args.seed,
     )
-    jobs = _resolve_jobs(args.jobs)
-    engine = None
-    if jobs is not None and jobs > 1:
-        engine = ExecutionEngine(
-            jobs=jobs, retries=args.retries, task_timeout=args.task_timeout
-        )
     manifest = build_dataset(
         args.store,
         config,
@@ -229,10 +206,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.data_command is None:
         parser.print_help()
         return 2
     handler = {
@@ -240,13 +215,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "ls": _cmd_ls,
         "verify": _cmd_verify,
         "merge": _cmd_merge,
-    }[args.command]
+    }[args.data_command]
     try:
         return handler(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if args.command in ("build", "merge") else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return 2 if args.data_command in ("build", "merge") else 1

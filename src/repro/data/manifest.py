@@ -13,11 +13,11 @@ compatibly, what forces a version bump) is specified in
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.jsondoc import read_json, write_json
 
 #: Bump on any incompatible change to the manifest or shard layout.
 DATA_SCHEMA_VERSION = 1
@@ -143,12 +143,7 @@ class DatasetManifest:
 
     def save(self, store_dir) -> Path:
         """Atomically (re)write ``dataset.json`` in ``store_dir``."""
-        store_dir = Path(store_dir)
-        path = store_dir / MANIFEST_NAME
-        tmp = store_dir / f".{MANIFEST_NAME}.tmp-{os.getpid()}"
-        tmp.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
+        return write_json(Path(store_dir) / MANIFEST_NAME, self.as_dict())
 
     @classmethod
     def load(cls, store_dir) -> "DatasetManifest":
@@ -156,18 +151,13 @@ class DatasetManifest:
         path = Path(store_dir) / MANIFEST_NAME
         if not path.exists():
             raise DataError(f"{store_dir}: not a dataset store (no {MANIFEST_NAME})")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: malformed JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise DataError(f"{path}: manifest is not a JSON object")
-        version = data.get("schema_version")
-        if version != DATA_SCHEMA_VERSION:
-            raise DataError(
-                f"{path}: unsupported dataset schema {version!r} "
-                f"(this build reads version {DATA_SCHEMA_VERSION})"
-            )
+        data = read_json(
+            path,
+            noun="dataset manifest",
+            version_key="schema_version",
+            version=DATA_SCHEMA_VERSION,
+            error=DataError,
+        )
         status = str(data.get("status", ""))
         if status not in ("building", "complete"):
             raise DataError(f"{path}: unknown status {status!r}")

@@ -18,19 +18,20 @@ killed run never leaves a torn manifest either.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.engine.engine import ExecutionEngine
+from repro.jsondoc import write_json
 
 #: File name written inside ``--save-dir``.
 MANIFEST_FILENAME = "run_manifest.json"
+
+#: Version of the manifest layout, stored under ``"schema"``.
+MANIFEST_SCHEMA = 1
 
 
 @dataclass
@@ -103,7 +104,7 @@ class RunManifest:
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
-            "schema": 1,
+            "schema": MANIFEST_SCHEMA,
             "created_unix": round(self.created_unix, 3),
             "status": self.status,
             "scale": self.scale,
@@ -128,23 +129,7 @@ class RunManifest:
     def write(self, directory: pathlib.Path) -> pathlib.Path:
         """Serialize to ``<directory>/run_manifest.json`` atomically.
 
-        The JSON body is rendered and written to a temp file first, then
-        renamed over the target — a crash mid-serialization leaves any
-        previous manifest intact and no partial file behind.
+        A crash mid-serialization leaves any previous manifest intact and
+        no partial file behind (see :func:`repro.jsondoc.write_json`).
         """
-        path = pathlib.Path(directory) / MANIFEST_FILENAME
-        body = json.dumps(self.as_dict(), indent=2, sort_keys=False) + "\n"
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".tmp-manifest-", suffix=".json", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(body)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_json(pathlib.Path(directory) / MANIFEST_FILENAME, self.as_dict())

@@ -1,4 +1,4 @@
-"""Command-line experiment runner.
+"""The experiment commands of ``biggerfish``: ``run``, ``cache``, ``report``.
 
 Usage::
 
@@ -6,17 +6,15 @@ Usage::
     biggerfish fig3 table2 --scale smoke --seed 1
     biggerfish table1 --scale smoke --jobs 4 --save-dir out/
     biggerfish table1 --scale smoke --profile --save-dir out/
-    biggerfish all --scale default
+    biggerfish run all --scale default
     biggerfish cache info
     biggerfish cache clear
     biggerfish report out/
-    biggerfish lint src/ tests/ --format json
-    biggerfish bench --compare benchmarks/results/bench_main.json
-    biggerfish verify --seeds 25 --shrink
-    biggerfish train --out model/ --scale smoke
-    biggerfish serve --artifact model/ < requests.jsonl
-    biggerfish predict --artifact model/ --scale smoke --check-direct
-    biggerfish data build store/ --sites 20 --traces 30 --jobs 4
+
+``run`` is the default command: a first argument that is not a command
+name (an experiment id, ``--list``, or nothing at all) runs experiments.
+The parser lives in :mod:`repro.cli`; this module registers its three
+commands there through :func:`add_parser`.
 
 Each experiment prints the paper table/figure it regenerates.  The CLI
 caches collected traces on disk by default (``--no-cache`` disables,
@@ -38,17 +36,8 @@ and summarized into the manifest; ``biggerfish report <run-dir>`` prints
 the per-stage time/memory/cache breakdown afterwards.  Profiling never
 changes results — a profiled run's tables are bit-identical.
 
-``biggerfish lint`` runs the :mod:`repro.lint` determinism linter
-(seeded-RNG plumbing, simulated-time-only simulation code, order-stable
-iteration); ``biggerfish bench`` runs the :mod:`repro.bench`
-perf-regression harness (seeded scenarios, ``bench_*.json`` results,
-``--compare BASELINE`` exits nonzero on regression); ``biggerfish
-verify`` runs the :mod:`repro.verify` differential-oracle harness
-(every optimized path against its reference over seeded cases, with
-counterexample shrinking — see ``docs/VERIFY.md``).  All three own
-their argument grammar — see ``biggerfish lint --help`` / ``biggerfish
-bench --help`` / ``biggerfish verify --help``.  The full flag and
-environment-variable reference lives in ``docs/CLI.md``.
+The full flag and environment-variable reference lives in
+``docs/CLI.md``.
 """
 
 from __future__ import annotations
@@ -93,91 +82,79 @@ from repro.viz.figures import render
 PROFILE_ENV_VAR = "BIGGERFISH_PROFILE"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biggerfish",
+def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
+    """Register ``run``, ``cache`` and ``report`` on the ``biggerfish`` parser."""
+    run = sub.add_parser(
+        "run",
+        parents=[engine_flags],
+        help="regenerate tables/figures (the default command)",
         description=(
             "Regenerate the tables and figures of 'There's Always a Bigger "
             "Fish' (ISCA 2022) on the simulated substrate."
         ),
     )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help=(
-            "experiment ids (e.g. table1 fig5), 'all', or a subcommand: "
-            "'cache info' / 'cache clear' / 'report <run-dir>' / "
-            "'lint [paths]' / 'bench [scenarios]' / 'verify' / 'data ...'"
-        ),
+    run.add_argument(
+        "experiments", nargs="*", help="experiment ids (e.g. table1 fig5) or 'all'"
     )
-    parser.add_argument("--scale", choices=sorted(SCALES), default="default")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: BIGGERFISH_JOBS or 1 = serial)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help="re-execution attempts per failed task "
-        "(default: BIGGERFISH_RETRIES or 2; retries are bit-identical)",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abandon and retry a parallel task running longer than this "
-        "(default: BIGGERFISH_TASK_TIMEOUT or no timeout)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="trace cache location (default: BIGGERFISH_CACHE_DIR or "
-        "~/.cache/biggerfish/traces)",
-    )
-    parser.add_argument(
+    run.add_argument("--scale", choices=sorted(SCALES), default="default")
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk trace cache for this run",
     )
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
-    parser.add_argument(
+    run.add_argument("--list", action="store_true", help="list experiment ids")
+    run.add_argument(
         "--save-dir",
         default=None,
         help="write rendered tables (.txt), figures (.svg) and a "
         "run_manifest.json here",
     )
-    parser.add_argument(
+    run.add_argument(
         "--profile",
         action="store_true",
         help="record tracing spans and metrics (or BIGGERFISH_PROFILE=1); "
         "writes profile.jsonl and an SVG timeline into --save-dir",
     )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=obs_report.DEFAULT_TOP_N,
-        help="slowest spans to show in 'report' output and the manifest",
+    run.set_defaults(handler=_run_command)
+
+    cache = sub.add_parser(
+        "cache",
+        help="inspect / empty the trace cache",
+        description="Show the trace cache's location and size, or empty it.",
     )
-    return parser
+    cache.add_argument("verb", nargs="?", choices=("info", "clear"), default="info")
+    cache.set_defaults(handler=_cache_command)
+
+    report = sub.add_parser(
+        "report",
+        help="per-stage breakdown of a saved run",
+        description="Render profile.jsonl + run_manifest.json from a --save-dir.",
+    )
+    report.add_argument("run_dir", help="a run's --save-dir")
+    report.set_defaults(handler=_report_command)
+
+    for parser in (run, cache):
+        parser.add_argument(
+            "--cache-dir",
+            default=None,
+            help="trace cache location (default: BIGGERFISH_CACHE_DIR or "
+            "~/.cache/biggerfish/traces)",
+        )
+    for parser in (run, report):
+        parser.add_argument(
+            "--top",
+            type=int,
+            default=obs_report.DEFAULT_TOP_N,
+            help="slowest spans to show in 'report' output and the manifest",
+        )
 
 
 def _cache_command(args: argparse.Namespace) -> int:
-    """Handle ``biggerfish cache info|clear``."""
-    verbs = args.experiments[1:]
-    verb = verbs[0] if verbs else "info"
-    if len(verbs) > 1 or verb not in ("info", "clear"):
-        print(
-            "usage: biggerfish cache [info|clear]", file=sys.stderr
-        )
-        return 2
+    """Handle ``biggerfish cache [info|clear]``."""
     cache = TraceCache(args.cache_dir or default_cache_dir())
     info = cache.info()
-    if verb == "clear":
+    if args.verb == "clear":
         removed = cache.clear()
         print(f"cleared {removed} cached trace(s) from {info['path']}")
         return 0
@@ -190,11 +167,7 @@ def _cache_command(args: argparse.Namespace) -> int:
 
 def _report_command(args: argparse.Namespace) -> int:
     """Handle ``biggerfish report <run-dir>``."""
-    targets = args.experiments[1:]
-    if len(targets) != 1:
-        print("usage: biggerfish report <run-dir> [--top N]", file=sys.stderr)
-        return 2
-    code, text = obs_report.report_command(targets[0], top_n=args.top)
+    code, text = obs_report.report_command(args.run_dir, top_n=args.top)
     print(text, file=sys.stderr if code else sys.stdout)
     return code
 
@@ -226,39 +199,8 @@ def _resolve_ids(requested: list[str]) -> list[str] | None:
     return requested
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "lint":
-        # The linter owns its argument grammar (--select, --baseline,
-        # ...), so dispatch before this module's parser sees the args.
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # Same deal for the perf-regression harness (--repeat, --compare).
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "verify":
-        # And the differential-oracle harness (--seeds, --shrink).
-        from repro.verify.cli import main as verify_main
-
-        return verify_main(argv[1:])
-    if argv and argv[0] in ("train", "serve", "predict"):
-        # And the model-serving CLI (artifacts, batched inference).
-        from repro.serve.cli import main as serve_main
-
-        return serve_main(argv)
-    if argv and argv[0] == "data":
-        # And the sharded dataset store (build/ls/verify/merge).
-        from repro.data.cli import main as data_main
-
-        return data_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.experiments and args.experiments[0] == "cache":
-        return _cache_command(args)
-    if args.experiments and args.experiments[0] == "report":
-        return _report_command(args)
+def _run_command(args: argparse.Namespace) -> int:
+    """Handle ``biggerfish [run] [EXPERIMENT ...]``."""
     if args.list or not args.experiments:
         print("available experiments:", ", ".join(list_experiments()))
         return 0
@@ -357,7 +299,3 @@ def main(argv: list[str] | None = None) -> int:
         if save_dir:
             manifest.write(save_dir)
     return exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,10 +1,8 @@
-"""``python -m repro.lint`` — direct entry point used by the CI job."""
-
-from __future__ import annotations
+"""``python -m repro.lint``: the same as ``biggerfish lint``."""
 
 import sys
 
-from repro.lint.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["lint", *sys.argv[1:]]))

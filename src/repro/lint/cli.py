@@ -1,4 +1,4 @@
-"""The ``biggerfish lint`` subcommand (also ``python -m repro.lint``).
+"""The ``biggerfish lint`` command (also ``python -m repro.lint``).
 
 Usage::
 
@@ -33,9 +33,11 @@ from repro.lint.suppress import DEFAULT_BASELINE_NAME
 DEFAULT_PATHS = ("src", "tests")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biggerfish lint",
+def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
+    """Register ``lint`` on the ``biggerfish`` parser."""
+    parser = sub.add_parser(
+        "lint",
+        help="determinism + concurrency linter",
         description=(
             "AST-based determinism & concurrency-safety linter: seeded-RNG "
             "plumbing, simulated-time-only simulation code, order-stable "
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="print one rule's documentation and exit",
     )
-    return parser
+    parser.set_defaults(handler=_run)
 
 
 def _split_ids(values: Optional[Sequence[str]]) -> Optional[list[str]]:
@@ -102,17 +104,17 @@ def _split_ids(values: Optional[Sequence[str]]) -> Optional[list[str]]:
 
 
 def _resolve_baseline(args: argparse.Namespace) -> tuple[pathlib.Path, Optional[Baseline]]:
-    """The baseline path in effect plus its loaded contents (if present)."""
+    """The baseline path in effect plus its loaded contents (if present).
+
+    An explicit ``--baseline`` must exist unless it is about to be written.
+    """
     path = pathlib.Path(args.baseline or DEFAULT_BASELINE_NAME)
-    if not path.exists():
-        if args.baseline and not args.write_baseline:
-            raise FileNotFoundError(f"baseline file not found: {path}")
-        return path, None
-    return path, Baseline.load(path)
+    if path.exists() or (args.baseline and not args.write_baseline):
+        return path, Baseline.load(path)
+    return path, None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(
@@ -163,7 +165,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if report:
         print(report)
     return 0 if run.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

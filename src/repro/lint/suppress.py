@@ -17,11 +17,11 @@ request is a reviewable regression.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import re
 from typing import Iterable, Sequence
 
+from repro.jsondoc import read_json, write_json
 from repro.lint.registry import Finding
 
 #: Conventional baseline filename, looked up in the working directory.
@@ -58,8 +58,13 @@ class Baseline:
     @classmethod
     def load(cls, path: pathlib.Path) -> "Baseline":
         """Read a baseline file; raises ValueError on a malformed one."""
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict) or "findings" not in payload:
+        payload = read_json(
+            path,
+            noun="lint baseline",
+            version_key="version",
+            version=_BASELINE_VERSION,
+        )
+        if "findings" not in payload:
             raise ValueError(f"{path}: not a lint baseline (missing 'findings')")
         fingerprints = []
         for entry in payload["findings"]:
@@ -86,4 +91,4 @@ class Baseline:
                 )
             ],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, payload)

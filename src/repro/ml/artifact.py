@@ -26,13 +26,14 @@ array; corrupted or future-schema artifacts are rejected with
 
 from __future__ import annotations
 
-import json
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
+
+from repro.jsondoc import read_json, write_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ml.models import Fingerprinter
@@ -252,7 +253,7 @@ def save_artifact(
     document = asdict(info)
     document["classes"] = list(info.classes) if info.classes is not None else None
     document["weights"] = sorted(arrays)
-    (path / ARTIFACT_JSON).write_text(json.dumps(document, indent=2, sort_keys=True))
+    write_json(path / ARTIFACT_JSON, document)
     with open(path / WEIGHTS_NPZ, "wb") as handle:
         np.savez(handle, **arrays)
     return path
@@ -264,18 +265,13 @@ def load_info(path) -> ArtifactInfo:
     manifest = path / ARTIFACT_JSON
     if not manifest.is_file():
         raise ArtifactError(f"not a model artifact: {manifest} missing")
-    try:
-        document = json.loads(manifest.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"corrupted artifact manifest {manifest}: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ArtifactError(f"corrupted artifact manifest {manifest}: not an object")
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ArtifactError(
-            f"unsupported artifact schema {version!r} (this build reads "
-            f"schema {SCHEMA_VERSION}); re-train or convert the artifact"
-        )
+    document = read_json(
+        manifest,
+        noun="artifact",
+        version_key="schema_version",
+        version=SCHEMA_VERSION,
+        error=ArtifactError,
+    )
     backend = document.get("backend")
     if backend not in _BACKENDS:
         raise ArtifactError(f"unknown artifact backend {backend!r}")
@@ -289,7 +285,7 @@ def load_info(path) -> ArtifactInfo:
         raise ArtifactError("artifact classes must be a list of strings")
     provenance = document.get("provenance")
     return ArtifactInfo(
-        schema_version=version,
+        schema_version=SCHEMA_VERSION,
         backend=backend,
         repro_version=str(document.get("repro_version", "")),
         config=config,

@@ -11,10 +11,11 @@ it falls back to the manifest's recorded stage timings.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import List, Optional, Sequence
 
+from repro.engine.manifest import MANIFEST_FILENAME, MANIFEST_SCHEMA
+from repro.jsondoc import read_json
 from repro.obs.export import PROFILE_FILENAME, Profile, read_profile, summarize
 
 #: Slowest-span rows printed by default.
@@ -43,15 +44,24 @@ def _fmt_rss(kb: int) -> str:
 
 
 def load_run(run_dir: pathlib.Path) -> tuple[Optional[Profile], Optional[dict]]:
-    """Best-effort load of ``(profile, manifest)`` from a run directory."""
+    """Load ``(profile, manifest)`` from a run directory; either may be None.
+
+    A manifest that is present but unreadable, not valid JSON, not an
+    object or of another schema raises :class:`ValueError` naming its path.
+    """
     profile = None
     manifest = None
     profile_path = run_dir / PROFILE_FILENAME
-    manifest_path = run_dir / "run_manifest.json"
+    manifest_path = run_dir / MANIFEST_FILENAME
     if profile_path.exists():
         profile = read_profile(profile_path)
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_json(
+            manifest_path,
+            noun="run manifest",
+            version_key="schema",
+            version=MANIFEST_SCHEMA,
+        )
     return profile, manifest
 
 
@@ -248,11 +258,14 @@ def report_command(run_dir: str, top_n: int = DEFAULT_TOP_N) -> tuple[int, str]:
     path = pathlib.Path(run_dir)
     if not path.is_dir():
         return 2, f"biggerfish report: not a directory: {run_dir}"
-    profile, manifest = load_run(path)
+    try:
+        profile, manifest = load_run(path)
+    except ValueError as exc:
+        return 2, f"biggerfish report: {exc}"
     if profile is None and manifest is None:
         return (
             2,
-            f"biggerfish report: no {PROFILE_FILENAME} or run_manifest.json "
+            f"biggerfish report: no {PROFILE_FILENAME} or {MANIFEST_FILENAME} "
             f"in {run_dir} (did you run with --profile --save-dir?)",
         )
     return 0, format_report(path, profile, manifest, top_n=top_n)

@@ -30,6 +30,7 @@ for the serving path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,8 +39,6 @@ import numpy as np
 
 from repro.config import SCALES
 from repro.ml.artifact import ArtifactError
-
-SUBCOMMANDS = ("train", "serve", "predict")
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -62,14 +61,9 @@ def _add_server_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biggerfish",
-        description="Train, serve and query fingerprinting model artifacts.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    train = sub.add_parser("train", help="train a model and save an artifact")
+def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
+    """Register ``train``, ``serve`` and ``predict`` on the ``biggerfish`` parser."""
+    train = sub.add_parser("train", help="train + save a model artifact")
     _add_scale_args(train)
     train.add_argument("--out", required=True, help="artifact directory to write")
     train.add_argument(
@@ -85,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    serve = sub.add_parser("serve", help="answer JSONL requests over stdin/stdout")
+    serve = sub.add_parser("serve", help="batched JSONL inference server")
     serve.add_argument(
         "--artifact", action="append", required=True, metavar="NAME=DIR|DIR",
         help="artifact to load (repeatable; bare DIR is named 'default')",
@@ -96,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the full probability row in each result",
     )
 
-    predict = sub.add_parser(
-        "predict", help="classify fresh evaluation traces through the server"
-    )
+    predict = sub.add_parser("predict", help="classify eval traces via the server")
     predict.add_argument("--artifact", required=True, help="artifact directory")
     _add_scale_args(predict)
     predict.add_argument(
@@ -113,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-direct", action="store_true",
         help="fail unless batched probabilities equal direct predict_proba",
     )
-    return parser
+    for parser, command in ((train, _train), (serve, _serve), (predict, _predict)):
+        parser.set_defaults(handler=functools.partial(_run, parser.prog, command))
 
 
 # ----------------------------------------------------------------------
@@ -335,18 +328,9 @@ def _predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(prog: str, command, args: argparse.Namespace) -> int:
     try:
-        if args.command == "train":
-            return _train(args)
-        if args.command == "serve":
-            return _serve(args)
-        return _predict(args)
+        return command(args)
     except (ArtifactError, ValueError) as exc:
-        print(f"biggerfish {args.command}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

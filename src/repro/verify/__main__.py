@@ -1,7 +1,8 @@
-"""``python -m repro.verify`` — differential-oracle sweep entry point."""
+"""``python -m repro.verify``: the same as ``biggerfish verify``."""
 
 import sys
 
-from repro.verify.cli import main
+from repro.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main(["verify", *sys.argv[1:]]))

@@ -15,23 +15,22 @@ Exit status: 0 when every oracle passes every case, 1 on any failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
-import pathlib
-import sys
-from typing import List, Optional
+from typing import List
 
+from repro.engine.engine import resolve_jobs
+from repro.jsondoc import write_json
 from repro.verify.driver import VerifyReport, make_cases, sweep
 from repro.verify.oracle import ORACLES, list_oracles
 from repro.verify.shrink import shrink, shrink_report
 
-#: Same worker-count knob as the experiment runner.
-JOBS_ENV_VAR = "BIGGERFISH_JOBS"
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biggerfish verify",
+def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
+    """Register ``verify`` on the ``biggerfish`` parser."""
+    parser = sub.add_parser(
+        "verify",
+        help="differential-oracle sweeps",
         description=(
             "Run every optimized path against its reference implementation "
             "over a sweep of seeded cases."
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
+        help="worker processes (default: $BIGGERFISH_JOBS or 1)",
     )
     parser.add_argument(
         "--sites", type=int, default=2, help="sites per case (default: 2)"
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=400.0,
         help="simulated horizon per trace in ms (default: 400)",
     )
-    return parser
+    parser.set_defaults(handler=functools.partial(_run, parser))
 
 
 def _parse_seeds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> List[int]:
@@ -103,20 +102,6 @@ def _parse_seeds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> L
     if args.seeds < 1:
         parser.error(f"--seeds must be positive, got {args.seeds}")
     return list(range(args.seeds))
-
-
-def _resolve_jobs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get(JOBS_ENV_VAR, "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            parser.error(f"${JOBS_ENV_VAR} must be an integer, got {raw!r}")
-    if jobs < 1:
-        parser.error(f"--jobs must be positive, got {jobs}")
-    return jobs
 
 
 def _print_oracle_list() -> None:
@@ -143,24 +128,16 @@ def _print_report(report: VerifyReport) -> None:
     print(f"verify: {verdict} in {report.elapsed_s:.1f}s")
 
 
-def _write_json(report_dict: dict, destination: str) -> None:
-    text = json.dumps(report_dict, indent=2, sort_keys=True)
-    if destination == "-":
-        print(text)
-    else:
-        pathlib.Path(destination).write_text(text + "\n")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.list:
         _print_oracle_list()
         return 0
 
     seeds = _parse_seeds(args, parser)
-    jobs = _resolve_jobs(args, parser)
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
     oracle_names = None
     if args.oracles is not None:
         oracle_names = [part.strip() for part in args.oracles.split(",") if part.strip()]
@@ -192,10 +169,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             shrunk.append(result.as_dict())
         report_dict["shrunk"] = shrunk
 
-    if args.json:
-        _write_json(report_dict, args.json)
+    if args.json == "-":
+        print(json.dumps(report_dict, indent=2, sort_keys=True))
+    elif args.json:
+        write_json(args.json, report_dict)
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,8 +6,12 @@ import json
 
 import pytest
 
-from repro.bench.cli import main
 from repro.bench.results import SCHEMA_VERSION, BenchFormatError, BenchReport, ScenarioRecord
+from repro.cli import main as biggerfish
+
+
+def main(argv: list[str]) -> int:
+    return biggerfish(["bench", *argv])
 
 
 def write_report(tmp_path, label: str, wall_by_name: dict[str, list[float]]):
@@ -124,9 +128,7 @@ class TestUsage:
 
 class TestRunnerDispatch:
     def test_biggerfish_bench_dispatches(self, capsys):
-        from repro.experiments.runner import main as runner_main
-
-        assert runner_main(["bench", "--list"]) == 0
+        assert biggerfish(["bench", "--list"]) == 0
         assert "sim.synthesize" in capsys.readouterr().out
 
 

@@ -1,13 +1,9 @@
-"""Tests for trace dataset persistence."""
+"""Tests for the in-memory trace dataset: construction, selection, splits."""
 
 import numpy as np
 import pytest
 
-from repro.core.dataset import TraceDataset, collect_and_save
-from repro.core.collector import TraceCollector
-from repro.sim.machine import MachineConfig
-from repro.workload.browser import CHROME, Browser
-from repro.workload.website import profile_for
+from repro.core.dataset import TraceDataset
 
 
 def make_dataset(n_per_class=4, n_classes=3, length=20, seed=0):
@@ -118,73 +114,8 @@ class TestAliasing:
 
 
 class TestEdgeCases:
-    def test_empty_dataset_roundtrip(self, tmp_path):
-        empty = TraceDataset(
-            x=np.empty((0, 20)), labels=[], metadata={"note": "empty"}
-        )
-        assert len(empty) == 0 and empty.n_classes == 0
-        path = tmp_path / "empty.npz"
-        empty.save(path)
-        loaded = TraceDataset.load(path)
-        assert len(loaded) == 0
-        assert loaded.x.shape == (0, 20)
-        assert loaded.metadata == {"note": "empty"}
-
     def test_empty_select(self):
         dataset = make_dataset()
         subset = dataset.select([])
-        assert len(subset) == 0
+        assert len(subset) == 0 and subset.n_classes == 0
         assert subset.trace_length == dataset.trace_length
-
-    def test_metadata_roundtrip_nested(self, tmp_path):
-        metadata = {
-            "seed": 3,
-            "scale": {"n_sites": 4, "backend": "feature"},
-            "notes": ["merged", "subsampled"],
-        }
-        dataset = make_dataset()
-        dataset.metadata = metadata
-        path = tmp_path / "meta.npz"
-        dataset.save(path)
-        assert TraceDataset.load(path).metadata == metadata
-
-    def test_merge_then_subsample_roundtrip(self, tmp_path):
-        merged = make_dataset(seed=0).merge(make_dataset(seed=1))
-        subset = merged.select(range(0, len(merged), 2))
-        path = tmp_path / "subset.npz"
-        subset.save(path)
-        loaded = TraceDataset.load(path)
-        np.testing.assert_array_equal(loaded.x, subset.x)
-        assert loaded.labels == subset.labels
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        dataset = make_dataset()
-        path = tmp_path / "traces.npz"
-        dataset.save(path)
-        loaded = TraceDataset.load(path)
-        np.testing.assert_array_equal(loaded.x, dataset.x)
-        assert loaded.labels == dataset.labels
-        assert loaded.metadata == {"seed": 0}
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            TraceDataset.load(tmp_path / "nope.npz")
-
-    def test_collect_and_save(self, tmp_path):
-        browser = Browser(
-            name=CHROME.name, timer=CHROME.timer, trace_seconds=2.0,
-            measurement_noise=CHROME.measurement_noise,
-        )
-        collector = TraceCollector(MachineConfig(), browser, seed=1)
-        path = tmp_path / "collected.npz"
-        dataset = collect_and_save(
-            collector, [profile_for("amazon.com")], 2, path,
-            extra_metadata={"os": "Linux"},
-        )
-        assert path.exists()
-        loaded = TraceDataset.load(path)
-        assert loaded.metadata["attacker"] == "loop-counting"
-        assert loaded.metadata["os"] == "Linux"
-        assert len(loaded) == 2

@@ -1,13 +1,16 @@
-"""Tests for the ``biggerfish data`` CLI and its runner dispatch."""
+"""Tests for the ``biggerfish data`` commands."""
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.data import DatasetConfig, ShardedDataset, build_dataset
-from repro.data.cli import main as data_main
-from repro.experiments.runner import main as runner_main
 
 CONFIG_ARGS = ["--sites", "3", "--traces", "2", "--trace-seconds", "0.4"]
+
+
+def data_main(argv: list[str]) -> int:
+    return main(["data", *argv])
 
 
 def test_build_ls_verify(tmp_path, capsys):
@@ -70,21 +73,40 @@ def test_no_subcommand_prints_help(capsys):
     assert "build" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (["--jobs", "0"], {}),
+        (["--jobs", "-3"], {}),
+        (["--retries", "-5"], {}),
+        ([], {"BIGGERFISH_JOBS": "abc"}),
+    ],
+    ids=["jobs-zero", "jobs-negative", "retries-negative", "jobs-env-not-an-int"],
+)
+def test_build_rejects_bad_engine_flags(tmp_path, capsys, monkeypatch, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    store = tmp_path / "store"
+    assert data_main(["build", str(store), *CONFIG_ARGS, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be" in err
+    assert not store.exists()
+
+
 def test_runner_dispatches_data(tmp_path, capsys):
     store = str(tmp_path / "store")
-    assert runner_main(["data", "build", store, *CONFIG_ARGS]) == 0
-    assert runner_main(["data", "verify", store]) == 0
+    assert main(["data", "build", store, *CONFIG_ARGS]) == 0
+    assert main(["data", "verify", store]) == 0
 
 
 def test_train_from_store(tmp_path, capsys):
     from repro.ml.artifact import load_artifact, load_info
-    from repro.serve.cli import main as serve_main
 
     store = tmp_path / "store"
     config = DatasetConfig(n_sites=3, traces_per_site=4, trace_seconds=0.4)
     build_dataset(store, config, shard_sites=1)
     out = tmp_path / "model"
-    assert serve_main(["train", "--out", str(out), "--dataset", str(store)]) == 0
+    assert main(["train", "--out", str(out), "--dataset", str(store)]) == 0
     info = load_info(out)
     assert info.provenance["dataset_config"] == config.as_dict()
     assert info.provenance["n_traces"] == 12

@@ -138,7 +138,7 @@ class TestAtomicWrite:
         second.seed = 99
         second.write(tmp_path)
         assert json.loads((tmp_path / MANIFEST_FILENAME).read_text())["seed"] == 99
-        assert sorted(tmp_path.glob(".tmp-manifest-*")) == []
+        assert [p.name for p in sorted(tmp_path.iterdir())] == [MANIFEST_FILENAME]
 
     def test_crash_leaves_previous_manifest_intact(self, tmp_path):
         _manifest().write(tmp_path)
@@ -149,4 +149,4 @@ class TestAtomicWrite:
                 broken.write(tmp_path)
         # The old manifest survives and no temp file is left behind.
         assert json.loads((tmp_path / MANIFEST_FILENAME).read_text())["seed"] == 7
-        assert sorted(tmp_path.glob(".tmp-manifest-*")) == []
+        assert [p.name for p in sorted(tmp_path.iterdir())] == [MANIFEST_FILENAME]

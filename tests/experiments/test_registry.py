@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cli import main
 from repro.engine import RunContext
-from repro.experiments import runner  # populates the registry
+from repro.experiments import runner  # noqa: F401  (populates the registry)
 from repro.experiments.base import (
     ExperimentHandle,
     ExperimentSpec,
@@ -109,47 +110,49 @@ class TestFormatting:
 
 class TestRunnerCli:
     def test_list_flag(self, capsys):
-        assert runner.main(["--list"]) == 0
+        assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out
 
     def test_no_args_lists(self, capsys):
-        assert runner.main([]) == 0
+        assert main([]) == 0
         assert "available experiments" in capsys.readouterr().out
 
     def test_runs_cheap_experiment(self, capsys):
-        assert runner.main(["fig7", "--scale", "smoke"]) == 0
+        assert main(["fig7", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out
         assert "Randomized" in out
 
     def test_unknown_experiment_exits_2_with_suggestion(self, capsys):
-        assert runner.main(["fig99", "--scale", "smoke"]) == 2
+        assert main(["fig99", "--scale", "smoke"]) == 2
         err = capsys.readouterr().err
         assert "unknown experiment 'fig99'" in err
         assert "did you mean" in err and "fig8" in err
 
     def test_jobs_flag_validated(self, capsys):
-        assert runner.main(["fig7", "--scale", "smoke", "--jobs", "0"]) == 2
+        assert main(["fig7", "--scale", "smoke", "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_cache_info_subcommand(self, tmp_path, capsys):
-        assert runner.main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path) in out and "entries" in out
 
     def test_cache_clear_subcommand(self, tmp_path, capsys):
-        assert runner.main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "cleared 0" in capsys.readouterr().out
 
     def test_cache_unknown_verb_exits_2(self, capsys):
-        assert runner.main(["cache", "shrink"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "shrink"])
+        assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
 
 
 class TestSaveDir:
     def test_artifacts_written(self, tmp_path, capsys):
-        assert runner.main(
+        assert main(
             ["fig7", "--scale", "smoke", "--save-dir", str(tmp_path)]
         ) == 0
         assert (tmp_path / "fig7.txt").exists()
@@ -160,7 +163,7 @@ class TestSaveDir:
         import json
 
         save = tmp_path / "out"
-        assert runner.main(
+        assert main(
             [
                 "fig7", "--scale", "smoke", "--seed", "6", "--jobs", "1",
                 "--save-dir", str(save),
@@ -179,7 +182,7 @@ class TestSaveDir:
         import json
 
         save = tmp_path / "out"
-        assert runner.main(
+        assert main(
             ["fig7", "--scale", "smoke", "--no-cache", "--save-dir", str(save)]
         ) == 0
         manifest = json.loads((save / "run_manifest.json").read_text())

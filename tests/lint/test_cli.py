@@ -6,8 +6,12 @@ import json
 
 import pytest
 
+from repro.cli import main as biggerfish
 from repro.lint import rule_ids
-from repro.lint.cli import main
+
+
+def main(argv: list[str]) -> int:
+    return biggerfish(["lint", *argv])
 
 
 def _bad(fixtures) -> str:

@@ -58,6 +58,19 @@ class TestBaseline:
         with pytest.raises(ValueError):
             Baseline.load(path)
 
+    def test_other_version_rejected(self, tmp_path, fixtures, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"version": 99, "findings": []}))
+        with pytest.raises(ValueError, match="schema version 99") as excinfo:
+            Baseline.load(path)
+        assert str(path) in str(excinfo.value)
+        clean = str(fixtures / "clean.py")
+        assert main(["lint", "--baseline", str(path), clean]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+
     def test_baselined_findings_do_not_fail_the_run(self, tmp_path, fixtures):
         bad = fixtures / "bad_mutable_default.py"
         first = lint_paths([str(bad)])

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments import runner
+import pytest
+
+from repro.cli import main
 from repro.obs.export import Profile, write_profile
 from repro.obs.report import report_command
 
@@ -175,14 +177,14 @@ class TestReportCommand:
 class TestReportCli:
     def test_cli_prints_report(self, tmp_path, capsys):
         run_dir = _make_run_dir(tmp_path)
-        assert runner.main(["report", str(run_dir)]) == 0
+        assert main(["report", str(run_dir)]) == 0
         captured = capsys.readouterr()
         assert "per-stage breakdown:" in captured.out
         assert captured.err == ""
 
     def test_cli_top_limits_slowest_spans(self, tmp_path, capsys):
         run_dir = _make_run_dir(tmp_path)
-        assert runner.main(["report", str(run_dir), "--top", "1"]) == 0
+        assert main(["report", str(run_dir), "--top", "1"]) == 0
         out = capsys.readouterr().out
         header_idx = next(
             i for i, line in enumerate(out.splitlines()) if "slowest spans" in line
@@ -193,11 +195,28 @@ class TestReportCli:
         assert section[0].startswith("engine.map")
 
     def test_cli_usage_error(self, capsys):
-        assert runner.main(["report"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report"])
+        assert excinfo.value.code == 2
         assert "usage: biggerfish report" in capsys.readouterr().err
 
     def test_cli_missing_run_dir_errors_to_stderr(self, tmp_path, capsys):
-        assert runner.main(["report", str(tmp_path / "missing")]) == 2
+        assert main(["report", str(tmp_path / "missing")]) == 2
         captured = capsys.readouterr()
         assert "not a directory" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "body",
+        ['{"schema": 1, "status": "o', "[1, 2, 3]", '{"schema": 99}'],
+        ids=["truncated", "not-an-object", "other-schema"],
+    )
+    def test_cli_refuses_bad_manifest(self, tmp_path, capsys, body):
+        run_dir = _make_run_dir(tmp_path, with_profile=False)
+        manifest = run_dir / "run_manifest.json"
+        manifest.write_text(body)
+        assert main(["report", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(manifest) in captured.err

@@ -1,35 +1,33 @@
-"""Tests for the train/serve/predict CLI and runner dispatch."""
+"""Tests for the train/serve/predict commands of the ``biggerfish`` CLI."""
 
 import io
 import json
 
 import numpy as np
-import pytest
 
-from repro.experiments import runner
-from repro.serve import cli
+from repro.cli import main
 
 
 class TestDispatch:
     def test_runner_dispatches_serve_subcommands(self, monkeypatch):
         seen = {}
 
-        def fake_main(argv):
-            seen["argv"] = argv
+        def fake_predict(args):
+            seen["artifact"] = args.artifact
             return 0
 
-        monkeypatch.setattr("repro.serve.cli.main", fake_main)
-        assert runner.main(["predict", "--artifact", "x"]) == 0
-        assert seen["argv"] == ["predict", "--artifact", "x"]
+        monkeypatch.setattr("repro.serve.cli._predict", fake_predict)
+        assert main(["predict", "--artifact", "x"]) == 0
+        assert seen["artifact"] == "x"
 
-    def test_parser_rejects_unknown_command(self):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["deploy"])
+    def test_parser_rejects_unknown_command(self, capsys):
+        assert main(["deploy"]) == 2
+        assert "unknown experiment 'deploy'" in capsys.readouterr().err
 
     def test_missing_artifact_is_clean_error(self, tmp_path, capsys):
         """A bad --artifact path exits 2 with a one-line message, not a
         traceback (the CLI convention for usage errors)."""
-        code = cli.main(
+        code = main(
             ["predict", "--artifact", str(tmp_path / "nope"), "--scale", "smoke"]
         )
         err = capsys.readouterr().err
@@ -43,7 +41,7 @@ class TestServeJsonl:
         monkeypatch.setattr(
             "sys.stdin", io.StringIO("\n".join(lines) + "\n")
         )
-        code = cli.main(["serve", "--artifact", str(artifact_dir), *extra])
+        code = main(["serve", "--artifact", str(artifact_dir), *extra])
         assert code == 0
         out = capsys.readouterr().out
         return [json.loads(line) for line in out.splitlines() if line.strip()]
@@ -78,7 +76,7 @@ class TestServeJsonl:
         x, _ = dataset
         lines = [json.dumps({"vector": list(x[0]), "model": "fish"})]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
-        code = cli.main(["serve", "--artifact", f"fish={artifact_dir}"])
+        code = main(["serve", "--artifact", f"fish={artifact_dir}"])
         assert code == 0
         response = json.loads(capsys.readouterr().out.splitlines()[0])
         assert response["ok"] is True
@@ -107,7 +105,7 @@ class TestPredictCommand:
         model = FeatureFingerprinter(seed=5).fit(x, y, len(sites))
         artifact = tmp_path / "model"
         model.save(artifact, classes=sorted(sites))
-        code = cli.main(
+        code = main(
             [
                 "predict", "--artifact", str(artifact), "--scale", "smoke",
                 "--seed", "0", "--traces", "1", "--check-direct",

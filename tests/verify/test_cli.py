@@ -4,10 +4,13 @@ import json
 
 import pytest
 
-from repro.experiments.runner import main as runner_main
-from repro.verify.cli import main
+from repro.cli import main as biggerfish
 
 FAST = "--sites=1", "--traces=1", "--horizon-ms=50"
+
+
+def main(argv: list[str]) -> int:
+    return biggerfish(["verify", *argv])
 
 
 class TestList:
@@ -86,6 +89,6 @@ class TestUsageErrors:
 
 class TestRunnerDispatch:
     def test_biggerfish_verify_subcommand(self, capsys):
-        code = runner_main(["verify", "--oracles", "ml.artifact", "--seeds", "1", *FAST])
+        code = biggerfish(["verify", "--oracles", "ml.artifact", "--seeds", "1", *FAST])
         assert code == 0
         assert "PASS  ml.artifact" in capsys.readouterr().out
