@@ -21,7 +21,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.bench import cli as bench_cli
 from repro.data import cli as data_cli
 from repro.experiments import runner
 from repro.lint import cli as lint_cli
@@ -64,12 +63,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=(
             "Reproduce 'There's Always a Bigger Fish' (ISCA 2022) on a "
             "simulated machine: run experiments, build datasets, train and "
-            "serve models, and check, lint and benchmark the code."
+            "serve models, and check and lint the code."
         ),
     )
     sub = parser.add_subparsers(title="commands", metavar="COMMAND")
     engine_flags = _engine_flags()
-    for module in (runner, lint_cli, bench_cli, verify_cli, data_cli, serve_cli):
+    for module in (runner, lint_cli, verify_cli, data_cli, serve_cli):
         module.add_parser(sub, engine_flags)
     if not argv or (argv[0] not in sub.choices and argv[0] not in ("-h", "--help")):
         argv.insert(0, "run")

@@ -22,6 +22,7 @@ import argparse
 import functools
 import sys
 
+from repro.data.format import ShardFormatError
 from repro.data.manifest import DataError, DatasetConfig, DatasetManifest
 from repro.data.reader import ShardedDataset, verify_store
 from repro.data.writer import (
@@ -218,6 +219,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     }[args.data_command]
     try:
         return handler(args)
-    except DataError as exc:
+    except (DataError, ShardFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if args.data_command in ("build", "merge") else 1

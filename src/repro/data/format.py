@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,9 +115,22 @@ def shard_checksum(path) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def _open_archive(path, source=None):
+    """Open a shard's zip (from ``source`` if given); damage raises ShardFormatError."""
+    try:
+        with zipfile.ZipFile(path if source is None else source) as archive:
+            yield archive
+    except zipfile.BadZipFile as exc:
+        raise ShardFormatError(
+            f"{path}: damaged shard archive ({exc}); "
+            "check its store with 'biggerfish data verify'"
+        ) from None
+
+
 def read_labels(path) -> np.ndarray:
     """The shard's label array, without touching the trace payload."""
-    with zipfile.ZipFile(path) as archive:
+    with _open_archive(path) as archive:
         payload = _member_bytes(archive, path, LABELS_MEMBER)
     labels = np.load(io.BytesIO(payload), allow_pickle=False)
     return labels.astype(str)
@@ -124,7 +138,7 @@ def read_labels(path) -> np.ndarray:
 
 def read_meta(path) -> dict:
     """The shard's metadata dict, without touching the trace payload."""
-    with zipfile.ZipFile(path) as archive:
+    with _open_archive(path) as archive:
         payload = _member_bytes(archive, path, META_MEMBER)
     meta = json.loads(payload.decode("utf-8"))
     if not isinstance(meta, dict):
@@ -154,7 +168,7 @@ def open_x_mmap(path) -> np.ndarray:
     """
     path = Path(path)
     with open(path, "rb") as handle:
-        with zipfile.ZipFile(handle) as archive:
+        with _open_archive(path, handle) as archive:
             try:
                 info = archive.getinfo(X_MEMBER)
             except KeyError:
@@ -182,7 +196,7 @@ def open_x_mmap(path) -> np.ndarray:
             array_offset = handle.tell()
     if fortran_order:
         obs.counter("data.mmap_fallbacks").inc()
-        with zipfile.ZipFile(path) as archive:
+        with _open_archive(path) as archive:
             return np.load(io.BytesIO(archive.read(X_MEMBER)), allow_pickle=False)
     if int(np.prod(shape)) == 0:
         return np.empty(shape, dtype=dtype)

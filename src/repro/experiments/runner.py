@@ -201,12 +201,12 @@ def _resolve_ids(requested: list[str]) -> list[str] | None:
 
 def _run_command(args: argparse.Namespace) -> int:
     """Handle ``biggerfish [run] [EXPERIMENT ...]``."""
-    if args.list or not args.experiments:
-        print("available experiments:", ", ".join(list_experiments()))
-        return 0
     wanted = _resolve_ids(args.experiments)
     if wanted is None:
         return 2
+    if args.list or not wanted:
+        print("available experiments:", ", ".join(list_experiments()))
+        return 0
     scale = SCALES[args.scale]
     cache = None
     if not args.no_cache:
@@ -218,10 +218,10 @@ def _run_command(args: argparse.Namespace) -> int:
             retries=args.retries,
             task_timeout=args.task_timeout,
         )
-    except ValueError as error:  # bad --jobs / --retries / --task-timeout
+        ctx = RunContext(scale=scale, seed=args.seed, engine=engine)
+    except ValueError as error:  # bad --jobs / --retries / --task-timeout / --seed
         print(f"biggerfish: {error}", file=sys.stderr)
         return 2
-    ctx = RunContext(scale=scale, seed=args.seed, engine=engine)
     save_dir = pathlib.Path(args.save_dir) if args.save_dir else None
     if save_dir:
         save_dir.mkdir(parents=True, exist_ok=True)

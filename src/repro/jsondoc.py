@@ -1,8 +1,8 @@
 """Atomic writes and validated loads for the repo's JSON documents.
 
 Every schema-versioned JSON file the project keeps — ``run_manifest.json``,
-a store's ``dataset.json``, a model's ``artifact.json``, ``bench_*.json``
-results and ``.lint-baseline.json`` — is written by :func:`write_json`
+a store's ``dataset.json``, a model's ``artifact.json`` and
+``.lint-baseline.json`` — is written by :func:`write_json`
 and read back by :func:`read_json`, so they share one on-disk format
 (two-space indent, sorted keys, trailing newline), one crash-safety rule
 and one set of load errors.  Each loader keeps its own field checks on

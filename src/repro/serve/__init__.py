@@ -9,21 +9,16 @@ loaded artifacts and a :class:`~repro.serve.server.FingerprintServer`
 micro-batches concurrent classification requests into single
 ``predict_proba`` calls — bit-identical to one-at-a-time evaluation,
 with bounded-queue backpressure, per-request deadlines and structured
-error results.  :mod:`repro.serve.loadgen` drives it closed-loop for
-the ``serve.latency`` benchmark, and :mod:`repro.serve.cli` provides
-the ``biggerfish train / serve / predict`` subcommands.
+error results.  :mod:`repro.serve.cli` provides the ``biggerfish train
+/ serve / predict`` subcommands.
 """
 
-from repro.serve.loadgen import LoadReport, run_load, vectors_from_store
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import ERROR_CODES, FingerprintServer, PredictResult
 
 __all__ = [
     "ERROR_CODES",
     "FingerprintServer",
-    "LoadReport",
     "ModelRegistry",
     "PredictResult",
-    "run_load",
-    "vectors_from_store",
 ]

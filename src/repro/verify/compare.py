@@ -25,6 +25,10 @@ def _is_number(value: Any) -> bool:
     )
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _format_value(value: Any) -> str:
     if isinstance(value, np.ndarray):
         return f"ndarray(shape={value.shape}, dtype={value.dtype})"
@@ -74,8 +78,9 @@ def diff_structures(
 ) -> Optional[str]:
     """First divergence between two structures, or ``None`` if equal.
 
-    ``mode`` is ``"bit"`` (exact equality; NaNs compare equal to NaNs)
-    or ``"allclose"`` (floats within ``rtol``/``atol``).  Containers
+    ``mode`` is ``"bit"`` (exact equality; NaNs compare equal to NaNs;
+    two integers compare as integers, an integer and a float as floats)
+    or ``"allclose"`` (numbers within ``rtol``/``atol``).  Containers
     must match in type-shape exactly under either mode.
     """
     a, b = reference, optimized
@@ -111,6 +116,11 @@ def diff_structures(
             )
             if found:
                 return found
+        return None
+    if mode == "bit" and _is_integer(a) and _is_integer(b):
+        # Exact: ints past 2**53 (RNG states, hashes) collide as floats.
+        if int(a) != int(b):
+            return f"{path}: numbers differ: {a!r} vs {b!r}"
         return None
     if _is_number(a) and _is_number(b):
         a_f, b_f = float(a), float(b)

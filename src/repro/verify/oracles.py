@@ -583,8 +583,7 @@ def _walks(case: Case, collector_cls) -> List[dict]:
                 {
                     "observed_starts": trace.observed_starts,
                     "counters": trace.counters,
-                    # A string: the state holds 128-bit integers.
-                    "rng_state": repr(rng.bit_generator.state),
+                    "rng_state": rng.bit_generator.state,
                 }
             )
     return walks

@@ -1,6 +1,5 @@
 """Tests for the ``biggerfish data`` commands."""
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -68,6 +67,34 @@ def test_ls_on_non_store_fails(tmp_path, capsys):
     assert "not a dataset store" in capsys.readouterr().err
 
 
+@pytest.fixture
+def truncated_store(tmp_path):
+    """A 2-site store whose only shard is cut to half its size."""
+    store = tmp_path / "store"
+    build_dataset(
+        store, DatasetConfig(n_sites=2, traces_per_site=3, trace_seconds=0.4)
+    )
+    shard = store / "shard-0000.npz"
+    blob = shard.read_bytes()
+    shard.write_bytes(blob[: len(blob) // 2])
+    return store
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["data", "ls"], 1), (["train", "--out", "model", "--dataset"], 2)],
+    ids=["data-ls", "train-dataset"],
+)
+def test_truncated_shard_is_a_clean_error(
+    truncated_store, monkeypatch, capsys, argv, code
+):
+    monkeypatch.chdir(truncated_store.parent)
+    assert main([*argv, str(truncated_store)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "shard-0000.npz" in err and "biggerfish data verify" in err
+
+
 def test_no_subcommand_prints_help(capsys):
     assert data_main([]) == 2
     assert "build" in capsys.readouterr().out
@@ -116,19 +143,3 @@ def test_train_from_store(tmp_path, capsys):
     x, _ = ShardedDataset(store).stacked()
     assert model.predict_proba(x).shape == (12, 3)
 
-
-def test_loadgen_vectors_from_store(tmp_path):
-    from repro.serve.loadgen import vectors_from_store
-
-    store = tmp_path / "store"
-    build_dataset(
-        store, DatasetConfig(n_sites=2, traces_per_site=3, trace_seconds=0.4)
-    )
-    everything = vectors_from_store(store)
-    assert len(everything) == 6
-    sample = vectors_from_store(store, 4, seed=9)
-    assert len(sample) == 4
-    again = vectors_from_store(store, 4, seed=9)
-    np.testing.assert_array_equal(np.stack(sample), np.stack(again))
-    with pytest.raises(ValueError):
-        vectors_from_store(store, 0)

@@ -36,9 +36,21 @@ class TestTopLevel:
         assert "unknown experiment" in err
         assert "available" in err
 
+    @pytest.mark.parametrize("argv", [["nosuch", "--list"], ["bench", "--list"]])
+    def test_list_still_checks_experiment_ids(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"unknown experiment {argv[0]!r}" in captured.err
+        assert "available experiments" not in captured.out
+
     def test_bad_jobs_value_exits_two(self, capsys):
         assert main(["table1", "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
+
+    def test_negative_seed_exits_two_without_traceback(self, capsys):
+        assert main(["table1", "--scale", "smoke", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be non-negative" in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve.loadgen import run_load
 from repro.serve.server import (
     ERROR_CODES,
     MAX_BATCH_ENV_VAR,
@@ -210,37 +209,3 @@ class TestWorkerWakeups:
         # An un-notified untimed wait would hang until the join timeout.
         assert time.monotonic() - started < 1.0
 
-
-class TestLoadgen:
-    def test_closed_loop_report(self, registry, dataset):
-        x, _ = dataset
-        with FingerprintServer(registry, max_batch=8, max_wait_ms=1.0) as server:
-            report = run_load(
-                server, list(x[:8]), clients=4, requests_per_client=8, seed=0
-            )
-        assert report.n_requests == 32
-        assert report.n_ok == 32 and not report.errors
-        assert 0.0 < report.p50_ms <= report.p99_ms
-        assert report.mean_batch >= 1.0
-        assert report.throughput_rps > 0
-        meta = report.meta()
-        assert meta["requests"] == 32 and "p99_ms" in meta
-
-    def test_deterministic_request_stream(self, registry, dataset):
-        """Same seed -> same picks; the report totals are identical."""
-        x, _ = dataset
-        totals = []
-        for _ in range(2):
-            with FingerprintServer(registry, max_batch=4) as server:
-                report = run_load(
-                    server, list(x[:6]), clients=2, requests_per_client=5, seed=9
-                )
-            totals.append((report.n_requests, report.n_ok))
-        assert totals[0] == totals[1] == (10, 10)
-
-    def test_input_validation(self, registry):
-        with FingerprintServer(registry) as server:
-            with pytest.raises(ValueError):
-                run_load(server, [], clients=1, requests_per_client=1)
-            with pytest.raises(ValueError):
-                run_load(server, [np.ones(4)], clients=0, requests_per_client=1)

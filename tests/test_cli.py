@@ -14,7 +14,7 @@ import repro.cli
 from repro.cli import main
 
 COMMANDS = (
-    "run", "cache", "report", "lint", "bench", "verify", "data", "train", "serve", "predict",
+    "run", "cache", "report", "lint", "verify", "data", "train", "serve", "predict",
 )
 DATA_COMMANDS = ("build", "ls", "verify", "merge")
 

@@ -58,6 +58,18 @@ class TestDivergence:
         assert "values differ" in diff_structures("x", "y")
         assert "numbers differ" in diff_structures(1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (2**53, 2**53 + 1),
+            ({"s": 2**64 + 1}, {"s": 2**64}),
+            (np.uint64(2**63), np.uint64(2**63 + 1)),
+        ],
+        ids=["int-past-2**53", "dict-int-past-2**64", "uint64-near-2**63"],
+    )
+    def test_large_integers_compare_exactly_in_bit_mode(self, a, b):
+        assert "numbers differ" in diff_structures(a, b, mode="bit")
+
     def test_type_mismatch(self):
         assert "types differ" in diff_structures("1", 1)
         assert "types differ" in diff_structures(np.zeros(2), [0.0, 0.0])

@@ -45,6 +45,22 @@ class TestCollectWalkOracle:
         assert "observed_starts" in failure
         assert "1 of" in failure
 
+    def test_low_bit_rng_state_difference_fails(self, monkeypatch):
+        """An RNG state one low bit apart fails, though equal as floats."""
+        walk = TraceCollector._walk_periods
+
+        def flipped(self, run, timer, rng, *args):
+            trace = walk(self, run, timer, rng, *args)
+            state = rng.bit_generator.state
+            state["state"]["state"] ^= 1
+            rng.bit_generator.state = state
+            return trace
+
+        monkeypatch.setattr(TraceCollector, "_walk_periods", flipped)
+        failure = get_oracle("collect.walk").run_case(SMALL)
+        assert failure is not None
+        assert failure.startswith("$.walks[0].rng_state.state.state")
+
     def test_nudged_count_many_fails_only_unfloored(self, monkeypatch):
         """A one-ulp error in count_many survives only in unfloored counts.
 
