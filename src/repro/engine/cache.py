@@ -29,6 +29,8 @@ import hashlib
 import os
 import pathlib
 import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -44,6 +46,14 @@ CACHE_MAX_BYTES_ENV_VAR = "BIGGERFISH_CACHE_MAX_BYTES"
 DEFAULT_MAX_BYTES = 2 * 1024**3
 #: Bump to invalidate every existing entry on disk-format changes.
 SCHEMA_VERSION = 1
+#: What loading a missing, torn or stale-format entry raises: OSError for
+#: a missing file, EOFError for an empty one, BadZipFile for a truncated
+#: one, zlib.error for a corrupt deflate stream, RuntimeError when a
+#: flipped zip flag asks for a password or an unknown compression method,
+#: KeyError/ValueError for missing or malformed members.
+_UNREADABLE_ENTRY = (
+    OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error
+)
 
 
 class Uncacheable(TypeError):
@@ -188,13 +198,26 @@ class TraceCache:
         return self.path / key[:2] / f"{key}.npz"
 
     def _entries(self) -> list[pathlib.Path]:
+        """Finished entries; ``put``'s in-flight ``.tmp-*`` files are not."""
         if not self.path.exists():
             return []
-        return sorted(self.path.glob("*/*.npz"))
+        return sorted(
+            p for p in self.path.glob("*/*.npz") if not p.name.startswith(".")
+        )
+
+    def _stat_entries(self) -> list[tuple[float, int, pathlib.Path]]:
+        """``(mtime, size, path)`` per entry, skipping any that vanish
+        between listing and stat (another handle's eviction or clear)."""
+        stats = []
+        for entry in self._entries():
+            with contextlib.suppress(FileNotFoundError):
+                st = entry.stat()
+                stats.append((st.st_mtime, st.st_size, entry))
+        return stats
 
     def _scan_size(self) -> int:
         if self._size_bytes is None:
-            self._size_bytes = sum(p.stat().st_size for p in self._entries())
+            self._size_bytes = sum(size for _, size, _ in self._stat_entries())
         return self._size_bytes
 
     # -- get / put ------------------------------------------------------
@@ -216,7 +239,7 @@ class TraceCache:
                     label=str(archive["label"]),
                     attacker=str(archive["attacker"]),
                 )
-        except (FileNotFoundError, OSError, KeyError, ValueError):
+        except _UNREADABLE_ENTRY:
             # Missing, torn or stale-format entries all count as misses;
             # the caller re-simulates and overwrites.
             self.stats.misses += 1
@@ -283,8 +306,7 @@ class TraceCache:
         evicted: a put into a full cache must not delete the very trace
         its caller is about to rely on.
         """
-        entries = [(p.stat().st_mtime, p.stat().st_size, p) for p in self._entries()]
-        entries.sort()
+        entries = sorted(self._stat_entries())
         size = sum(s for _, s, _ in entries)
         for _, entry_size, entry in entries:
             if size <= self.max_bytes:
@@ -292,7 +314,7 @@ class TraceCache:
             if protect is not None and entry == protect:
                 continue
             with contextlib.suppress(OSError):
-                entry.unlink()
+                entry.unlink(missing_ok=True)
                 size -= entry_size
                 self.stats.evictions += 1
                 obs_metrics.counter("engine.cache.evictions").inc()
@@ -302,8 +324,8 @@ class TraceCache:
 
     def info(self) -> Dict[str, Any]:
         """Entry count, byte totals and location (the ``cache info`` CLI)."""
-        entries = self._entries()
-        size = sum(p.stat().st_size for p in entries)
+        entries = self._stat_entries()
+        size = sum(s for _, s, _ in entries)
         self._size_bytes = size
         return {
             "path": str(self.path),

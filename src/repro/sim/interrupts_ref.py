@@ -16,7 +16,10 @@ is what certifies that future speedups touch only the *how*, never the
 *what*.  Anything PR 5 did not restructure (timer ticks, tick work,
 background IRQs, turbo artifacts, occupancy distortion, scheduler
 contention) is intentionally shared with the base class — those paths
-are their own reference.
+are their own reference.  Core assembly stays eager here: every
+:class:`~repro.sim.timeline.CoreTimeline` is built before ``synthesize``
+returns, so the oracle also compares the optimized synthesizer's
+on-first-access assembly with an eager one.
 
 Nothing here is exported through ``repro.sim``'s public surface; the
 verify harness and its tests are the only intended consumers.
@@ -365,6 +368,10 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
                         )
 
     # -- assembly ------------------------------------------------------
+
+    def _assemble(self, per_core: list[list[InterruptBatch]]) -> list[CoreTimeline]:
+        # Every core assembled before synthesize returns, as a plain list.
+        return [self._build_core(batches) for batches in per_core]
 
     def _build_core(self, batches: list[InterruptBatch]) -> CoreTimeline:
         if self.config.vm.enabled:

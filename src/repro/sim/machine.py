@@ -17,14 +17,18 @@ configuration it generates every interrupt the machine would handle:
 The result, a :class:`MachineRun`, carries one
 :class:`~repro.sim.timeline.CoreTimeline` per core plus the DVFS
 frequency schedule and the LLC occupancy curve — everything the
-attackers and the kernel tracer observe.
+attackers and the kernel tracer observe.  Every core's interrupts are
+drawn during synthesis, but only the attacker's timeline is assembled
+there; the others are assembled the first time something reads them
+(the kernel tracer, the keystroke and analysis helpers), because trace
+collection never does.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,6 +155,45 @@ class MachineConfig:
         return replace(self, **changes)
 
 
+class _DeferredCores(Sequence):
+    """Per-core timelines of one run, each assembled on first access.
+
+    Reads like the list it replaces (``len``, iteration, negative
+    indices, slices as lists) and pickles as that list with every core
+    assembled, so a run returned from an engine worker arrives complete.
+    A core's batches are dropped once its timeline exists; until then
+    they must not be mutated.
+    """
+
+    def __init__(
+        self,
+        per_core: list[list[InterruptBatch]],
+        build: Callable[[list[InterruptBatch]], CoreTimeline],
+    ):
+        self._pending: list[Optional[list[InterruptBatch]]] = list(per_core)
+        self._cores: list[Optional[CoreTimeline]] = [None] * len(per_core)
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._cores)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return self.assemble(range(len(self))[index])
+
+    def assemble(self, i: int) -> CoreTimeline:
+        """Core ``i``'s timeline, assembled on the first call."""
+        core = self._cores[i]
+        if core is None:
+            core = self._cores[i] = self._build(self._pending[i])
+            self._pending[i] = None
+        return core
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 @dataclass
 class MachineRun:
     """Everything observable from one simulated victim run.
@@ -164,7 +207,7 @@ class MachineRun:
     while *raising* the ambient level).
     """
 
-    cores: list[CoreTimeline]
+    cores: Sequence[CoreTimeline]
     frequency: FrequencyTrace
     occupancy_times: np.ndarray
     occupancy_victim: np.ndarray
@@ -255,7 +298,7 @@ class InterruptSynthesizer:
             obs.counter("sim.events_processed").inc(n_events)
             span.set(events=n_events)
 
-            cores = [self._build_core(batches) for batches in per_core]
+            cores = self._assemble(per_core)
             frequency = self._governor.run(
                 timeline.load_at_array, timeline.horizon_ns, rng
             )
@@ -303,6 +346,12 @@ class InterruptSynthesizer:
             ambient = np.abs(np.convolve(white, kernel)[offset : offset + len(white)])
         victim = np.clip(_OCCUPANCY_RESIDENCY * occupancy * gain, 0.0, 1.0)
         return victim, ambient
+
+    def _assemble(self, per_core: list[list[InterruptBatch]]) -> Sequence[CoreTimeline]:
+        """The run's cores: the attacker's assembled now, the rest on first read."""
+        cores = _DeferredCores(per_core, self._build_core)
+        cores.assemble(self.config.attacker_core)
+        return cores
 
     def _build_core(self, batches: list[InterruptBatch]) -> CoreTimeline:
         if self.config.vm.enabled:

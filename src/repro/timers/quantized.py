@@ -13,7 +13,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.timers.base import BrowserTimer
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Multipliers of the jitter hash (SplitMix64-style mixing).
+_BUCKET_MIX = 0x9E3779B97F4A7C15
+_SEED_MIX = 0xBF58476D1CE4E5B9
+_FINAL_MIX = 0x94D049BB133111EB
+#: Buckets in a jittered timer's first ε-table chunk; each later chunk
+#: doubles the table.
+_TABLE_FIRST_CHUNK = 1 << 12
+#: The table stops growing here (2 MiB, 210 s at Δ = 0.1 ms); buckets
+#: past it, and negative buckets, are hashed per call.
+_TABLE_MAX_BUCKETS = _TABLE_FIRST_CHUNK << 9
 
 
 class QuantizedTimer(BrowserTimer):
@@ -57,11 +71,28 @@ class QuantizedTimer(BrowserTimer):
 
 def _jitter_bit(bucket: int, seed: int) -> int:
     """Deterministic pseudo-random bit for one quantization bucket."""
-    x = (bucket * 0x9E3779B97F4A7C15 + seed * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = (bucket * _BUCKET_MIX + seed * _SEED_MIX) & _MASK64
     x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x = (x * _FINAL_MIX) & _MASK64
     x ^= x >> 29
     return x & 1
+
+
+def _jitter_bits(start: int, stop: int, seed: int) -> np.ndarray:
+    """:func:`_jitter_bit` of every bucket in ``[start, stop)``, ``0 <= start``.
+
+    Every operand is an ``np.uint64``, so products wrap modulo 2**64 like
+    the masked Python arithmetic: NumPy promotes uint64 mixed with int64
+    to float64, and before NumPy 2 also a uint64 scalar mixed with a
+    Python integer.
+    """
+    x = np.arange(start, stop, dtype=np.uint64)
+    x *= np.uint64(_BUCKET_MIX)
+    x += np.uint64((seed * _SEED_MIX) & _MASK64)
+    x ^= x >> np.uint64(31)
+    x *= np.uint64(_FINAL_MIX)
+    x ^= x >> np.uint64(29)
+    return (x & np.uint64(1)).astype(np.uint8)
 
 
 class JitteredTimer(BrowserTimer):
@@ -71,6 +102,11 @@ class JitteredTimer(BrowserTimer):
     deviation from real time is guaranteed to be < 2Δ, and the output is
     non-decreasing because consecutive buckets differ by Δ while ε can
     change by at most Δ.
+
+    ε is a pure function of (bucket, seed), so each timer keeps a byte
+    table of it for buckets ``0 .. n - 1``, filled in bulk and doubled
+    whenever a read lands past its end; :func:`_jitter_bit` serves the
+    buckets the table does not cover.
 
     >>> timer = JitteredTimer(delta_ns=100.0, seed=1)
     >>> all(timer.read(t) - t < 2 * 100.0 for t in range(0, 2000, 7))
@@ -88,9 +124,18 @@ class JitteredTimer(BrowserTimer):
             raise ValueError(f"resolution must be positive, got {delta_ns}")
         self.delta_ns = float(delta_ns)
         self.seed = int(seed)
+        self._table = bytearray()
 
     def _epsilon_ns(self, bucket: int) -> float:
-        return _jitter_bit(bucket, self.seed) * self.delta_ns
+        if not 0 <= bucket < _TABLE_MAX_BUCKETS:
+            return _jitter_bit(bucket, self.seed) * self.delta_ns
+        table = self._table
+        while len(table) <= bucket:
+            # One doubling at a time: small chunks fill faster than one
+            # large one.
+            size = len(table)
+            table += _jitter_bits(size, 2 * size or _TABLE_FIRST_CHUNK, self.seed).tobytes()
+        return table[bucket] * self.delta_ns
 
     def read(self, t_real_ns: float) -> float:
         bucket = math.floor(t_real_ns / self.delta_ns)

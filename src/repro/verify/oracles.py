@@ -7,8 +7,10 @@ inputs:
 ====================== ========== =================================================
 oracle                 mode       certifies
 ====================== ========== =================================================
-``sim.synthesize``     bit        vectorized interrupt synthesis == retained
-                                  scalar reference (``sim/interrupts_ref.py``)
+``sim.synthesize``     bit        vectorized interrupt synthesis with cores
+                                  assembled on first access == retained scalar
+                                  reference with eager assembly
+                                  (``sim/interrupts_ref.py``)
 ``engine.parallel``    bit        2-worker engine collection == serial collection
 ``engine.trace_cache`` bit        a cache round-trip returns the stored trace
 ``serve.batched``      bit        micro-batched server probs == direct
@@ -18,6 +20,9 @@ oracle                 mode       certifies
                                   gap construction, stolen-time query algebra
 ``timers.crossing``    invariant  monotone reads + first_crossing contract for
                                   quantized / jittered / randomized timers
+``timers.jitter``      bit        jittered timer reading ε from its table ==
+                                  hashing ε on every read, across table growth
+                                  and fallback edges
 ``data.roundtrip``     bit        sharded store build -> streaming read-back ==
                                   the same collection held in memory
 ``collect.walk``       bit        two-phase period walk == retained per-period
@@ -46,11 +51,17 @@ from repro.engine.cache import TraceCache, cache_key
 from repro.engine.engine import ExecutionEngine
 from repro.ml.artifact import load_artifact
 from repro.ml.models import FeatureFingerprinter
-from repro.sim.events import MS
+from repro.sim.events import MS, SEC
 from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
+from repro.timers.quantized import (
+    _TABLE_FIRST_CHUNK,
+    _TABLE_MAX_BUCKETS,
+    JitteredTimer,
+    _jitter_bit,
+)
 from repro.timers.spec import (
     CHROME_TIMER,
     FIREFOX_TIMER,
@@ -473,6 +484,66 @@ def _check_timers(case: Case) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
+# timers.jitter — ε table vs hashing every read
+# ----------------------------------------------------------------------
+
+#: Chrome's Δ, 1 ms, and a Δ that is not a whole number of nanoseconds.
+_JITTER_DELTAS_NS = (0.1 * MS, 1.0 * MS, 33_333.3)
+_JITTER_SPAN_NS = (-1.0 * SEC, 20.0 * SEC)
+_JITTER_INSTANTS = 64
+
+
+class _HashedJitteredTimer(JitteredTimer):
+    """The jittered timer with ε hashed on every read: the table's reference.
+
+    Only ``_epsilon_ns`` fills the table, so this timer never has one.
+    """
+
+    def _epsilon_ns(self, bucket: int) -> float:
+        return _jitter_bit(bucket, self.seed) * self.delta_ns
+
+
+def _jitter_probes(case: Case, delta_ns: float) -> List[float]:
+    """Seeded instants in the span, then ±1 ns around every bucket where
+    the table starts, doubles or stops (the last edge falls back to the
+    hash)."""
+    rng = np.random.default_rng([case.seed, int(delta_ns)])
+    probes = rng.uniform(*_JITTER_SPAN_NS, _JITTER_INSTANTS).tolist()
+    edge = _TABLE_FIRST_CHUNK
+    edges = [0]
+    while edge <= _TABLE_MAX_BUCKETS:
+        edges.append(edge)
+        edge *= 2
+    for bucket in edges:
+        probes += [bucket * delta_ns - 1.0, bucket * delta_ns + 1.0]
+    return probes
+
+
+def _jitter_reads(case: Case, timer_cls) -> dict:
+    seeds = (case.seed, int(np.random.default_rng(case.seed).integers(2**40)), 2**40)
+    reads = {}
+    for delta_ns in _JITTER_DELTAS_NS:
+        probes = _jitter_probes(case, delta_ns)
+        for seed in seeds:
+            timer = timer_cls(delta_ns, seed=seed)
+            reads[f"delta={delta_ns:g} seed={seed}"] = {
+                "read": np.array([timer.read(t) for t in probes]),
+                "first_crossing": np.array(
+                    [timer.first_crossing(t, _CROSSING_ELAPSED_NS) for t in probes]
+                ),
+            }
+    return reads
+
+
+def _jitter_reference(case: Case) -> dict:
+    return _jitter_reads(case, _HashedJitteredTimer)
+
+
+def _jitter_optimized(case: Case) -> dict:
+    return _jitter_reads(case, JitteredTimer)
+
+
+# ----------------------------------------------------------------------
 # data.roundtrip — sharded store build + streaming read vs memory
 # ----------------------------------------------------------------------
 
@@ -638,8 +709,9 @@ register(
     Oracle(
         name="sim.synthesize",
         description=(
-            "vectorized InterruptSynthesizer vs the retained scalar "
-            "reference (sim/interrupts_ref.py), every core array bit-identical"
+            "vectorized InterruptSynthesizer, cores assembled on first access, "
+            "vs the retained scalar reference with eager assembly "
+            "(sim/interrupts_ref.py), every core array bit-identical"
         ),
         mode="bit",
         reference=_synthesize_reference,
@@ -742,5 +814,20 @@ register(
         ),
         mode="invariant",
         check=_check_timers,
+    )
+)
+
+register(
+    Oracle(
+        name="timers.jitter",
+        description=(
+            "JitteredTimer reading ε from its byte table vs hashing ε on every "
+            "read: read(t) and first_crossing(t, 5 ms) at seeded instants in "
+            "[-1 s, 20 s] and ±1 ns around each table growth edge, for three "
+            "resolutions and seeds up to 2**40"
+        ),
+        mode="bit",
+        reference=_jitter_reference,
+        optimized=_jitter_optimized,
     )
 )

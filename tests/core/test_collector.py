@@ -160,6 +160,22 @@ class TestCollect:
         tail = batch[1:]
         assert len(tail) == 2 and tail[0] is batch[1]
 
+    def test_cold_collect_builds_one_core_per_trace(self, collector, monkeypatch):
+        """The walk reads only the attacker's core; the others stay unbuilt."""
+        from repro.sim.machine import InterruptSynthesizer
+
+        calls = []
+        build = InterruptSynthesizer._build_core
+
+        def counting(self, batches):
+            calls.append(batches)
+            return build(self, batches)
+
+        monkeypatch.setattr(InterruptSynthesizer, "_build_core", counting)
+        sites = [profile_for("amazon.com"), profile_for("weather.com")]
+        collector.collect(sites, traces_per_site=2)
+        assert len(calls) == 4
+
     def test_start_index_continues_sequence(self, collector, site):
         first = collector.collect(site, 2)
         rest = collector.collect(site, 2, start_index=2)

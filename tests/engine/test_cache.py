@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import io
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -159,6 +162,61 @@ class TestTraceCacheRoundTrip:
         assert y_cold == y_warm == ["other", "other"]
 
 
+def _first_member_data_offset(archive: bytes) -> int:
+    """Offset of the first zip member's (deflated) data."""
+    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+        start = zf.infolist()[0].header_offset
+    name_len, extra_len = struct.unpack_from("<HH", archive, start + 26)
+    return start + 30 + name_len + extra_len
+
+
+def _half(raw: bytes) -> bytes:
+    return raw[: len(raw) // 2]
+
+
+def _empty(raw: bytes) -> bytes:
+    return b""
+
+
+def _zip_magic_then_garbage(raw: bytes) -> bytes:
+    return b"PK\x03\x04" + b"\xa5" * 200
+
+
+def _one_flipped_byte(raw: bytes) -> bytes:
+    flipped = bytearray(raw)
+    flipped[_first_member_data_offset(raw)] ^= 0xFF
+    return bytes(flipped)
+
+
+class TestTornEntries:
+    """An entry that no longer loads is a miss, never an exception."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_half, _empty, _zip_magic_then_garbage, _one_flipped_byte],
+        ids=["half-truncated", "empty", "zip-magic-then-garbage", "flipped-byte"],
+    )
+    def test_corrupt_entry_is_a_miss(self, cache, collector, corrupt):
+        site = profile_for("nytimes.com")
+        key = collector._cache_key(site, 0, None)
+        cache.put(key, collector._collect_uncached(site, 0, None))
+        entry = cache._entry_path(key)
+        entry.write_bytes(corrupt(entry.read_bytes()))
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
+    def test_collector_resimulates_and_rewrites(self, cache, collector):
+        site = profile_for("nytimes.com")
+        (stored,) = collector.collect(site)
+        entry = cache._entry_path(collector._cache_key(site, 0, None))
+        entry.write_bytes(_half(entry.read_bytes()))
+        (again,) = collector.collect(site)
+        for trace in (again, cache.get(collector._cache_key(site, 0, None))):
+            assert trace.counters.tobytes() == stored.counters.tobytes()
+            assert trace.observed_starts.tobytes() == stored.observed_starts.tobytes()
+        assert cache.stats.puts == 2 and cache.stats.misses == 2
+
+
 class TestCacheInvalidation:
     @pytest.mark.parametrize(
         "variant",
@@ -251,6 +309,48 @@ class TestCacheMaintenance:
         assert info["entries"] == 1 and info["size_bytes"] > 0
         assert cache.clear() == 1
         assert cache.info()["entries"] == 0
+
+    @staticmethod
+    def _plant_in_flight_temp(cache: TraceCache):
+        """Another writer's ``put`` between its write and its rename."""
+        temp = cache.path / "ab" / ".tmp-inflight.npz"
+        temp.parent.mkdir(parents=True, exist_ok=True)
+        temp.write_bytes(b"\0" * 5000)
+        return temp
+
+    def test_info_ignores_in_flight_temp_file(self, cache):
+        self._plant_in_flight_temp(cache)
+        info = cache.info()
+        assert info["entries"] == 0 and info["size_bytes"] == 0
+
+    def test_clear_leaves_in_flight_temp_file(self, cache):
+        temp = self._plant_in_flight_temp(cache)
+        assert cache.clear() == 0
+        assert temp.exists()
+
+    def test_eviction_leaves_in_flight_temp_file(self, tmp_path, collector):
+        trace = collector._collect_uncached(profile_for("nytimes.com"), 0, None)
+        small = TraceCache(tmp_path / "small", max_bytes=1)
+        temp = self._plant_in_flight_temp(small)
+        small.put("a" * 64, trace)
+        small.put("b" * 64, trace)
+        assert temp.exists()
+        assert small.stats.evictions == 1
+        assert small._size_bytes == small._entry_path("b" * 64).stat().st_size
+
+    def test_entry_vanishing_mid_scan_is_skipped(self, cache, collector, monkeypatch):
+        """Another handle evicts an entry between listing and stat."""
+        trace = collector._collect_uncached(profile_for("nytimes.com"), 0, None)
+        cache.put("a" * 64, trace)
+        live = cache._entry_path("a" * 64)
+        gone = cache._entry_path("c" * 64)
+        monkeypatch.setattr(cache, "_entries", lambda: [live, gone])
+        cache._size_bytes = None
+        assert cache._scan_size() == live.stat().st_size
+        assert cache.info()["entries"] == 1
+        cache.max_bytes = 1
+        cache._evict_to_cap()
+        assert not live.exists() and cache._size_bytes == 0
 
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "elsewhere"))

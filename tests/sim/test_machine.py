@@ -1,5 +1,7 @@
 """Integration tests for the interrupt synthesizer."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,94 @@ class TestSynthesis:
         assert len(a.attacker_timeline) != len(b.attacker_timeline) or not np.array_equal(
             a.attacker_timeline.arrivals, b.attacker_timeline.arrivals
         )
+
+
+class _EagerSynthesizer(InterruptSynthesizer):
+    """Assembles every core before ``synthesize`` returns."""
+
+    def _assemble(self, per_core):
+        return [self._build_core(batches) for batches in per_core]
+
+
+def _core_bytes(core) -> tuple:
+    arrays = (
+        core.arrivals, core.handler_durations, core.type_codes, core.cause_codes,
+        core.starts, core.ends, core.record_gap_index, core.gaps.gap_starts,
+        core.gaps.gap_ends,
+    )
+    return (*(a.tobytes() for a in arrays), tuple(core.cause_names))
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The timeline each ``_build_core`` call returned, in call order."""
+    calls = []
+    build = InterruptSynthesizer._build_core
+
+    def counting(self, batches):
+        calls.append(build(self, batches))
+        return calls[-1]
+
+    monkeypatch.setattr(InterruptSynthesizer, "_build_core", counting)
+    return calls
+
+
+class TestDeferredCores:
+    """Only the attacker's core is assembled in ``synthesize``; the rest
+    on first access, each once, and the result matches eager assembly."""
+
+    def test_synthesize_builds_only_the_attacker_core(self, build_calls):
+        run = simulate()
+        assert build_calls == [run.attacker_timeline]
+
+    def test_each_core_built_at_most_once(self, build_calls):
+        run = simulate()
+        for _ in range(3):
+            assert all(len(core) > 0 for core in run.cores)
+            assert run.cores[-1] is run.cores[3]
+            assert run.cores[0:2] == [run.cores[0], run.cores[1]]
+        assert len(build_calls) == 4
+        assert {id(core) for core in build_calls} == {id(core) for core in run.cores}
+
+    def test_reads_like_the_list_it_replaced(self):
+        run = simulate()
+        cores = run.cores
+        as_list = list(cores)
+        assert len(cores) == 4
+        assert all(a is b for a, b in zip(cores, as_list))
+        assert cores[-1] is as_list[-1] and cores[-4] is as_list[0]
+        assert cores[1:3] == as_list[1:3] and cores[::-2] == as_list[::-2]
+        assert cores[np.int64(2)] is as_list[2]
+        assert run.attacker_timeline is as_list[1]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                cores[index]
+
+    @pytest.mark.parametrize("vm", [False, True])
+    def test_lazy_equals_eager_bit_for_bit(self, vm):
+        config = MachineConfig(os=LINUX, vm=SEPARATE_VMS) if vm else MachineConfig(os=LINUX)
+
+        def run_with(cls):
+            rng = np.random.default_rng(5)
+            site = profile_for("weather.com")
+            timeline = site.generate_load(rng, HORIZON)
+            return cls(config).synthesize(timeline, style=site.style, rng=rng)
+
+        lazy, eager = run_with(InterruptSynthesizer), run_with(_EagerSynthesizer)
+        # Out of order: no core's assembly may depend on another's.
+        for i in (3, 0, 2, 1):
+            assert _core_bytes(lazy.cores[i]) == _core_bytes(eager.cores[i])
+        assert lazy.frequency.ghz.tobytes() == eager.frequency.ghz.tobytes()
+        assert lazy.occupancy_ambient.tobytes() == eager.occupancy_ambient.tobytes()
+
+    def test_pickled_run_arrives_with_every_core_built(self, build_calls):
+        run = simulate()
+        restored = pickle.loads(pickle.dumps(run))
+        assert type(restored.cores) is list and len(restored.cores) == 4
+        assert len(build_calls) == 4
+        for got, want in zip(restored.cores, run.cores):
+            assert _core_bytes(got) == _core_bytes(want)
+        assert len(build_calls) == 4
 
 
 class TestSiteSignal:

@@ -1,5 +1,7 @@
 """Tests for quantized and jittered timers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 
 from repro.sim.events import MS
 from repro.timers.base import PreciseTimer
-from repro.timers.quantized import JitteredTimer, QuantizedTimer
+from repro.timers.quantized import (
+    _TABLE_FIRST_CHUNK,
+    _TABLE_MAX_BUCKETS,
+    JitteredTimer,
+    QuantizedTimer,
+    _jitter_bit,
+    _jitter_bits,
+)
 
 
 class TestPreciseTimer:
@@ -135,3 +144,36 @@ class TestJitteredTimer:
                     t_brute = boundary
                     break
             assert t_fast == pytest.approx(max(t_brute, t0))
+
+
+def _hashed_read(t: float, delta: float, seed: int) -> float:
+    bucket = math.floor(t / delta)
+    return bucket * delta + _jitter_bit(bucket, seed) * delta
+
+
+class TestJitterTable:
+    """ε comes from a per-timer byte table equal to the per-bucket hash."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**40, 2**64 + 5, -3])
+    def test_vector_port_matches_scalar_hash(self, seed):
+        for start, stop in ((0, 5_000), (2**33 - 300, 2**33 + 300)):
+            expected = [_jitter_bit(bucket, seed) for bucket in range(start, stop)]
+            assert _jitter_bits(start, stop, seed).tolist() == expected
+
+    def test_table_grows_in_doubling_chunks(self):
+        timer = JitteredTimer(delta_ns=100.0, seed=9)
+        sizes = []
+        for t in np.arange(0.0, 100.0 * 40_000, 100.0 * 997):
+            assert timer.read(float(t)) == _hashed_read(float(t), 100.0, 9)
+            sizes.append(len(timer._table))
+        assert sorted(set(sizes)) == [_TABLE_FIRST_CHUNK << k for k in range(5)]
+
+    def test_negative_and_far_buckets_are_hashed(self):
+        timer = JitteredTimer(delta_ns=100.0, seed=9)
+        far = _TABLE_MAX_BUCKETS * 100.0
+        # A positive read first, so a negative bucket could wrap into the table.
+        instants = [1.0] + [-100.0 * k - 50.0 for k in range(_TABLE_FIRST_CHUNK)]
+        instants += [far - 1.0, far + 1.0, 3.0 * far]
+        for t in instants:
+            assert timer.read(t) == _hashed_read(t, 100.0, 9)
+        assert len(timer._table) == _TABLE_MAX_BUCKETS

@@ -86,6 +86,7 @@ class TestRegistry:
             "sim.gap_timeline",
             "sim.synthesize",
             "timers.crossing",
+            "timers.jitter",
         } <= set(names)
         assert names == sorted(names)
 
