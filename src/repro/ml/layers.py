@@ -172,7 +172,9 @@ class Conv1D(Layer):
         patches = windows.reshape(n, l_out, channels * self.kernel_size)
         self._patches = patches
         self._in_shape = x.shape
-        return patches @ self.W + self.b
+        out = patches @ self.W
+        out += self.b
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._patches is None or self._in_shape is None:
@@ -185,10 +187,11 @@ class Conv1D(Layer):
         d_patches = (flat_grad @ self.W.T).reshape(
             n, l_out, self.in_channels, self.kernel_size
         )
+        # col2im: tap k of output step t read input step t * stride + k.
         dx = np.zeros(self._in_shape)
+        span = (l_out - 1) * self.stride + 1
         for k in range(self.kernel_size):
-            positions = np.arange(l_out) * self.stride + k
-            dx[:, positions, :] += d_patches[:, :, :, k]
+            dx[:, k : k + span : self.stride] += d_patches[:, :, :, k]
         return dx
 
     def params(self) -> Dict[str, np.ndarray]:
@@ -199,12 +202,19 @@ class Conv1D(Layer):
 
 
 class MaxPool1D(Layer):
-    """Non-overlapping temporal max pooling; trailing remainder is cropped."""
+    """Non-overlapping temporal max pooling; trailing remainder is cropped.
+
+    The gradient of a block goes to its first maximum, as ``argmax``
+    picks it: ``-0.0`` and ``+0.0`` tie, and a NaN is the maximum of its
+    block.
+    """
 
     def __init__(self, pool_size: int):
         if pool_size < 1:
             raise ValueError(f"pool size must be positive, got {pool_size}")
         self.pool_size = pool_size
+        #: Smallest unsigned dtype holding a position in a block.
+        self._index_dtype = np.min_scalar_type(pool_size - 1)
         self._argmax: np.ndarray | None = None
         self._in_shape: tuple | None = None
 
@@ -221,19 +231,35 @@ class MaxPool1D(Layer):
         l_out = self.output_length(length)
         cropped = x[:, : l_out * self.pool_size]
         blocks = cropped.reshape(n, l_out, self.pool_size, channels)
-        self._argmax = blocks.argmax(axis=2)
+        out = blocks.max(axis=2)
+        if np.isnan(out).any():
+            # A NaN equals nothing, so only argmax finds the first one.
+            self._argmax = blocks.argmax(axis=2).astype(self._index_dtype)
+        else:
+            # The first maximum's position is the number of leading
+            # positions that differ from the block max; the last position
+            # needs no comparison.
+            first = np.zeros(out.shape, self._index_dtype)
+            before = np.ones(out.shape, dtype=bool)
+            differs = np.empty(out.shape, dtype=bool)
+            for j in range(self.pool_size - 1):
+                before &= np.not_equal(blocks[:, :, j], out, out=differs)
+                first += before
+            self._argmax = first
         self._in_shape = x.shape
-        return blocks.max(axis=2)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._argmax is None or self._in_shape is None:
             raise RuntimeError("backward called before forward")
         n, l_out, channels = grad.shape
-        blocks = np.zeros((n, l_out, self.pool_size, channels))
-        n_idx, t_idx, c_idx = np.meshgrid(
-            np.arange(n), np.arange(l_out), np.arange(channels), indexing="ij"
-        )
-        blocks[n_idx, t_idx, self._argmax, c_idx] = grad
+        length = self._in_shape[1]
+        block = self.pool_size * channels
+        # Flat position in the input of each block's first maximum.
+        flat = np.multiply(self._argmax, channels, dtype=np.intp)
+        flat += np.arange(channels)
+        flat += np.arange(0, l_out * block, block)[:, None]
+        flat += np.arange(0, n * length * channels, length * channels)[:, None, None]
         dx = np.zeros(self._in_shape)
-        dx[:, : l_out * self.pool_size] = blocks.reshape(n, l_out * self.pool_size, channels)
+        dx.put(flat, grad)
         return dx

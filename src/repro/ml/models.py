@@ -165,9 +165,21 @@ class LstmFingerprinter(_ArtifactMixin):
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities for a ``(rows, training length)`` matrix.
+
+        Raises ``ValueError`` for any other shape: the pool sizes and
+        LSTM steps were derived from the training length, and the
+        network would run on any other length and answer wrongly.
+        """
         if not hasattr(self, "_network"):
             raise RuntimeError("classifier not fitted")
-        x = (np.asarray(x, dtype=np.float64) - self._input_mean) / self._input_std
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self._input_length:
+            raise ValueError(
+                f"this model classifies rows of {self._input_length} samples "
+                f"(its training length), got an array of shape {x.shape}"
+            )
+        x = (x - self._input_mean) / self._input_std
         return self._network.predict_proba(x[:, :, None])
 
 

@@ -68,6 +68,7 @@ class Adam(Optimizer):
         self.epsilon = epsilon
         self._m: Dict[ParamKey, np.ndarray] = {}
         self._v: Dict[ParamKey, np.ndarray] = {}
+        self._scratch: Dict[ParamKey, Tuple[np.ndarray, np.ndarray]] = {}
         self._t = 0
 
     def step(self, params, grads) -> None:
@@ -78,10 +79,20 @@ class Adam(Optimizer):
             grad = grads[key]
             m = self._m.setdefault(key, np.zeros_like(param))
             v = self._v.setdefault(key, np.zeros_like(param))
+            if key not in self._scratch:
+                self._scratch[key] = (np.empty_like(param), np.empty_like(param))
+            a, b = self._scratch[key]
+            # m += (1 - beta1) * grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=a)
+            # v += (1 - beta2) * grad * grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(1.0 - self.beta2, grad, out=a)
+            v += np.multiply(a, grad, out=a)
+            # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + epsilon)
+            np.divide(m, bias1, out=a)
+            np.multiply(self.learning_rate, a, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            param -= np.divide(a, b, out=a)

@@ -47,6 +47,11 @@ def _first_array_mismatch(a: np.ndarray, b: np.ndarray, close: np.ndarray) -> st
     )
 
 
+def _same_floats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bit mode on real floats: equal with equal sign bits, or both NaN."""
+    return ((a == b) & (np.signbit(a) == np.signbit(b))) | (np.isnan(a) & np.isnan(b))
+
+
 def _diff_arrays(
     a: np.ndarray, b: np.ndarray, mode: str, rtol: float, atol: float, path: str
 ) -> Optional[str]:
@@ -57,8 +62,10 @@ def _diff_arrays(
     if a.size == 0:
         return None
     if a.dtype.kind in "fc":
-        if mode == "bit":
-            close = (a == b) | (np.isnan(a) & np.isnan(b))
+        if mode == "bit" and a.dtype.kind == "c":
+            close = _same_floats(a.real, b.real) & _same_floats(a.imag, b.imag)
+        elif mode == "bit":
+            close = _same_floats(a, b)
         else:
             close = np.isclose(a, b, rtol=rtol, atol=atol, equal_nan=True)
     else:
@@ -78,9 +85,10 @@ def diff_structures(
 ) -> Optional[str]:
     """First divergence between two structures, or ``None`` if equal.
 
-    ``mode`` is ``"bit"`` (exact equality; NaNs compare equal to NaNs;
-    two integers compare as integers, an integer and a float as floats)
-    or ``"allclose"`` (numbers within ``rtol``/``atol``).  Containers
+    ``mode`` is ``"bit"`` (exact equality, and two floats must also
+    agree in sign, so ``0.0`` and ``-0.0`` differ; NaNs compare equal to
+    NaNs; two integers compare as integers, an integer and a float as
+    floats) or ``"allclose"`` (numbers within ``rtol``/``atol``).  Containers
     must match in type-shape exactly under either mode.
     """
     a, b = reference, optimized
@@ -127,7 +135,7 @@ def diff_structures(
         if math.isnan(a_f) and math.isnan(b_f):
             return None
         if mode == "bit":
-            equal = a_f == b_f
+            equal = a_f == b_f and math.copysign(1.0, a_f) == math.copysign(1.0, b_f)
         else:
             equal = math.isclose(a_f, b_f, rel_tol=rtol, abs_tol=atol)
         if not equal:

@@ -4,8 +4,9 @@ An :class:`Oracle` names a *reference* computation and an *optimized*
 computation over the same seeded :class:`Case` inputs, plus a comparison
 mode.  Three modes exist:
 
-* ``bit`` — outputs must be bit-identical (``np.array_equal`` on every
-  array, exact equality on scalars).  The strongest claim: the
+* ``bit`` — outputs must be bit-identical (equal values with equal sign
+  bits on every array element and scalar, so ``0.0`` differs from
+  ``-0.0``; NaN equals NaN).  The strongest claim: the
   optimization changed *how*, not *what*.
 * ``allclose`` — outputs must agree within ``rtol``/``atol``.  For pairs
   whose floating-point operation *order* legitimately differs (e.g. a

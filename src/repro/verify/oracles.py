@@ -29,6 +29,10 @@ oracle                 mode       certifies
                                   loop (``core/walk_ref.py``) for every timer
                                   kind, both attackers, noise off and on; plus
                                   unfloored ``count_many`` == per-period ``count``
+``ml.network``         bit        paper CNN+LSTM trained a few Adam steps with the
+                                  shipped conv/pool/ReLU kernels and Adam ==
+                                  the retained ones (``ml/layers_ref.py``), plus
+                                  layer probes on ties, NaN, ±inf and strides
 ====================== ========== =================================================
 
 All callables derive every RNG stream from the case alone, so a failing
@@ -50,7 +54,10 @@ from repro.core.walk_ref import ReferenceTraceCollector
 from repro.engine.cache import TraceCache, cache_key
 from repro.engine.engine import ExecutionEngine
 from repro.ml.artifact import load_artifact
-from repro.ml.models import FeatureFingerprinter
+from repro.ml.layers import Conv1D, MaxPool1D, ReLU
+from repro.ml.layers_ref import ReferenceAdam, as_reference
+from repro.ml.models import FeatureFingerprinter, build_paper_network
+from repro.ml.optim import Adam
 from repro.sim.events import MS, SEC
 from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
@@ -702,6 +709,152 @@ def _walk_optimized(case: Case) -> dict:
 
 
 # ----------------------------------------------------------------------
+# ml.network — the network's layer kernels vs the retained reference
+# ----------------------------------------------------------------------
+
+#: Small widths keep a case cheap; no kernel branches on width.
+_NET_FILTERS = 6
+_NET_UNITS = 5
+_NET_STEPS = 3
+#: The shortest input the paper network takes: the first conv (kernel 8,
+#: stride 3) must leave one block for the first pool (4).
+_NET_MIN_LENGTH = 17
+#: Pool-probe values: -0.0/+0.0 ties, ties of equal numbers, infinities.
+_POOL_VALUES = (-0.0, 0.0, 1.0, -1.0, 2.0, np.inf, -np.inf)
+#: Conv probes: strides below, at and above a kernel of 3, on one input
+#: channel and on several.
+_CONV_KERNEL = 3
+_CONV_STRIDES = (2, 3, 4)
+_CONV_CHANNELS = (1, 3)
+
+
+def _network_shape(case: Case):
+    """``(classes, rows per step, input length)``: one class more than the
+    case's sites, one row more than its traces, and one sample per
+    millisecond of horizon past the shortest input, so the shrinker's
+    floor case is still a valid network."""
+    return case.sites + 1, case.traces + 1, _NET_MIN_LENGTH + int(case.horizon_ms)
+
+
+def _kernels(layer, reference: bool):
+    """``layer`` as shipped, or switched in place to the reference kernels."""
+    return as_reference(layer) if reference else layer
+
+
+def _copies(arrays) -> dict:
+    return {f"{index}.{name}": array.copy() for (index, name), array in arrays.items()}
+
+
+def _outputs(network, x, training: bool) -> list:
+    """Every layer's output, in order, for one forward pass."""
+    outputs = []
+    for layer in network.layers:
+        x = layer.forward(x, training=training)
+        outputs.append(x.copy())
+    return outputs
+
+
+def _train_step(network, optimizer, x, labels) -> dict:
+    """``Sequential.train_batch`` one layer at a time, recording every
+    output, input gradient, parameter gradient and updated parameter."""
+    activations = _outputs(network, x, training=True)
+    loss = network.loss.forward(activations[-1], labels)
+    grad = network.loss.backward()
+    input_grads = []
+    for layer in reversed(network.layers):
+        grad = layer.backward(grad)
+        input_grads.insert(0, grad.copy())
+    optimizer.step(network.parameters(), network.gradients())
+    return {
+        "loss": loss,
+        "activations": activations,
+        "input_grads": input_grads,
+        "grads": _copies(network.gradients()),
+        "params": _copies(network.parameters()),
+    }
+
+
+def _train_network(case: Case, reference: bool) -> dict:
+    classes, rows, length = _network_shape(case)
+    network = build_paper_network(
+        length,
+        classes,
+        np.random.default_rng([case.seed, 0x1157]),
+        conv_filters=_NET_FILTERS,
+        lstm_units=_NET_UNITS,
+    )
+    for layer in network.layers:
+        _kernels(layer, reference)
+    optimizer = ReferenceAdam() if reference else Adam()
+    rng = np.random.default_rng([case.seed, 0xDA7A])
+    steps = [
+        _train_step(
+            network,
+            optimizer,
+            rng.normal(size=(rows, length, 1)),
+            rng.integers(0, classes, size=rows),
+        )
+        for _ in range(_NET_STEPS)
+    ]
+    x_eval = rng.normal(size=(rows, length, 1))
+    return {
+        "steps": steps,
+        "activations": _outputs(network, x_eval, training=False),
+        "probs": network.predict_proba(x_eval),
+    }
+
+
+def _pool_probes(case: Case, reference: bool) -> dict:
+    """Pools of 1 to 4 on blocks of ties and infinities, with and without
+    NaN, and on a ReLU's output; every input has a cropped remainder."""
+    rng = np.random.default_rng([case.seed, 0x9001])
+    probes = {}
+    for pool in (1, 2, 3, 4):
+        length = 5 * pool + pool - 1
+        special = rng.choice(_POOL_VALUES, size=(2, length, 3))
+        with_nan = np.where(rng.random(special.shape) < 0.2, np.nan, special)
+        rectified = _kernels(ReLU(), reference).forward(rng.normal(size=(2, length, 3)))
+        inputs = {"special": special, "nan": with_nan, "relu": rectified}
+        for name, x in inputs.items():
+            layer = _kernels(MaxPool1D(pool), reference)
+            out = layer.forward(x)
+            grad = np.where(rng.random(out.shape) < 0.2, -0.0, rng.normal(size=out.shape))
+            probes[f"pool={pool} {name}"] = {"out": out, "dx": layer.backward(grad)}
+    return probes
+
+
+def _conv_probes(case: Case, reference: bool) -> dict:
+    """Convolutions with strides below, at and above the kernel, on one
+    input channel and on several."""
+    rng = np.random.default_rng([case.seed, 0xC0117])
+    probes = {}
+    for channels, stride in itertools.product(_CONV_CHANNELS, _CONV_STRIDES):
+        layer = _kernels(Conv1D(channels, 4, _CONV_KERNEL, stride, rng), reference)
+        out = layer.forward(rng.normal(size=(2, 17, channels)))
+        dx = layer.backward(rng.normal(size=out.shape))
+        probes[f"channels={channels} stride={stride}"] = {
+            "out": out, "dx": dx, "dW": layer.dW, "db": layer.db,
+        }
+    return probes
+
+
+def _network_with(case: Case, reference: bool) -> dict:
+    return {
+        "network": _train_network(case, reference),
+        "pool": _pool_probes(case, reference),
+        "conv": _conv_probes(case, reference),
+    }
+
+
+def _network_reference(case: Case) -> dict:
+    return _network_with(case, reference=True)
+
+
+def _network_optimized(case: Case) -> dict:
+    return _network_with(case, reference=False)
+
+
+# ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
 
@@ -829,5 +982,22 @@ register(
         mode="bit",
         reference=_jitter_reference,
         optimized=_jitter_optimized,
+    )
+)
+
+register(
+    Oracle(
+        name="ml.network",
+        description=(
+            "the paper CNN+LSTM at small widths trained a few Adam steps with "
+            "the shipped Conv1D, MaxPool1D, ReLU and Adam vs the retained ones "
+            "(ml/layers_ref.py): every loss, activation, input and parameter "
+            "gradient, parameter and final predict_proba; plus pool probes on "
+            "ties, NaN and ±inf and conv probes at strides below, at and above "
+            "the kernel"
+        ),
+        mode="bit",
+        reference=_network_reference,
+        optimized=_network_optimized,
     )
 )

@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from repro.ml.layers import Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU
+from repro.ml.layers_ref import ReferenceConv1D, ReferenceMaxPool1D
+from repro.verify.compare import diff_structures
+
+INF, NAN = np.inf, np.nan
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal sign bits; NaN equals NaN."""
+    failure = diff_structures(a, b, mode="bit")
+    assert failure is None, failure
 
 
 def numeric_gradient(f, x, epsilon=1e-6):
@@ -185,3 +195,93 @@ class TestMaxPool1D:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             MaxPool1D(4).forward(np.ones((1, 3, 1)))
+
+    def test_index_is_the_smallest_unsigned_dtype(self):
+        x = np.ones((1, 600, 2))
+        for pool, dtype in ((1, np.uint8), (4, np.uint8), (256, np.uint8), (300, np.uint16)):
+            layer = MaxPool1D(pool)
+            layer.forward(x)
+            assert layer._argmax.dtype == dtype
+
+
+def route(block):
+    """Input gradient of one pooled block given an output gradient of 1."""
+    layer = MaxPool1D(len(block))
+    layer.forward(np.array(block, dtype=float)[None, :, None])
+    return layer.backward(np.ones((1, 1, 1)))[0, :, 0]
+
+
+class TestMaxPool1DRouting:
+    """The gradient of a block goes to its first maximum, as argmax picks
+    it; every other position gets +0.0."""
+
+    @pytest.mark.parametrize(
+        "block, first",
+        [
+            ([-0.0, -0.0, -0.0, -0.0], 0),
+            ([-1.0, -0.0, 0.0, -0.0], 1),
+            ([0.0, -0.0], 0),
+            ([1.0, 3.0, 2.0, 3.0], 1),
+            ([1.0, NAN, 2.0, NAN], 1),
+            ([NAN, 5.0, INF], 0),
+            ([-INF, -INF, -INF], 0),
+            ([-INF, -5.0, -INF], 1),
+            ([2.0, INF, INF, 1.0], 1),
+        ],
+        ids=[
+            "all-negative-zero", "negative-positive-zero-tie", "positive-zero-first",
+            "equal-positives", "nan-block", "nan-before-inf", "all-negative-inf",
+            "finite-among-negative-inf", "inf-tie",
+        ],
+    )
+    def test_gradient_goes_to_the_first_maximum(self, block, first):
+        assert int(np.argmax(block)) == first
+        expected = np.zeros(len(block))
+        expected[first] = 1.0
+        assert_same_bits(route(block), expected)
+
+    def test_nan_block_outputs_nan_and_other_blocks_keep_routing(self):
+        layer = MaxPool1D(2)
+        x = np.array([[[NAN], [1.0], [-0.0], [0.0], [3.0], [3.0]]])
+        out = layer.forward(x)
+        assert np.isnan(out[0, 0, 0]) and out[0, 2, 0] == 3.0
+        grad = layer.backward(np.array([[[5.0], [6.0], [7.0]]]))
+        assert_same_bits(grad[0, :, 0], np.array([5.0, 0.0, 6.0, 0.0, 7.0, 0.0]))
+
+    def test_pool_size_one_is_identity(self, rng):
+        layer = MaxPool1D(1)
+        x = rng.normal(size=(2, 5, 3))
+        x[0, 0, 0] = -0.0
+        assert_same_bits(layer.forward(x), x)
+        grad = rng.normal(size=x.shape)
+        assert_same_bits(layer.backward(grad), grad)
+
+    def test_cropped_remainder_gets_positive_zero_gradient(self, rng):
+        layer = MaxPool1D(3)
+        x = rng.normal(size=(2, 8, 4))
+        out = layer.forward(x)
+        dx = layer.backward(rng.normal(size=out.shape))
+        assert_same_bits(dx[:, 6:], np.zeros((2, 2, 4)))
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4, 5])
+    def test_matches_reference(self, rng, pool):
+        values = np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF])
+        for x in (rng.choice(values, size=(3, 4 * pool + 2, 5)), rng.normal(size=(3, 13, 5))):
+            layer, reference = MaxPool1D(pool), ReferenceMaxPool1D(pool)
+            assert_same_bits(layer.forward(x), reference.forward(x))
+            grad = rng.normal(size=(3, x.shape[1] // pool, 5))
+            assert_same_bits(layer.backward(grad), reference.backward(grad))
+
+
+class TestConv1DMatchesReference:
+    @pytest.mark.parametrize("stride", [2, 3, 5], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_forward_and_backward(self, stride, channels):
+        layer = Conv1D(channels, 6, 3, stride, np.random.default_rng(9))
+        reference = ReferenceConv1D(channels, 6, 3, stride, np.random.default_rng(9))
+        rng = np.random.default_rng([stride, channels])
+        x = rng.normal(size=(3, 20, channels))
+        assert_same_bits(layer.forward(x), reference.forward(x))
+        grad = rng.normal(size=(3, layer.output_length(20), 6))
+        assert_same_bits(layer.backward(grad), reference.backward(grad))
+        assert_same_bits(layer.grads(), reference.grads())

@@ -73,6 +73,25 @@ class TestLstmFingerprinter:
         with pytest.raises(RuntimeError):
             LstmFingerprinter().predict_proba(np.ones((1, 50)))
 
+    @pytest.fixture(scope="class")
+    def small_model(self):
+        x, y = toy_traces(n_per_class=4)
+        model = LstmFingerprinter(conv_filters=4, lstm_units=4, epochs=1, seed=0)
+        return model.fit(x, y, n_classes=3)
+
+    @pytest.mark.parametrize("length", [90, 400])
+    def test_wrong_length_rejected(self, small_model, length):
+        """The architecture is derived from the training length (120)."""
+        with pytest.raises(ValueError, match=rf"120 samples.*\(2, {length}\)"):
+            small_model.predict_proba(np.ones((2, length)))
+
+    def test_one_dimensional_row_rejected(self, small_model):
+        with pytest.raises(ValueError, match=r"120 samples.*\(120,\)"):
+            small_model.predict_proba(np.ones(120))
+
+    def test_training_length_accepted(self, small_model):
+        assert small_model.predict_proba(np.ones((2, 120))).shape == (2, 3)
+
 
 class TestFactory:
     def test_known_backends(self):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ml.layers_ref import ReferenceAdam
 from repro.ml.optim import SGD, Adam
+from repro.verify.compare import diff_structures
 
 
 def quadratic_descent(optimizer, steps=300, start=5.0):
@@ -70,3 +72,20 @@ class TestAdam:
             Adam(learning_rate=-1)
         with pytest.raises(ValueError):
             Adam(beta1=1.0)
+
+    def test_matches_reference_bit_for_bit_in_place(self):
+        rng = np.random.default_rng(3)
+        shapes = {(0, "W"): (6, 4), (0, "b"): (4,), (2, "W"): (4, 3)}
+        params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        expected = {key: array.copy() for key, array in params.items()}
+        arrays = dict(params)
+        adam, reference = Adam(learning_rate=0.01), ReferenceAdam(learning_rate=0.01)
+        for _ in range(6):
+            grads = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+            grads[(0, "b")][:2] = (0.0, -0.0)
+            untouched = {key: array.copy() for key, array in grads.items()}
+            adam.step(params, grads)
+            reference.step(expected, grads)
+            assert diff_structures(params, expected, mode="bit") is None
+            assert diff_structures(grads, untouched, mode="bit") is None
+        assert all(params[key] is arrays[key] for key in shapes)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.models import FeatureFingerprinter
+from repro.ml.models import FeatureFingerprinter, LstmFingerprinter
 from repro.serve.registry import ModelRegistry
 
 CLASSES = ["a.com", "b.com", "c.com", "d.com"]
@@ -30,6 +30,16 @@ def model(dataset):
 def artifact_dir(model, tmp_path_factory):
     path = tmp_path_factory.mktemp("artifact") / "model"
     model.save(path, classes=CLASSES, provenance={"seed": 2, "scale": "test"})
+    return path
+
+
+@pytest.fixture(scope="session")
+def lstm_artifact_dir(dataset, tmp_path_factory):
+    """A small LSTM model trained on the dataset's 120-sample rows."""
+    x, y = dataset
+    model = LstmFingerprinter(conv_filters=4, lstm_units=4, epochs=1, seed=2).fit(x, y, 4)
+    path = tmp_path_factory.mktemp("artifact") / "lstm"
+    model.save(path, classes=CLASSES)
     return path
 
 

@@ -72,6 +72,20 @@ class TestServeJsonl:
         assert responses[0]["ok"] is False and responses[0]["error"] == "bad_input"
         assert responses[1]["ok"] is True
 
+    def test_wrong_length_for_lstm_model_answers_not_ok(
+        self, lstm_artifact_dir, dataset, monkeypatch, capsys
+    ):
+        x, _ = dataset
+        lines = [
+            json.dumps({"id": 1, "vector": list(x[0][:90])}),
+            json.dumps({"id": 2, "vector": list(x[0])}),
+        ]
+        responses = self._run(lines, lstm_artifact_dir, monkeypatch, capsys)
+        assert responses[0]["ok"] is False and responses[0]["error"] == "model_error"
+        assert "120 samples" in responses[0]["detail"]
+        assert "label" not in responses[0]
+        assert responses[1]["ok"] is True
+
     def test_named_artifact_spec(self, artifact_dir, dataset, monkeypatch, capsys):
         x, _ = dataset
         lines = [json.dumps({"vector": list(x[0]), "model": "fish"})]
@@ -114,3 +128,28 @@ class TestPredictCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "bit-identical" in out
+
+    def test_lstm_artifact_of_another_length_fails_cleanly(self, tmp_path, capsys):
+        """An LSTM trained on 120-sample rows, asked to classify smoke-scale
+        traces: exit 1 with one stderr line naming both lengths."""
+        from repro.ml.models import LstmFingerprinter
+
+        rng = np.random.default_rng(5)
+        x = rng.normal(1.0, 0.05, size=(16, 120))
+        y = np.repeat(np.arange(8), 2)
+        model = LstmFingerprinter(conv_filters=4, lstm_units=4, epochs=1, seed=5)
+        artifact = tmp_path / "model"
+        model.fit(x, y, 8).save(artifact)
+        code = main(
+            [
+                "predict", "--artifact", str(artifact), "--scale", "smoke",
+                "--seed", "0", "--traces", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "accuracy" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("biggerfish predict: 8 request(s) failed")
+        assert "120 samples" in lines[0] and "400)" in lines[0]
+        assert "Traceback" not in captured.err

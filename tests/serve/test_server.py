@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     ERROR_CODES,
     MAX_BATCH_ENV_VAR,
@@ -101,6 +102,17 @@ class TestErrorPaths:
         codes = {short.result.error, long.result.error}
         assert codes == {"model_error"}
         assert "mixed trace lengths" in short.result.detail
+
+    def test_wrong_length_for_lstm_model_fails(self, lstm_artifact_dir, dataset):
+        x, _ = dataset
+        registry = ModelRegistry()
+        registry.add("default", lstm_artifact_dir)
+        with FingerprintServer(registry, max_wait_ms=0.0) as server:
+            good = server.predict(x[0])
+            short = server.predict(x[0][:90])
+        assert good.ok
+        assert not short.ok and short.error == "model_error"
+        assert "120 samples" in short.detail and "(1, 90)" in short.detail
 
     def test_backpressure_overloaded(self, registry, dataset):
         x, _ = dataset

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -19,6 +19,19 @@ samples = st.lists(
 )
 
 
+#: Small enough that squaring a variance term of these samples underflows.
+TINY = 1.7459556399844538e-83
+
+
+def unit_scale(a, b):
+    """``a`` and ``b`` scaled up by one power of two, exactly, so that the
+    larger magnitude is at least 0.5.  A t-test's statistic, degrees of
+    freedom and p-value do not change under a common scale."""
+    _, exponent = np.frexp(max(np.abs(a).max(), np.abs(b).max()))
+    shift = -min(int(exponent), 0)
+    return np.ldexp(a, shift), np.ldexp(b, shift)
+
+
 class TestAgainstScipy:
     @given(samples, samples)
     @settings(max_examples=100, deadline=None)
@@ -33,12 +46,16 @@ class TestAgainstScipy:
 
     @given(samples, samples)
     @settings(max_examples=100, deadline=None)
+    @example(a=[0.0, 0.0, TINY], b=[0.0, TINY, TINY])
     def test_welch_matches_scipy(self, a, b):
         a, b = np.array(a), np.array(b)
         if a.var(ddof=1) == 0 or b.var(ddof=1) == 0:
             return
         ours = welch_t_test(a, b)
-        theirs = scipy_stats.ttest_ind(a, b, equal_var=False)
+        # scipy squares the per-sample variance terms for the
+        # Welch-Satterthwaite degrees of freedom; near 1e-83 the squares
+        # underflow to 0/0 and scipy falls back to one degree of freedom.
+        theirs = scipy_stats.ttest_ind(*unit_scale(a, b), equal_var=False)
         assert ours.statistic == pytest.approx(theirs.statistic, rel=1e-8, abs=1e-10)
         assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-6, abs=1e-10)
 

@@ -84,3 +84,37 @@ class TestDivergence:
         b = [np.array([1.0]), np.array([9.0]), np.array([8.0])]
         message = diff_structures(a, b, mode=mode)
         assert "$[1]" in message and "$[2]" not in message
+
+
+class TestSignOfZero:
+    """Bit mode compares float sign bits, so ``0.0`` and ``-0.0`` differ."""
+
+    def test_array_elements(self):
+        message = diff_structures(np.array([1.0, 0.0]), np.array([1.0, -0.0]), mode="bit")
+        assert "element 1" in message and "-0.0" in message
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, -0.0), (-0.0, 0.0), (np.float64(0.0), -0.0), ([0.0], [-0.0])],
+        ids=["float", "float-reversed", "numpy-scalar", "in-a-list"],
+    )
+    def test_scalars(self, a, b):
+        assert "numbers differ" in diff_structures(a, b, mode="bit")
+
+    def test_complex_parts(self):
+        a = np.array([complex(1.0, 0.0)])
+        assert diff_structures(a, np.array([complex(1.0, -0.0)]), mode="bit") is not None
+        assert diff_structures(a, a.copy(), mode="bit") is None
+
+    def test_same_signed_zeros_agree(self):
+        zeros = np.array([0.0, -0.0])
+        assert diff_structures(zeros, zeros.copy(), mode="bit") is None
+        assert diff_structures(-0.0, np.float64(-0.0), mode="bit") is None
+
+    def test_nan_of_either_sign_equals_nan(self):
+        assert diff_structures(np.array([np.nan]), np.array([-np.nan]), mode="bit") is None
+        assert diff_structures(float("nan"), -float("nan"), mode="bit") is None
+
+    def test_allclose_ignores_the_sign_of_zero(self):
+        assert diff_structures(np.array([0.0]), np.array([-0.0]), mode="allclose") is None
+        assert diff_structures(0.0, -0.0, mode="allclose") is None
