@@ -27,6 +27,7 @@ import pytest
 from repro import obs
 from repro.config import SMOKE
 from repro.engine import ExecutionEngine, RunContext, TraceCache
+from repro.engine import engine as engine_module
 from repro.engine import faults
 from repro.engine.faults import FaultPlan
 from repro.experiments import table2  # noqa: F401  (registers table2)
@@ -38,26 +39,22 @@ pytestmark = pytest.mark.slow
 OBS_OVERHEAD_CAP = 0.05
 
 
-def _run(
-    jobs: int, cache: TraceCache | None, backoff_s: float | None = None
-) -> tuple[float, str, ExecutionEngine]:
-    kwargs = {} if backoff_s is None else {"backoff_s": backoff_s}
-    engine = ExecutionEngine(jobs=jobs, cache=cache, **kwargs)
+def _run(jobs: int, cache: TraceCache | None) -> tuple[float, str, ExecutionEngine]:
+    engine = ExecutionEngine(jobs=jobs, cache=cache)
     ctx = RunContext(scale=SMOKE, seed=0, engine=engine)
     started = time.perf_counter()
     result = get_experiment("table2")(ctx)
     return time.perf_counter() - started, result.format_table(), engine
 
 
-def test_engine_speedup(results_dir, tmp_path_factory):
+def test_engine_speedup(results_dir, tmp_path_factory, monkeypatch):
     cache = TraceCache(tmp_path_factory.mktemp("engine-bench") / "cache")
 
     cold_s, cold_table, _ = _run(jobs=1, cache=cache)
     parallel_s, parallel_table, _ = _run(jobs=4, cache=None)
+    monkeypatch.setattr(engine_module, "BACKOFF_S", 0.001)
     with faults.injected(FaultPlan(rate=0.1, modes=("raise",), seed=1)):
-        faulty_s, faulty_table, faulty_engine = _run(
-            jobs=4, cache=None, backoff_s=0.001
-        )
+        faulty_s, faulty_table, faulty_engine = _run(jobs=4, cache=None)
     warm_s, warm_table, _ = _run(jobs=1, cache=cache)
 
     assert parallel_table == cold_table, "parallel run must be bit-identical"

@@ -1,4 +1,4 @@
-"""Experiment scaling knobs.
+"""Experiment scaling knobs, and the reader for numeric settings.
 
 Every experiment accepts a :class:`Scale` controlling dataset size,
 trace length and classifier backend, so the whole suite runs on a
@@ -6,10 +6,15 @@ laptop in minutes at ``SMOKE``/``DEFAULT`` scale while ``PAPER`` scale
 mirrors the publication's dataset sizes (100 sites x 100 traces, 15 s
 traces at P = 5 ms, 10-fold CV, full-width LSTM).  EXPERIMENTS.md
 records the scale used for every reported number.
+
+Every numeric ``BIGGERFISH_*`` environment variable is read through
+:func:`read_setting`, so each one is parsed, range-checked and reported
+the same way.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, replace
 
 
@@ -67,3 +72,33 @@ PAPER = Scale(
 )
 
 SCALES = {s.name: s for s in (SMOKE, DEFAULT, PAPER)}
+
+
+def read_setting(
+    value, env_var: str, default, *, name: str, convert=int, minimum=0, exclusive=False
+):
+    """An explicit ``value``, else ``$env_var``, else ``default``.
+
+    The value is converted with ``convert`` (``int`` or ``float``) and
+    must be at least ``minimum`` (greater than it with ``exclusive``).
+    An unset or blank variable means the default, which is returned
+    as is.  A bad value raises :class:`ValueError` naming where it came
+    from: ``name`` for an explicit value, ``env_var`` for the
+    environment.
+    """
+    source = name
+    if value is None:
+        value = os.environ.get(env_var, "").strip()
+        if not value:
+            return default
+        source = env_var
+    try:
+        value = convert(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{source} must be {kind}, got {value!r}") from None
+    if value < minimum or (exclusive and value == minimum):
+        raise ValueError(
+            f"{source} must be {'>' if exclusive else '>='} {minimum}, got {value}"
+        )
+    return value

@@ -12,8 +12,9 @@ Usage::
     python -m repro.data build store/ --sites 4 --traces 2
 
 Exit status: 0 success, 1 verification failures or build errors, 2 usage
-errors (unknown subcommand, bad shapes, bad ``--jobs`` / ``--retries`` /
-``--task-timeout``, config mismatch on resume).
+errors (unknown subcommand, bad shapes, a bad ``--jobs`` / ``--retries`` /
+``--task-timeout`` / ``--shard-sites`` value or environment setting,
+config mismatch on resume).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.data.writer import (
     SHARD_SITES_ENV_VAR,
     build_dataset,
     merge_stores,
+    resolve_shard_sites,
 )
 from repro.engine.engine import ExecutionEngine
 
@@ -130,7 +132,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         engine = ExecutionEngine(
             jobs=args.jobs, retries=args.retries, task_timeout=args.task_timeout
         )
-    except ValueError as exc:  # bad --jobs / --retries / --task-timeout
+        shard_sites = resolve_shard_sites(args.shard_sites)
+    except ValueError as exc:  # a bad engine setting or --shard-sites
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = DatasetConfig(
@@ -144,7 +147,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     manifest = build_dataset(
         args.store,
         config,
-        shard_sites=args.shard_sites,
+        shard_sites=shard_sites,
         engine=engine,
         progress=_progress,
     )

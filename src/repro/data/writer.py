@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.config import read_setting
 from repro.data.format import (
     ShardFormatError,
     read_labels,
@@ -55,12 +56,10 @@ BROWSER_KEYS = ("chrome", "firefox", "safari", "tor")
 
 def resolve_shard_sites(shard_sites: Optional[int] = None) -> int:
     """Explicit value, else ``$BIGGERFISH_DATA_SHARD_SITES``, else 8."""
-    if shard_sites is None:
-        env = os.environ.get(SHARD_SITES_ENV_VAR, "").strip()
-        shard_sites = int(env) if env else DEFAULT_SHARD_SITES
-    if shard_sites < 1:
-        raise DataError(f"shard_sites must be >= 1, got {shard_sites}")
-    return shard_sites
+    return read_setting(
+        shard_sites, SHARD_SITES_ENV_VAR, DEFAULT_SHARD_SITES,
+        name="shard_sites", minimum=1,
+    )
 
 
 def config_browser(config: DatasetConfig):

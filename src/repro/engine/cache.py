@@ -36,6 +36,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.config import read_setting
 from repro.obs import metrics as obs_metrics
 
 #: Environment variable overriding the cache directory.
@@ -134,21 +135,6 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path("~/.cache/biggerfish/traces").expanduser()
 
 
-def _default_max_bytes() -> int:
-    raw = os.environ.get(CACHE_MAX_BYTES_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_MAX_BYTES_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"cache size cap must be positive, got {value}")
-    return value
-
-
 @dataclass
 class CacheStats:
     """Counters for one cache handle's lifetime."""
@@ -183,9 +169,10 @@ class TraceCache:
         max_bytes: Optional[int] = None,
     ):
         self.path = pathlib.Path(path) if path is not None else default_cache_dir()
-        self.max_bytes = int(max_bytes) if max_bytes is not None else _default_max_bytes()
-        if self.max_bytes <= 0:
-            raise ValueError(f"cache size cap must be positive, got {self.max_bytes}")
+        self.max_bytes = read_setting(
+            max_bytes, CACHE_MAX_BYTES_ENV_VAR, DEFAULT_MAX_BYTES,
+            name="max_bytes", minimum=1,
+        )
         self.stats = CacheStats()
         self._size_bytes: Optional[int] = None  # lazy directory scan
 

@@ -9,23 +9,33 @@ one — the scheduler never influences the numbers, only the wall clock.
 
 Because every task is a pure function of its description, the scheduler
 is also free to *re-execute* tasks: a retry is bit-identical to the
-first attempt.  Dispatch is future-based (one ``submit`` per task, not a
-fire-and-forget ``pool.map``), which is what makes fault tolerance
-possible:
+first attempt.  Every failed attempt, inline or in a worker, goes
+through one policy, :meth:`ExecutionEngine._retry`: it is recorded as a
+structured :class:`TaskError` (stage, task index, attempt, kind, remote
+traceback) surfaced through ``timings_snapshot``/``fault_snapshot`` into
+the run manifest, and the task is retried until its budget
+(``retries`` / ``BIGGERFISH_RETRIES``) is spent, when
+:class:`TaskFailedError` is raised.  Only a raised exception backs off
+before its retry (capped exponential, deterministic — no jitter).
 
-* a task that raises is retried with capped exponential backoff
-  (``retries`` / ``BIGGERFISH_RETRIES``, deterministic — no jitter);
-* a task that outlives the per-task timeout (``task_timeout`` /
-  ``BIGGERFISH_TASK_TIMEOUT``) is abandoned and retried; once every
-  worker may be wedged on an abandoned task the pool is respawned;
-* a dead worker (``BrokenProcessPool``) loses only the unfinished tasks
-  of its round: finished futures are salvaged, the pool is respawned
-  once, and if it breaks again the remaining tasks run inline in the
-  parent;
-* every failed attempt is recorded as a structured :class:`TaskError`
-  (stage, task index, attempt, kind, remote traceback) surfaced through
-  ``timings_snapshot``/``fault_snapshot`` into the run manifest, and a
-  task that exhausts its budget raises :class:`TaskFailedError`.
+Dispatch is future-based (one ``submit`` per task, not a
+fire-and-forget ``pool.map``), which is what makes fault tolerance
+possible.  A parallel round submits every pending task and collects
+them in one pass, in task order:
+
+* until the pool breaks or wedges, the pass waits up to the per-task
+  timeout (``task_timeout`` / ``BIGGERFISH_TASK_TIMEOUT``) on each
+  future; a task that raises is retried, and one that outlives the
+  timeout is abandoned and retried;
+* a dead worker (``BrokenProcessPool``) breaks the pool, and as many
+  abandoned tasks as there are workers wedge it;
+* from then on the pass only salvages futures that already finished:
+  an unfinished one is charged as ``worker-lost`` if the pool broke and
+  requeued free if it wedged, and a task that was never submitted is
+  always requeued free;
+* after the pass a broken or wedged pool is respawned, a broken one
+  only once: if it breaks again the remaining tasks run inline in the
+  parent with the attempts they have left.
 
 Worker processes are spawned per ``map`` call via
 ``concurrent.futures.ProcessPoolExecutor``; tasks and their arguments
@@ -40,13 +50,13 @@ in CI.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro import obs
+from repro.config import read_setting
 from repro.engine import faults as engine_faults
 
 #: Environment variable overriding the default worker count.
@@ -58,10 +68,10 @@ TASK_TIMEOUT_ENV_VAR = "BIGGERFISH_TASK_TIMEOUT"
 
 #: Re-execution attempts allowed per task after the first failure.
 DEFAULT_RETRIES = 2
-#: Base of the deterministic exponential backoff between attempts.
-DEFAULT_BACKOFF_S = 0.05
+#: Base of the deterministic exponential backoff after a task raises.
+BACKOFF_S = 0.05
 #: Cap on a single backoff sleep.
-DEFAULT_BACKOFF_CAP_S = 1.0
+BACKOFF_CAP_S = 1.0
 #: Structured task errors kept per stage (totals keep counting past it).
 MAX_RECORDED_ERRORS_PER_STAGE = 100
 
@@ -155,36 +165,12 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     The default is *serial*: parallelism is opt-in via ``--jobs`` or the
     environment, mirroring the CLI contract.
     """
-    if jobs is not None:
-        value = int(jobs)
-    else:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        try:
-            value = int(raw) if raw else 1
-        except ValueError:
-            raise ValueError(
-                f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise ValueError(f"jobs must be >= 1, got {value}")
-    return value
+    return read_setting(jobs, JOBS_ENV_VAR, 1, name="jobs", minimum=1)
 
 
 def resolve_retries(retries: Optional[int] = None) -> int:
     """Retry budget from an explicit value, ``BIGGERFISH_RETRIES``, or 2."""
-    if retries is not None:
-        value = int(retries)
-    else:
-        raw = os.environ.get(RETRIES_ENV_VAR, "").strip()
-        try:
-            value = int(raw) if raw else DEFAULT_RETRIES
-        except ValueError:
-            raise ValueError(
-                f"{RETRIES_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if value < 0:
-        raise ValueError(f"retries must be >= 0, got {value}")
-    return value
+    return read_setting(retries, RETRIES_ENV_VAR, DEFAULT_RETRIES, name="retries")
 
 
 def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
@@ -194,20 +180,10 @@ def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
     from when the scheduler starts waiting on a task, which upper-bounds
     the task's own runtime.
     """
-    if timeout is None:
-        raw = os.environ.get(TASK_TIMEOUT_ENV_VAR, "").strip()
-        if not raw:
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{TASK_TIMEOUT_ENV_VAR} must be a number of seconds, got {raw!r}"
-            ) from None
-    value = float(timeout)
-    if value <= 0:
-        raise ValueError(f"task timeout must be positive, got {value}")
-    return value
+    return read_setting(
+        timeout, TASK_TIMEOUT_ENV_VAR, None,
+        name="task timeout", convert=float, exclusive=True,
+    )
 
 
 class ExecutionEngine:
@@ -231,15 +207,11 @@ class ExecutionEngine:
         cache=None,
         retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
-        backoff_s: float = DEFAULT_BACKOFF_S,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.retries = resolve_retries(retries)
         self.task_timeout = resolve_task_timeout(task_timeout)
-        self.backoff_s = float(backoff_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         #: Stage name -> cumulative wall-clock seconds spent in map().
         self.stage_seconds: Dict[str, float] = {}
         #: Stage name -> cumulative *completed* task count.
@@ -348,26 +320,34 @@ class ExecutionEngine:
             try:
                 outcome = dataclasses.replace(task, index=index, attempt=attempt)(item)
             except Exception as error:
-                record = self._record_error(task.stage, index, attempt, "exception", error)
-                if attempt >= self.retries:
-                    raise TaskFailedError(record) from error
-                self._record_retry(task.stage, attempt)
-                attempt += 1
-                continue
-            progress.note(outcome[1])
-            return outcome
+                attempt = self._retry(task.stage, index, attempt, "exception", error)
+            else:
+                progress.note(outcome[1])
+                return outcome
 
     # -- parallel dispatch ----------------------------------------------
 
     def _map_parallel(
         self, task: _TimedTask, items: list, progress: _MapProgress
     ) -> list:
+        """Run the tasks on a worker pool, round by round, until all finish.
+
+        Each round submits every pending task, then collects the round
+        in one pass over it.  Until the pool breaks (a worker died) or
+        wedges (as many tasks abandoned past the timeout as there are
+        workers), the pass waits up to ``task_timeout`` on each future.
+        After that it only salvages futures that are already done: an
+        unfinished future is charged as ``worker-lost`` if the pool
+        broke and requeued free if it wedged.  A task that was never
+        submitted is always requeued free.  One decision follows the
+        pass: respawn a broken or wedged pool, except that a pool that
+        broke twice hands its requeued tasks to :meth:`_run_inline`.
+        """
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FuturesTimeout
 
         workers = min(self.jobs, len(items))
         outcomes: list = [None] * len(items)
-        done = [False] * len(items)
         attempts = [0] * len(items)
         pending = list(range(len(items)))
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -376,7 +356,7 @@ class ExecutionEngine:
         try:
             while pending:
                 futures = {}
-                pool_broken = False
+                broken = wedged = False
                 for i in pending:
                     try:
                         futures[i] = pool.submit(
@@ -384,115 +364,57 @@ class ExecutionEngine:
                             items[i],
                         )
                     except BrokenExecutor:
-                        pool_broken = True
+                        broken = True
                         break
-                retried: set = set()
-                wedged = False
+                requeued = []
                 for i in pending:
                     future = futures.get(i)
-                    if future is None or pool_broken or wedged:
-                        continue  # resolved by the sweeps below
+                    if future is None or (wedged and not broken and not future.done()):
+                        requeued.append(i)  # unsubmitted, or behind a wedge: free
+                        continue
                     try:
+                        if broken and not future.done():
+                            raise BrokenExecutor  # lost with its worker
                         outcome = future.result(timeout=self.task_timeout)
                     except FuturesTimeout:
                         abandoned += 1
-                        record = self._record_error(
-                            task.stage,
-                            i,
-                            attempts[i],
-                            "timeout",
-                            TimeoutError(
-                                f"task exceeded the {self.task_timeout}s task timeout"
-                            ),
+                        # Every worker may now be stuck on an abandoned
+                        # task: stop charging queued tasks with timeouts.
+                        wedged = abandoned >= workers
+                        kind = "timeout"
+                        error: Exception = TimeoutError(
+                            f"task exceeded the {self.task_timeout}s task timeout"
                         )
-                        self._account(self.stage_timeouts, "timeouts", task.stage)
-                        obs.counter("engine.task_timeouts").inc()
-                        if attempts[i] >= self.retries:
-                            raise TaskFailedError(record) from None
-                        # No backoff: we already waited out the timeout.
-                        self._record_retry(task.stage, attempts[i], backoff=False)
-                        attempts[i] += 1
-                        retried.add(i)
-                        if abandoned >= workers:
-                            # Every worker may be wedged on an abandoned
-                            # task; stop charging innocent queued tasks
-                            # with spurious timeouts and respawn now.
-                            wedged = True
                     except BrokenExecutor:
-                        pool_broken = True
-                    except Exception as error:
-                        record = self._record_error(
-                            task.stage, i, attempts[i], "exception", error
-                        )
-                        if attempts[i] >= self.retries:
-                            raise TaskFailedError(record) from error
-                        self._record_retry(task.stage, attempts[i])
-                        attempts[i] += 1
-                        retried.add(i)
+                        broken = True
+                        kind = "worker-lost"
+                        error = RuntimeError("worker process died before the task finished")
+                    except Exception as exc:
+                        kind, error = "exception", exc
                     else:
                         outcomes[i] = outcome
-                        done[i] = True
                         progress.note(outcome[1])
-                if pool_broken:
-                    retried |= self._sweep_broken_round(
-                        task, futures, pending, retried, done, attempts, outcomes, progress
-                    )
+                        continue
+                    attempts[i] = self._retry(task.stage, i, attempts[i], kind, error)
+                    requeued.append(i)
+                if broken or wedged:
                     pool.shutdown(wait=False, cancel_futures=True)
                     abandoned = 0
-                    if respawns_left > 0:
-                        respawns_left -= 1
-                        self.fault_totals["pool_respawns"] += 1
-                        obs.counter("engine.pool_respawns").inc()
-                        pool = ProcessPoolExecutor(max_workers=workers)
-                    else:
+                    if broken and not respawns_left:
                         # The pool died twice: finish inline, sharing the
                         # per-task attempt budget already burned.
-                        for i in sorted(retried):
+                        for i in requeued:
                             outcomes[i] = self._run_inline(
                                 task, items[i], i, progress, first_attempt=attempts[i]
                             )
-                            done[i] = True
-                        retried = set()
-                elif wedged:
-                    # Salvage what finished, requeue the rest without a
-                    # retry penalty (they never got a worker), and start
-                    # a fresh pool so the retries can actually schedule.
-                    for i in pending:
-                        if done[i] or i in retried:
-                            continue
-                        future = futures.get(i)
-                        outcome = None
-                        if (
-                            future is not None
-                            and future.done()
-                            and not future.cancelled()
-                        ):
-                            try:
-                                outcome = future.result(timeout=0)
-                            except BrokenExecutor:
-                                outcome = None
-                            except Exception as error:
-                                record = self._record_error(
-                                    task.stage, i, attempts[i], "exception", error
-                                )
-                                if attempts[i] >= self.retries:
-                                    raise TaskFailedError(record) from error
-                                self._record_retry(task.stage, attempts[i])
-                                attempts[i] += 1
-                                retried.add(i)
-                                continue
-                        if outcome is not None:
-                            outcomes[i] = outcome
-                            done[i] = True
-                            progress.note(outcome[1])
-                        else:
-                            retried.add(i)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    self.fault_totals["pool_respawns"] += 1
-                    obs.counter("engine.pool_respawns").inc()
-                    abandoned = 0
-                pending = sorted(retried)
+                        requeued = []
+                    else:
+                        if broken:
+                            respawns_left -= 1
+                        self.fault_totals["pool_respawns"] += 1
+                        obs.counter("engine.pool_respawns").inc()
+                        pool = ProcessPoolExecutor(max_workers=workers)
+                pending = requeued
         finally:
             # Abandoned (timed-out) tasks may still be running; waiting
             # on them would stall the run for exactly the hang we just
@@ -500,79 +422,44 @@ class ExecutionEngine:
             pool.shutdown(wait=abandoned == 0, cancel_futures=True)
         return outcomes
 
-    def _sweep_broken_round(
-        self,
-        task: _TimedTask,
-        futures: dict,
-        pending: list,
-        already_retried: set,
-        done: list,
-        attempts: list,
-        outcomes: list,
-        progress: _MapProgress,
-    ) -> set:
-        """Triage a broken pool's round: salvage, classify, requeue.
-
-        Futures that finished before the pool died keep their results;
-        ones that raised a task error burn a retry as usual; everything
-        else was lost with its worker and is re-executed without having
-        produced side effects twice (tasks are pure).  Returns the set
-        of task indices to re-run.
-        """
-        from concurrent.futures import BrokenExecutor
-
-        retried: set = set()
-        for i in pending:
-            if done[i] or i in already_retried:
-                continue
-            future = futures.get(i)
-            if future is None:  # never submitted; retry without penalty
-                retried.add(i)
-                continue
-            outcome = None
-            error: Optional[Exception] = None
-            if future.done() and not future.cancelled():
-                try:
-                    outcome = future.result(timeout=0)
-                except BrokenExecutor:
-                    pass  # lost with its worker
-                except Exception as exc:
-                    error = exc
-            if outcome is not None:
-                outcomes[i] = outcome
-                done[i] = True
-                progress.note(outcome[1])
-                continue
-            if error is not None:
-                kind: str = "exception"
-                cause: Exception = error
-            else:
-                kind = "worker-lost"
-                cause = RuntimeError("worker process died before the task finished")
-                self._account(self.stage_tasks_lost, "tasks_lost", task.stage)
-                obs.counter("engine.tasks_lost").inc()
-            record = self._record_error(task.stage, i, attempts[i], kind, cause)
-            if attempts[i] >= self.retries:
-                raise TaskFailedError(record) from error
-            self._record_retry(task.stage, attempts[i], backoff=False)
-            attempts[i] += 1
-            retried.add(i)
-        return retried
-
     # -- fault accounting -----------------------------------------------
 
-    def _account(self, per_stage: Dict[str, int], total_key: str, stage: Optional[str]) -> None:
+    def _retry(
+        self,
+        stage: Optional[str],
+        index: int,
+        attempt: int,
+        kind: str,
+        error: Exception,
+    ) -> int:
+        """The one failure policy: record, give up or retry.
+
+        Records the failed attempt as a :class:`TaskError` (a timeout or
+        lost task is also tallied as such), raises
+        :class:`TaskFailedError` once the attempt spends the budget, and
+        otherwise counts the retry and returns the next attempt number.
+        Only a raised exception backs off first: a timeout has already
+        waited, and a lost task gets a fresh pool.
+        """
+        record = self._record_error(stage, index, attempt, kind, error)
+        if kind == "timeout":
+            self._account(self.stage_timeouts, "timeouts", stage, "engine.task_timeouts")
+        elif kind == "worker-lost":
+            self._account(self.stage_tasks_lost, "tasks_lost", stage, "engine.tasks_lost")
+        if attempt >= self.retries:
+            raise TaskFailedError(record) from error
+        self._account(self.stage_retries, "retries", stage, "engine.retries")
+        if kind == "exception":
+            time.sleep(min(BACKOFF_CAP_S, BACKOFF_S * 2**attempt))
+        return attempt + 1
+
+    def _account(
+        self, per_stage: Dict[str, int], total_key: str, stage: Optional[str], counter: str
+    ) -> None:
         key = stage or ""
         per_stage[key] = per_stage.get(key, 0) + 1
         self.fault_totals[total_key] += 1
-
-    def _record_retry(
-        self, stage: Optional[str], attempt: int, backoff: bool = True
-    ) -> None:
-        self._account(self.stage_retries, "retries", stage)
-        obs.counter("engine.retries").inc()
-        if backoff and self.backoff_s > 0:
-            time.sleep(min(self.backoff_cap_s, self.backoff_s * (2**attempt)))
+        obs.counter(counter).inc()
 
     def _record_error(
         self,

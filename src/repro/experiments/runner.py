@@ -152,7 +152,11 @@ def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
 
 def _cache_command(args: argparse.Namespace) -> int:
     """Handle ``biggerfish cache [info|clear]``."""
-    cache = TraceCache(args.cache_dir or default_cache_dir())
+    try:
+        cache = TraceCache(args.cache_dir or default_cache_dir())
+    except ValueError as error:  # bad BIGGERFISH_CACHE_MAX_BYTES
+        print(f"biggerfish: {error}", file=sys.stderr)
+        return 2
     info = cache.info()
     if args.verb == "clear":
         removed = cache.clear()
@@ -209,9 +213,9 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
     scale = SCALES[args.scale]
     cache = None
-    if not args.no_cache:
-        cache = TraceCache(args.cache_dir or default_cache_dir())
     try:
+        if not args.no_cache:
+            cache = TraceCache(args.cache_dir or default_cache_dir())
         engine = ExecutionEngine(
             jobs=args.jobs,
             cache=cache,
@@ -219,7 +223,7 @@ def _run_command(args: argparse.Namespace) -> int:
             task_timeout=args.task_timeout,
         )
         ctx = RunContext(scale=scale, seed=args.seed, engine=engine)
-    except ValueError as error:  # bad --jobs / --retries / --task-timeout / --seed
+    except ValueError as error:  # a bad engine or cache setting, or --seed
         print(f"biggerfish: {error}", file=sys.stderr)
         return 2
     save_dir = pathlib.Path(args.save_dir) if args.save_dir else None

@@ -33,7 +33,6 @@ corresponding constructor arguments are omitted.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -43,6 +42,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.config import read_setting
 from repro.serve.registry import LoadedModel, ModelRegistry
 
 #: Every way a request can fail, as stable machine-readable codes.
@@ -51,17 +51,6 @@ ERROR_CODES = ("overloaded", "deadline", "model_error", "bad_input", "shutdown")
 MAX_BATCH_ENV_VAR = "BIGGERFISH_SERVE_MAX_BATCH"
 MAX_WAIT_ENV_VAR = "BIGGERFISH_SERVE_MAX_WAIT_MS"
 QUEUE_ENV_VAR = "BIGGERFISH_SERVE_QUEUE"
-
-
-def _env_default(var: str, fallback, convert):
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        value = convert(raw)
-    except ValueError:
-        raise ValueError(f"{var} must be a number, got {raw!r}") from None
-    return value
 
 
 @dataclass(frozen=True)
@@ -126,18 +115,15 @@ class FingerprintServer:
         max_wait_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
     ):
-        if max_batch is None:
-            max_batch = _env_default(MAX_BATCH_ENV_VAR, 32, int)
-        if max_wait_ms is None:
-            max_wait_ms = _env_default(MAX_WAIT_ENV_VAR, 2.0, float)
-        if max_queue is None:
-            max_queue = _env_default(QUEUE_ENV_VAR, 256, int)
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be positive, got {max_queue}")
+        max_batch = read_setting(
+            max_batch, MAX_BATCH_ENV_VAR, 32, name="max_batch", minimum=1
+        )
+        max_wait_ms = read_setting(
+            max_wait_ms, MAX_WAIT_ENV_VAR, 2.0, name="max_wait_ms", convert=float
+        )
+        max_queue = read_setting(
+            max_queue, QUEUE_ENV_VAR, 256, name="max_queue", minimum=1
+        )
         names = registry.names()
         if default_model is None:
             if len(names) == 1:

@@ -1,6 +1,6 @@
 """Discrete-event machine simulator: cores, interrupts, routing, DVFS, VMs."""
 
-from repro.sim.events import MS, SEC, US, Event, EventQueue, SimulationClock
+from repro.sim.events import MS, SEC, US
 from repro.sim.frequency import FrequencyConfig, FrequencyTrace, IterationRateModel, TurboGovernor
 from repro.sim.interrupts import (
     DEFAULT_LATENCIES,
@@ -26,7 +26,7 @@ from repro.sim.timeline import CoreTimeline, GapTimeline, InterruptRecord, seria
 from repro.sim.vm import BARE_METAL, SEPARATE_VMS, VmConfig
 
 __all__ = [
-    "MS", "SEC", "US", "Event", "EventQueue", "SimulationClock",
+    "MS", "SEC", "US",
     "FrequencyConfig", "FrequencyTrace", "IterationRateModel", "TurboGovernor",
     "DEFAULT_LATENCIES", "MOVABLE_TYPES", "NON_MOVABLE_TYPES", "PIGGYBACK_TYPES",
     "HandlerLatencyModel", "InterruptBatch", "InterruptType", "LatencySpec",

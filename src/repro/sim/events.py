@@ -1,18 +1,10 @@
-"""Discrete-event foundations for the machine simulator.
+"""Simulation time units.
 
-All simulation time is kept in integer nanoseconds.  The module provides
-unit helpers, a simulation clock, and a priority event queue used by the
-stateful parts of the simulator (scheduler, frequency governor, defense
-injectors).  The high-volume interrupt path is array-based (see
-:mod:`repro.sim.timeline`) and does not go through the queue.
+All simulation time is kept in integer nanoseconds; these are the unit
+constants and the seconds conversion the simulator and experiments use.
 """
 
 from __future__ import annotations
-
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
 
 #: Nanoseconds per microsecond / millisecond / second.
 US = 1_000
@@ -20,131 +12,6 @@ MS = 1_000_000
 SEC = 1_000_000_000
 
 
-def ns_to_ms(t_ns: float) -> float:
-    """Convert nanoseconds to (float) milliseconds."""
-    return t_ns / MS
-
-
-def ms_to_ns(t_ms: float) -> int:
-    """Convert milliseconds to integer nanoseconds (rounded)."""
-    return int(round(t_ms * MS))
-
-
 def seconds_to_ns(t_s: float) -> int:
     """Convert seconds to integer nanoseconds (rounded)."""
     return int(round(t_s * SEC))
-
-
-class SimulationClock:
-    """Monotonic simulation clock in nanoseconds.
-
-    The clock is shared between user-space code (the attacker) and the
-    kernel tracer, mirroring Linux's ``CLOCK_MONOTONIC``, which both the
-    paper's Rust attacker and its eBPF probes read.
-    """
-
-    def __init__(self, start_ns: int = 0):
-        if start_ns < 0:
-            raise ValueError(f"clock cannot start before zero, got {start_ns}")
-        self._now = int(start_ns)
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
-    def advance_to(self, t_ns: int) -> None:
-        """Move the clock forward to ``t_ns``; moving backwards is an error."""
-        if t_ns < self._now:
-            raise ValueError(f"clock cannot move backwards: {t_ns} < {self._now}")
-        self._now = int(t_ns)
-
-    def advance_by(self, dt_ns: int) -> None:
-        """Move the clock forward by ``dt_ns`` nanoseconds."""
-        if dt_ns < 0:
-            raise ValueError(f"cannot advance by a negative duration: {dt_ns}")
-        self._now += int(dt_ns)
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: int
-    seq: int
-    event: "Event" = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-@dataclass
-class Event:
-    """A scheduled simulation event.
-
-    ``action`` is invoked with the event's firing time when the event is
-    popped.  ``payload`` is free-form context for inspection in tests.
-    """
-
-    name: str
-    action: Optional[Callable[[int], None]] = None
-    payload: Any = None
-
-
-class EventQueue:
-    """A cancellable priority queue of timed events.
-
-    Ties are broken by insertion order, which keeps runs deterministic for
-    a fixed seed — a property the reproduction relies on throughout.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[_QueueEntry] = []
-        self._counter = itertools.count()
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time_ns: int, event: Event) -> _QueueEntry:
-        """Schedule ``event`` at ``time_ns``; returns a cancellation handle."""
-        if time_ns < 0:
-            raise ValueError(f"cannot schedule an event before time zero: {time_ns}")
-        entry = _QueueEntry(time=int(time_ns), seq=next(self._counter), event=event)
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-        return entry
-
-    def cancel(self, entry: _QueueEntry) -> None:
-        """Cancel a previously pushed event (lazy removal)."""
-        if not entry.cancelled:
-            entry.cancelled = True
-            self._live -= 1
-
-    def peek_time(self) -> Optional[int]:
-        """Firing time of the next live event, or ``None`` when empty."""
-        self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
-
-    def pop(self) -> tuple[int, Event]:
-        """Remove and return ``(time, event)`` for the next live event."""
-        self._drop_cancelled()
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        entry = heapq.heappop(self._heap)
-        self._live -= 1
-        return entry.time, entry.event
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-    def drain_until(self, horizon_ns: int) -> Iterator[tuple[int, Event]]:
-        """Yield events in time order up to and including ``horizon_ns``.
-
-        Events whose ``action`` is set are invoked as they are yielded.
-        """
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > horizon_ns:
-                return
-            time_ns, event = self.pop()
-            if event.action is not None:
-                event.action(time_ns)
-            yield time_ns, event

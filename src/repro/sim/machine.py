@@ -26,7 +26,6 @@ collection never does.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -88,11 +87,6 @@ _BURST_RATE_SCALE = 2.0
 
 #: Rate of Turbo Boost transition stalls per core when enabled.
 _TURBO_ARTIFACT_RATE_HZ = 220.0
-
-#: Test-only fault flag (any value): perturbs one vectorized RNG-derived
-#: arrival so the repro.verify sim.synthesize oracle visibly fails.  The
-#: acceptance path for the differential harness — never set in production.
-_PERTURB_ENV_VAR = "BIGGERFISH_SIM_PERTURB"
 
 #: Stable interrupt-type ordering for grouped duration sampling: batched
 #: generation draws one latency sample per *type* rather than per burst,
@@ -390,50 +384,22 @@ class InterruptSynthesizer:
                 InterruptBatch(InterruptType.TIMER, times, durations, cause="tick")
             )
 
-    def _poisson_times(
-        self,
-        burst: ActivityBurst,
-        rate_hz: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Arrival times within a burst, honouring its micro-structure.
-
-        With ``ripple_hz`` set, arrivals concentrate in the on-phase of
-        an on/off pulse train (packet trains, frame cadence); the mean
-        rate over the burst is unchanged.
-
-        This is the single-burst reference implementation; the synthesis
-        hot path uses :meth:`_poisson_times_batch`, which draws the same
-        distribution for many bursts at once.
-        """
-        expected = rate_hz * burst.duration_ns / SEC
-        count = rng.poisson(expected)
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        if burst.ripple_hz <= 0:
-            return np.sort(rng.uniform(burst.start_ns, burst.end_ns, count))
-        period_ns = SEC / burst.ripple_hz
-        n_windows = max(int(burst.duration_ns / period_ns), 1)
-        on_len_ns = burst.duty * period_ns
-        window = rng.integers(0, n_windows, count)
-        offset = rng.uniform(0.0, on_len_ns, count)
-        times = burst.start_ns + window * period_ns + offset
-        return np.sort(np.clip(times, burst.start_ns, burst.end_ns))
-
     def _poisson_times_batch(
         self,
         bursts: Sequence[ActivityBurst],
         rates_hz: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_poisson_times` across many bursts.
+        """Poisson arrival times within many bursts, honouring their
+        micro-structure.
 
-        Returns ``(times, owners)`` where ``owners[i]`` indexes the burst
-        each arrival belongs to.  Counts, ripple windows and offsets for
+        With ``ripple_hz`` set, a burst's arrivals concentrate in the
+        on-phase of an on/off pulse train (packet trains, frame
+        cadence); the mean rate over the burst is unchanged.  Returns
+        ``(times, owners)`` where ``owners[i]`` indexes the burst each
+        arrival belongs to.  Counts, ripple windows and offsets for
         every burst come from single vectorized draws (a homogeneous
-        burst is one full-duty ripple window), so the RNG draw *order*
-        differs from the per-burst reference while each arrival keeps the
-        same distribution.
+        burst is one full-duty ripple window).
         """
         if not bursts:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
@@ -468,12 +434,6 @@ class InterruptSynthesizer:
         times += offset
         if rippled.any():
             np.clip(times, starts[owners], starts[owners] + durations[owners], out=times)
-        if _PERTURB_ENV_VAR in os.environ:
-            # Test-only fault injection for the verify harness: nudging a
-            # single arrival must trip the sim.synthesize oracle (the
-            # reference synthesizer overrides this method and is unmoved).
-            times = times.copy()
-            times[0] += 1.0
         return times, owners
 
     def _sample_durations_grouped(

@@ -16,6 +16,27 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def perturbed_synthesizer(monkeypatch):
+    """Nudge one arrival of the optimized synthesizer by 1 ns.
+
+    The reference synthesizer overrides ``_poisson_times_batch`` and is
+    unmoved, so the ``sim.synthesize`` oracle must fail on
+    ``cores[0].arrivals``.  The patch lives in this process only, so a
+    CLI test that uses it passes ``--jobs 1``.
+    """
+    batch = InterruptSynthesizer._poisson_times_batch
+
+    def nudged(self, bursts, rates_hz, rng):
+        times, owners = batch(self, bursts, rates_hz, rng)
+        if len(times):
+            times = times.copy()
+            times[0] += 1.0
+        return times, owners
+
+    monkeypatch.setattr(InterruptSynthesizer, "_poisson_times_batch", nudged)
+
+
 @pytest.fixture(scope="session")
 def machine_config() -> MachineConfig:
     return MachineConfig(os=LINUX)

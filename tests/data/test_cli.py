@@ -107,8 +107,12 @@ def test_no_subcommand_prints_help(capsys):
         (["--jobs", "-3"], {}),
         (["--retries", "-5"], {}),
         ([], {"BIGGERFISH_JOBS": "abc"}),
+        ([], {"BIGGERFISH_DATA_SHARD_SITES": "abc"}),
     ],
-    ids=["jobs-zero", "jobs-negative", "retries-negative", "jobs-env-not-an-int"],
+    ids=[
+        "jobs-zero", "jobs-negative", "retries-negative", "jobs-env-not-an-int",
+        "shard-sites-env-not-an-int",
+    ],
 )
 def test_build_rejects_bad_engine_flags(tmp_path, capsys, monkeypatch, flags, env):
     for name, value in env.items():
@@ -117,6 +121,7 @@ def test_build_rejects_bad_engine_flags(tmp_path, capsys, monkeypatch, flags, en
     assert data_main(["build", str(store), *CONFIG_ARGS, *flags]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "must be" in err
+    assert all(name in err for name in env)
     assert not store.exists()
 
 

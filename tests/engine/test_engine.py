@@ -15,6 +15,7 @@ from repro.engine import (
     resolve_retries,
     resolve_task_timeout,
 )
+from repro.engine import engine as engine_module
 from repro.engine.engine import (
     JOBS_ENV_VAR,
     RETRIES_ENV_VAR,
@@ -173,8 +174,9 @@ class TestMap:
         assert snapshot["tasks"] == 3  # items 0..2 completed, 3 failed
         assert snapshot["task_errors"][0]["kind"] == "exception"
 
-    def test_deterministic_failure_exhausts_retries(self):
-        engine = ExecutionEngine(jobs=1, retries=2, backoff_s=0.001)
+    def test_deterministic_failure_exhausts_retries(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "BACKOFF_S", 0.001)
+        engine = ExecutionEngine(jobs=1, retries=2)
         with pytest.raises(TaskFailedError) as excinfo:
             engine.map(_fail_on_three, [3], stage="demo")
         assert excinfo.value.task_error.attempt == 2  # 1 try + 2 retries

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ExecutionEngine, RunManifest, TaskFailedError
+from repro.engine import engine as engine_module
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, InjectedFault
 
@@ -29,6 +30,12 @@ def _no_ambient_faults(monkeypatch):
     """Isolate from any CI-level BIGGERFISH_FAULTS setting."""
     monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
     faults._CACHED = None
+
+
+@pytest.fixture(autouse=True)
+def _fast_backoff(monkeypatch):
+    """Back off 1 ms before a retry instead of 50 ms."""
+    monkeypatch.setattr(engine_module, "BACKOFF_S", 0.001)
 
 
 def _square(x: int) -> int:
@@ -144,7 +151,7 @@ class TestParentSafety:
 
     def test_serial_engine_survives_kill_faults(self):
         items = list(range(8))
-        engine = ExecutionEngine(jobs=1, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=1)
         with faults.injected(FaultPlan(rate=1.0, modes=("kill",), seed=5)):
             results = engine.map(_square, items, stage="w")
         assert results == [x * x for x in items]
@@ -161,7 +168,7 @@ class TestParallelRecovery:
         plan = FaultPlan(rate=0.3, modes=("raise",), seed=3)
         injected = _injected_indices(plan, "w", len(self.ITEMS))["raise"]
         assert len(injected) == 7  # seed chosen for a meaningful hit count
-        engine = ExecutionEngine(jobs=2, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=2)
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
@@ -175,7 +182,7 @@ class TestParallelRecovery:
     def test_killed_workers_respawn_pool(self):
         plan = FaultPlan(rate=0.2, modes=("kill",), seed=7)
         assert _injected_indices(plan, "w", len(self.ITEMS)).get("kill")
-        engine = ExecutionEngine(jobs=2, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=2)
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
@@ -187,7 +194,7 @@ class TestParallelRecovery:
     def test_hung_tasks_time_out_and_retry(self):
         plan = FaultPlan(rate=0.2, modes=("hang",), seed=1, hang_s=1.2)
         assert _injected_indices(plan, "w", len(self.ITEMS)).get("hang")
-        engine = ExecutionEngine(jobs=2, task_timeout=0.4, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=2, task_timeout=0.4)
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
@@ -202,12 +209,49 @@ class TestParallelRecovery:
         # that max_attempt has already silenced.
         plan = FaultPlan(rate=1.0, modes=("kill",), max_attempt=2)
         items = list(range(4))
-        engine = ExecutionEngine(jobs=2, retries=3, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=2, retries=3)
         with faults.injected(plan):
             results = engine.map(_square, items, stage="w")
         assert results == [x * x for x in items]
         assert engine.fault_totals["pool_respawns"] == 1
         assert engine.fault_totals["tasks_lost"] >= 1
+
+    def test_inline_fallback_shares_the_attempt_budget(self):
+        # The first three attempts of every task are killed: rounds 1
+        # and 2 break the pool (one respawn), and the inline fallback
+        # starts at attempt 2, the last the budget allows, where kill
+        # degrades to a raise.  A fallback that restarted the budget
+        # would succeed instead.
+        plan = FaultPlan(rate=1.0, modes=("kill",), max_attempt=3)
+        engine = ExecutionEngine(jobs=2, retries=2)
+        with faults.injected(plan):
+            with pytest.raises(TaskFailedError, match=r"after 3 attempt\(s\)"):
+                engine.map(_square, list(range(4)), stage="w")
+        totals = engine.fault_totals
+        assert totals["retries"] == totals["tasks_lost"] == 8
+        assert totals["task_errors"] == 9
+        assert totals["pool_respawns"] == 1
+
+    @pytest.mark.slow
+    def test_wedged_pool_requeues_queued_tasks_free(self):
+        # Every first attempt hangs.  The two workers take tasks 0 and 1,
+        # both time out and wedge the pool, and tasks 2 and 3, queued
+        # behind them, are requeued without a charge; the next round
+        # repeats that for tasks 2 and 3.  So each task is charged one
+        # timeout: its own hang.
+        plan = FaultPlan(rate=1.0, modes=("hang",), hang_s=3.0)
+        items = list(range(4))
+        engine = ExecutionEngine(jobs=2, task_timeout=0.5, retries=3)
+        with faults.injected(plan):
+            results = engine.map(_square, items, stage="w")
+        assert results == [x * x for x in items]
+        errors = engine.stage_errors["w"]
+        assert sorted(e.index for e in errors) == items
+        assert {e.kind for e in errors} == {"timeout"}
+        totals = engine.fault_totals
+        assert totals["retries"] == totals["timeouts"] == totals["task_errors"] == 4
+        assert totals["tasks_lost"] == 0
+        assert totals["pool_respawns"] >= 1
 
     @pytest.mark.slow
     def test_combined_faults_bit_identical_with_manifest(self):
@@ -218,7 +262,7 @@ class TestParallelRecovery:
         plan = FaultPlan(rate=0.35, modes=("raise", "hang", "kill"), seed=31)
         hits = _injected_indices(plan, "w", len(self.ITEMS))
         assert set(hits) == {"raise", "hang", "kill"}  # seed covers all modes
-        engine = ExecutionEngine(jobs=4, task_timeout=0.5, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=4, task_timeout=0.5)
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
@@ -235,7 +279,7 @@ class TestParallelRecovery:
 
     def test_exhausted_budget_raises_task_failed(self):
         plan = FaultPlan(rate=1.0, modes=("raise",), max_attempt=99)
-        engine = ExecutionEngine(jobs=1, retries=1, backoff_s=0.001)
+        engine = ExecutionEngine(jobs=1, retries=1)
         with faults.injected(plan):
             with pytest.raises(TaskFailedError, match="after 2 attempt"):
                 engine.map(_square, [0], stage="w")
@@ -259,7 +303,7 @@ class TestPipelineUnderFaults:
             collector = TraceCollector(
                 MachineConfig(os=LINUX), CHROME,
                 period_ns=10_000_000, seed=3,
-                engine=ExecutionEngine(jobs=jobs, backoff_s=0.001),
+                engine=ExecutionEngine(jobs=jobs),
             )
             return list(collector.collect(site, 6))
 

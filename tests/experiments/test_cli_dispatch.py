@@ -80,6 +80,18 @@ class TestCacheSubcommand:
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["cache", "info"], ["cache", "clear"], ["fig3", "--scale", "smoke"]],
+        ids=["info", "clear", "run"],
+    )
+    def test_bad_size_cap_exits_two(self, argv, value, capsys, monkeypatch):
+        monkeypatch.setenv("BIGGERFISH_CACHE_MAX_BYTES", value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "BIGGERFISH_CACHE_MAX_BYTES" in err
+
 
 class TestReportSubcommand:
     def test_no_target_exits_two(self, capsys):

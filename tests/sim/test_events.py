@@ -1,130 +1,11 @@
-"""Tests for the discrete-event foundations."""
+"""Tests for the simulation time units."""
 
-import pytest
-
-from repro.sim.events import (
-    MS,
-    SEC,
-    US,
-    Event,
-    EventQueue,
-    SimulationClock,
-    ms_to_ns,
-    ns_to_ms,
-    seconds_to_ns,
-)
+from repro.sim.events import MS, SEC, US, seconds_to_ns
 
 
 class TestUnits:
     def test_constants_are_consistent(self):
         assert SEC == 1000 * MS == 1_000_000 * US
 
-    def test_ms_roundtrip(self):
-        assert ns_to_ms(ms_to_ns(12.5)) == pytest.approx(12.5)
-
     def test_seconds_to_ns(self):
         assert seconds_to_ns(1.5) == 1_500_000_000
-
-    def test_ms_to_ns_rounds(self):
-        assert ms_to_ns(0.0000014) == 1  # 1.4 ns rounds to 1
-
-
-class TestSimulationClock:
-    def test_starts_at_zero_by_default(self):
-        assert SimulationClock().now == 0
-
-    def test_advance_to(self):
-        clock = SimulationClock()
-        clock.advance_to(100)
-        assert clock.now == 100
-
-    def test_advance_by(self):
-        clock = SimulationClock(start_ns=50)
-        clock.advance_by(25)
-        assert clock.now == 75
-
-    def test_cannot_move_backwards(self):
-        clock = SimulationClock(start_ns=10)
-        with pytest.raises(ValueError, match="backwards"):
-            clock.advance_to(5)
-
-    def test_cannot_advance_by_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            SimulationClock().advance_by(-1)
-
-    def test_cannot_start_negative(self):
-        with pytest.raises(ValueError):
-            SimulationClock(start_ns=-1)
-
-
-class TestEventQueue:
-    def test_pop_returns_time_order(self):
-        queue = EventQueue()
-        queue.push(30, Event("c"))
-        queue.push(10, Event("a"))
-        queue.push(20, Event("b"))
-        names = [queue.pop()[1].name for _ in range(3)]
-        assert names == ["a", "b", "c"]
-
-    def test_ties_break_by_insertion_order(self):
-        queue = EventQueue()
-        queue.push(5, Event("first"))
-        queue.push(5, Event("second"))
-        assert queue.pop()[1].name == "first"
-        assert queue.pop()[1].name == "second"
-
-    def test_len_counts_live_events(self):
-        queue = EventQueue()
-        handle = queue.push(1, Event("x"))
-        queue.push(2, Event("y"))
-        assert len(queue) == 2
-        queue.cancel(handle)
-        assert len(queue) == 1
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        handle = queue.push(1, Event("dead"))
-        queue.push(2, Event("alive"))
-        queue.cancel(handle)
-        assert queue.pop()[1].name == "alive"
-
-    def test_double_cancel_is_idempotent(self):
-        queue = EventQueue()
-        handle = queue.push(1, Event("x"))
-        queue.cancel(handle)
-        queue.cancel(handle)
-        assert len(queue) == 0
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(42, Event("x"))
-        assert queue.peek_time() == 42
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1, Event("x"))
-
-    def test_drain_until_respects_horizon(self):
-        queue = EventQueue()
-        for t in (10, 20, 30, 40):
-            queue.push(t, Event(str(t)))
-        drained = [t for t, _ in queue.drain_until(25)]
-        assert drained == [10, 20]
-        assert len(queue) == 2
-
-    def test_drain_until_invokes_actions(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(5, Event("x", action=fired.append))
-        list(queue.drain_until(10))
-        assert fired == [5]
-
-    def test_drain_until_inclusive(self):
-        queue = EventQueue()
-        queue.push(10, Event("edge"))
-        assert [t for t, _ in queue.drain_until(10)] == [10]

@@ -74,14 +74,12 @@ class TestBitIdentity:
 
 
 class TestPerturbHook:
-    def test_flag_moves_only_the_optimized_path(self, monkeypatch):
-        monkeypatch.setenv("BIGGERFISH_SIM_PERTURB", "1")
+    def test_flag_moves_only_the_optimized_path(self, perturbed_synthesizer):
         optimized, reference = synth_pair(0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=r"\(0, 'arrivals'\)"):
             assert_runs_identical(optimized, reference)
 
-    def test_flag_absent_is_identical(self, monkeypatch):
-        monkeypatch.delenv("BIGGERFISH_SIM_PERTURB", raising=False)
+    def test_flag_absent_is_identical(self):
         assert_runs_identical(*synth_pair(0))
 
 

@@ -283,8 +283,8 @@ class TestSiteSignal:
         rng = np.random.default_rng(0)
         smooth = ActivityBurst(0, SEC, BurstKind.NETWORK, 1.0)
         pulsed = ActivityBurst(0, SEC, BurstKind.NETWORK, 1.0, ripple_hz=20.0, duty=0.4)
-        t_smooth = synthesizer._poisson_times(smooth, 5000, rng)
-        t_pulsed = synthesizer._poisson_times(pulsed, 5000, rng)
+        t_smooth = np.sort(synthesizer._poisson_times_batch([smooth], [5000], rng)[0])
+        t_pulsed = np.sort(synthesizer._poisson_times_batch([pulsed], [5000], rng)[0])
         # Coefficient of variation of inter-arrival times is higher for
         # the pulsed burst (long off-phase silences).
         cv = lambda t: np.std(np.diff(t)) / np.mean(np.diff(t))

@@ -29,16 +29,18 @@ class TestSweep:
         assert "PASS  ml.artifact" in out
         assert "all oracles agree" in out
 
-    def test_failing_sweep_exits_one_with_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setenv("BIGGERFISH_SIM_PERTURB", "1")
+    def test_failing_sweep_exits_one_with_counterexample(
+        self, capsys, perturbed_synthesizer
+    ):
         code = main(
             ["--oracles", "sim.synthesize", "--seed-list", "0",
-             "--sites", "2", "--traces", "1", "--horizon-ms", "50"]
+             "--sites", "2", "--traces", "1", "--horizon-ms", "50", "--jobs", "1"]
         )
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL  sim.synthesize" in out
         assert "case: seed=0" in out
+        assert "cores[0].arrivals" in out
 
     def test_json_report_written(self, capsys, tmp_path):
         destination = tmp_path / "report.json"
@@ -52,12 +54,11 @@ class TestSweep:
         assert report["cases"] == 2
         assert report["oracles"]["ml.artifact"]["mode"] == "bit"
 
-    def test_shrink_emits_repro_command(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIGGERFISH_SIM_PERTURB", "1")
+    def test_shrink_emits_repro_command(self, capsys, tmp_path, perturbed_synthesizer):
         destination = tmp_path / "report.json"
         code = main(
             ["--oracles", "sim.synthesize", "--seed-list", "0", "--traces", "1",
-             "--shrink", "--json", str(destination)]
+             "--shrink", "--json", str(destination), "--jobs", "1"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -66,6 +67,7 @@ class TestSweep:
         assert report["ok"] is False
         (entry,) = report["shrunk"]
         assert entry["oracle"] == "sim.synthesize"
+        assert "cores[0].arrivals" in entry["failure"]
         assert "--seed-list 0" in entry["repro_command"]
 
 

@@ -81,18 +81,16 @@ class TestSweep:
 class TestFaultInjection:
     """The acceptance path: a perturbed RNG draw must trip its oracle."""
 
-    def test_perturb_trips_only_sim_synthesize(self, monkeypatch):
-        monkeypatch.setenv("BIGGERFISH_SIM_PERTURB", "1")
+    def test_perturb_trips_only_sim_synthesize(self, perturbed_synthesizer):
         case = Case(seed=0, sites=2, traces=1, horizon_ms=50.0)
         report = sweep([case], oracles=["sim.synthesize", "timers.crossing"])
         assert not report.ok
         assert not report.oracles["sim.synthesize"].ok
         assert report.oracles["timers.crossing"].ok
         failure = report.oracles["sim.synthesize"].counterexample.failure
-        assert "arrivals" in failure
+        assert "cores[0].arrivals" in failure
 
-    def test_clean_environment_passes(self, monkeypatch):
-        monkeypatch.delenv("BIGGERFISH_SIM_PERTURB", raising=False)
+    def test_clean_environment_passes(self):
         case = Case(seed=0, sites=2, traces=1, horizon_ms=50.0)
         report = sweep([case], oracles=["sim.synthesize"])
         assert report.ok

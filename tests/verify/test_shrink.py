@@ -54,9 +54,9 @@ class TestShrink:
         shrink("test.budget", Case(seed=0, sites=64, traces=64), max_attempts=3)
         assert len(calls) <= 3
 
-    def test_perturbed_synthesizer_shrinks_to_one_line_repro(self, monkeypatch):
-        monkeypatch.setenv("BIGGERFISH_SIM_PERTURB", "1")
+    def test_perturbed_synthesizer_shrinks_to_one_line_repro(self, perturbed_synthesizer):
         result = shrink("sim.synthesize", Case(seed=0, sites=2, traces=2))
+        assert "cores[0].arrivals" in result.failure
         assert result.shrunk.traces == 1  # the oracle ignores traces entirely
         assert result.shrunk.horizon_ms == 50.0
         command = result.repro_command
