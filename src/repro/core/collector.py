@@ -23,7 +23,6 @@ shims and are now gone.)
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -34,14 +33,10 @@ from repro.core.attacker import Attacker, LoopCountingAttacker
 from repro.core.trace import Trace, TraceSpec, stack_dataset
 from repro.sim.interrupts import InterruptBatch
 from repro.sim.machine import InterruptSynthesizer, MachineConfig, MachineRun
-from repro.sim.timeline import GapTimeline
 from repro.timers.spec import TimerSpec
 from repro.workload.browser import Browser
 from repro.workload.phases import ActivityTimeline, merge_timelines
 from repro.workload.website import WebsiteProfile
-
-#: Hard cap on periods per trace, protecting against degenerate timers.
-_MAX_PERIODS = 2_000_000
 
 
 @dataclass
@@ -178,10 +173,8 @@ class TraceCollector:
         """
         traces: list[Optional[Trace]] = [None] * len(requests)
         missing: list[int] = []
-        keys: list[Optional[str]] = [None] * len(requests)
-        for i, (site, k, noise) in enumerate(requests):
-            key = self._cache_key(site, k, noise) if self.cache else None
-            keys[i] = key
+        keys = self._cache_keys(requests) if self.cache else [None] * len(requests)
+        for i, key in enumerate(keys):
             cached = self.cache.get(key) if key is not None else None
             if cached is not None:
                 traces[i] = cached
@@ -208,11 +201,22 @@ class TraceCollector:
         Returns None (bypassing the cache) when any component — usually a
         custom noise injector — cannot be canonically tokenized.
         """
+        return self._cache_keys([(site, trace_index, noise)])[0]
+
+    def _cache_keys(
+        self, requests: Sequence[tuple[WebsiteProfile, int, Optional[NoiseHooks]]]
+    ) -> list[Optional[str]]:
+        """:meth:`_cache_key` of every request, tokenizing each part once.
+
+        The collector-wide components are tokenized once per call, and
+        each distinct site and noise object once; a component that cannot
+        be tokenized bypasses the cache for the requests that carry it.
+        """
         from repro import __version__
-        from repro.engine.cache import Uncacheable, cache_key
+        from repro.engine.cache import Uncacheable, key_from_parts, key_parts
 
         try:
-            return cache_key(
+            shared = key_parts(
                 {
                     "version": __version__,
                     "machine": self.machine,
@@ -221,14 +225,33 @@ class TraceCollector:
                     "timer": self.timer_spec,
                     "period_ns": self.period_ns,
                     "horizon_ns": self.spec.horizon_ns,
-                    "site": site,
-                    "trace_index": int(trace_index),
                     "seed": self.seed,
-                    "noise": noise,
                 }
             )
         except Uncacheable:
-            return None
+            return [None] * len(requests)
+        # Keyed by identity: the requests keep every object alive.
+        tokenized: dict[tuple[str, int], Optional[dict[str, str]]] = {}
+
+        def parts_of(name: str, value) -> Optional[dict[str, str]]:
+            memo = (name, id(value))
+            if memo not in tokenized:
+                try:
+                    tokenized[memo] = key_parts({name: value})
+                except Uncacheable:
+                    tokenized[memo] = None
+            return tokenized[memo]
+
+        keys: list[Optional[str]] = []
+        for site, trace_index, noise in requests:
+            site_part = parts_of("site", site)
+            noise_part = parts_of("noise", noise)
+            if site_part is None or noise_part is None:
+                keys.append(None)
+                continue
+            index_part = key_parts({"trace_index": int(trace_index)})
+            keys.append(key_from_parts({**shared, **site_part, **noise_part, **index_part}))
+        return keys
 
     def _collect_uncached(
         self,
@@ -292,18 +315,19 @@ class TraceCollector:
 
         Only the period boundaries form a serial recurrence (each period
         starts where the previous one ended), so the walk runs in two
-        phases: :func:`_period_boundaries` steps through the timer once,
-        then every period's executed time and counter are computed in
-        bulk.  All normal draws of the trace come from one
-        ``rng.normal`` call whose C order is the per-period draw order —
-        the attacker's draws, then measurement noise — so the result is
-        bit-identical to the per-period loop kept in
+        phases: the timer's
+        :meth:`~repro.timers.base.BrowserTimer.period_boundaries` steps
+        through the boundaries once, then every period's executed time
+        and counter are computed in bulk.  All normal draws of the trace
+        come from one ``rng.normal`` call whose C order is the per-period
+        draw order — the attacker's draws, then measurement noise — so
+        the result is bit-identical to the per-period loop kept in
         :mod:`repro.core.walk_ref`.
         """
         gaps = run.attacker_timeline.gaps
         horizon = float(self.spec.horizon_ns)
-        begins, ends, observed_starts = _period_boundaries(
-            gaps, timer, horizon, float(self.period_ns)
+        begins, ends, observed_starts = timer.period_boundaries(
+            gaps.gap_starts, gaps.gap_ends, horizon, float(self.period_ns)
         )
         ends = np.minimum(ends, horizon)
         exec_ns = (ends - begins) - (gaps.stolen_before(ends) - gaps.stolen_before(begins))
@@ -324,49 +348,6 @@ class TraceCollector:
             label=label,
             attacker=self.attacker.name,
         )
-
-
-def _period_boundaries(
-    gaps: GapTimeline, timer, horizon: float, period: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The serial phase of the walk: ``(begins, ends, observed_starts)``.
-
-    Per period, in the loop's order: read the timer, ask it when ``period``
-    has elapsed, and resume at the next instant the attacker executes
-    (a gap spanning the boundary stretches the period).  Gap lookups
-    bisect memoryviews of the gap arrays: no copy, and each probe yields
-    a plain float, far cheaper per call than a scalar ``searchsorted``.
-    Ends are not clipped to the horizon.
-    """
-    gap_starts = memoryview(gaps.gap_starts)
-    gap_ends = memoryview(gaps.gap_ends)
-    n_gaps = len(gap_ends)
-
-    def resume(t) -> float:
-        # GapTimeline.next_execution_time, on the memoryviews.
-        i = bisect_right(gap_ends, t)
-        return gap_ends[i] if i < n_gaps and gap_starts[i] <= t else float(t)
-
-    begins: list[float] = []
-    ends: list[float] = []
-    observed: list[float] = []
-    timer.reset()
-    t = resume(0.0)
-    for _ in range(_MAX_PERIODS):
-        if t >= horizon:
-            break
-        observed.append(timer.read(t))
-        t_end = resume(timer.first_crossing(t, period))
-        if t_end <= t:  # degenerate timer (e.g. randomized, lagging)
-            t_end = resume(t + period)
-        begins.append(t)
-        ends.append(t_end)
-        t = t_end
-    else:
-        raise RuntimeError(
-            f"trace exceeded {_MAX_PERIODS} periods; timer never advances"
-        )
-    return np.array(begins), np.array(ends), np.array(observed)
 
 
 def _collect_task(task: tuple) -> Trace:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.collector import _MAX_PERIODS, TraceCollector
+from repro.core.collector import TraceCollector
 from repro.core.trace import Trace
 from repro.sim.machine import MachineRun
+from repro.timers.base import _MAX_PERIODS
 
 
 class ReferenceTraceCollector(TraceCollector):

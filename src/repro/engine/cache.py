@@ -123,7 +123,30 @@ def stable_token(obj: Any) -> str:
 
 def cache_key(components: Dict[str, Any]) -> str:
     """Hash named key components into a hex digest."""
-    body = stable_token({"schema": SCHEMA_VERSION, **components})
+    return key_from_parts(key_parts(components))
+
+
+def key_parts(components: Dict[str, Any]) -> Dict[str, str]:
+    """Each named component's part of a :func:`cache_key` body.
+
+    Tokenizing is the costly step of a key, so a caller building many
+    keys that share components tokenizes each shared one once and
+    merges the parts; raises :class:`Uncacheable` like :func:`stable_token`.
+    """
+    return {
+        name: f"{stable_token(name)}:{stable_token(value)}"
+        for name, value in components.items()
+    }
+
+
+def key_from_parts(parts: Dict[str, str]) -> str:
+    """The :func:`cache_key` of the components ``parts`` came from.
+
+    The body is :func:`stable_token` of the component dict with the
+    schema version added: its parts in name order, inside ``map:{...}``.
+    """
+    parts = {**key_parts({"schema": SCHEMA_VERSION}), **parts}
+    body = "map:{" + ",".join(parts[name] for name in sorted(parts)) + "}"
     return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -252,17 +275,25 @@ class TraceCache:
         fd, tmp_name = tempfile.mkstemp(
             prefix=".tmp-", suffix=".npz", dir=entry.parent
         )
+        members = {
+            "observed_starts": trace.observed_starts,
+            "counters": trace.counters,
+            "horizon_ns": np.int64(trace.spec.horizon_ns),
+            "period_ns": np.int64(trace.spec.period_ns),
+            "label": np.str_(trace.label),
+            "attacker": np.str_(trace.attacker),
+        }
         try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    observed_starts=trace.observed_starts,
-                    counters=trace.counters,
-                    horizon_ns=np.int64(trace.spec.horizon_ns),
-                    period_ns=np.int64(trace.spec.period_ns),
-                    label=np.str_(trace.label),
-                    attacker=np.str_(trace.attacker),
-                )
+            # np.savez_compressed's archive, at deflate level 1: the
+            # default level costs about twice the time for 3 % less size.
+            with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(
+                handle, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
+            ) as archive:
+                for name, value in members.items():
+                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array(
+                            member, np.asanyarray(value), allow_pickle=False
+                        )
             os.replace(tmp_name, entry)
         except BaseException:
             with contextlib.suppress(OSError):

@@ -4,12 +4,13 @@ Classifying one trace at a time wastes the vectorized kernels every
 backend is built from: a Conv1D over a batch of 32 traces costs barely
 more than over one.  :class:`FingerprintServer` exploits that by
 queueing incoming requests and draining them in batches — accumulate up
-to ``max_batch`` requests (waiting at most ``max_wait_ms`` for
-stragglers), run **one** ``predict_proba`` call, and fan the rows back
-out to the waiting callers.  Because every layer in both backends is
-row-independent, the batched probabilities are bit-identical to
-one-at-a-time calls — the tests assert this, and it is what makes the
-batcher safe to put in front of the paper's evaluation.
+to ``max_batch`` requests for one model and trace length (waiting at
+most ``max_wait_ms`` for stragglers), run **one** ``predict_proba``
+call, and fan the rows back out to the waiting callers.  Because every
+layer in both backends is row-independent, the batched probabilities
+are bit-identical to one-at-a-time calls — the tests assert this, and
+it is what makes the batcher safe to put in front of the paper's
+evaluation.
 
 Operational behavior:
 
@@ -296,7 +297,7 @@ class FingerprintServer:
             with self._cond:
                 batch.extend(
                     self._take_matching_locked(
-                        first.model, self.max_batch - len(batch)
+                        first.model, len(first.vector), self.max_batch - len(batch)
                     )
                 )
                 if len(batch) >= self.max_batch:
@@ -309,17 +310,22 @@ class FingerprintServer:
             obs.gauge("serve.queue_depth").set(len(self._queue))
         return batch
 
-    def _take_matching_locked(self, model: str, budget: int) -> List[_Pending]:
-        """Pop up to ``budget`` queued requests for ``model`` (in order).
+    def _take_matching_locked(
+        self, model: str, length: int, budget: int
+    ) -> List[_Pending]:
+        """Pop up to ``budget`` queued requests for ``model`` whose vectors
+        have ``length`` samples (in order).
 
-        Requests for other models keep their relative order and stay
-        queued for a later batch.  Caller holds the lock.
+        A batch is one ``predict_proba`` call over stacked rows, so its
+        vectors must share a length.  Other requests keep their relative
+        order and stay queued for a later batch.  Caller holds the lock.
         """
         taken: List[_Pending] = []
         kept: List[_Pending] = []
         while self._queue and len(taken) < budget:
             pending = self._queue.popleft()
-            (taken if pending.model == model else kept).append(pending)
+            matches = pending.model == model and len(pending.vector) == length
+            (taken if matches else kept).append(pending)
         for pending in reversed(kept):
             self._queue.appendleft(pending)
         return taken

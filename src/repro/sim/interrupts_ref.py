@@ -16,10 +16,11 @@ is what certifies that future speedups touch only the *how*, never the
 *what*.  Anything PR 5 did not restructure (timer ticks, tick work,
 background IRQs, turbo artifacts, occupancy distortion, scheduler
 contention) is intentionally shared with the base class — those paths
-are their own reference.  Core assembly stays eager here: every
+are their own reference.  Core assembly stays eager here: a burst routed
+to several cores is split per core as it is drawn, and every
 :class:`~repro.sim.timeline.CoreTimeline` is built before ``synthesize``
-returns, so the oracle also compares the optimized synthesizer's
-on-first-access assembly with an eager one.
+returns, so the oracle also compares the optimized synthesizer's routed
+shares and on-first-access assembly with eager ones.
 
 Nothing here is exported through ``repro.sim``'s public surface; the
 verify harness and its tests are the only intended consumers.
@@ -239,6 +240,30 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
         self._add_deferred(
             per_core, bursts, style, times, owners, targets, rng, tick_phases
         )
+
+    def _scatter(
+        self,
+        per_core: list[list[InterruptBatch]],
+        itype: InterruptType,
+        times: np.ndarray,
+        durations: np.ndarray,
+        targets: np.ndarray,
+        cause: str,
+    ) -> None:
+        # Split as drawn: one batch per core the burst reaches.
+        if not len(targets):
+            return
+        first = int(targets[0])
+        if bool((targets == first).all()):
+            per_core[first].append(
+                InterruptBatch(itype, times, durations, cause=cause)
+            )
+            return
+        for core in np.unique(targets):
+            mask = targets == core
+            per_core[int(core)].append(
+                InterruptBatch(itype, times[mask], durations[mask], cause=cause)
+            )
 
     def _add_deferred(
         self,

@@ -21,7 +21,8 @@ attackers and the kernel tracer observe.  Every core's interrupts are
 drawn during synthesis, but only the attacker's timeline is assembled
 there; the others are assembled the first time something reads them
 (the kernel tracer, the keystroke and analysis helpers), because trace
-collection never does.
+collection never does.  A burst routed to several cores is likewise
+split per core only when that core is assembled.
 """
 
 from __future__ import annotations
@@ -149,6 +150,31 @@ class MachineConfig:
         return replace(self, **changes)
 
 
+class _RoutedShare:
+    """One core's part of a burst routed to several cores.
+
+    Every core the burst reaches holds a share of one ``(itype, times,
+    durations, targets, cause)`` record, and ``len`` is that core's event
+    count; the core's events are cut out only when it is assembled.
+    """
+
+    __slots__ = ("record", "core", "count")
+
+    def __init__(self, record: tuple, core: int, count: int):
+        self.record = record
+        self.core = core
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def batch(self) -> InterruptBatch:
+        """This core's events as a batch, in the burst's order."""
+        itype, times, durations, targets, cause = self.record
+        mine = targets == self.core
+        return InterruptBatch(itype, times[mine], durations[mine], cause=cause)
+
+
 class _DeferredCores(Sequence):
     """Per-core timelines of one run, each assembled on first access.
 
@@ -161,10 +187,10 @@ class _DeferredCores(Sequence):
 
     def __init__(
         self,
-        per_core: list[list[InterruptBatch]],
-        build: Callable[[list[InterruptBatch]], CoreTimeline],
+        per_core: list[list],
+        build: Callable[[list], CoreTimeline],
     ):
-        self._pending: list[Optional[list[InterruptBatch]]] = list(per_core)
+        self._pending: list[Optional[list]] = list(per_core)
         self._cores: list[Optional[CoreTimeline]] = [None] * len(per_core)
         self._build = build
 
@@ -288,7 +314,7 @@ class InterruptSynthesizer:
             for core, batch in extra_batches or ():
                 per_core[core].append(batch)
 
-            n_events = sum(len(b.times) for batches in per_core for b in batches)
+            n_events = sum(len(b) for batches in per_core for b in batches)
             obs.counter("sim.events_processed").inc(n_events)
             span.set(events=n_events)
 
@@ -341,13 +367,14 @@ class InterruptSynthesizer:
         victim = np.clip(_OCCUPANCY_RESIDENCY * occupancy * gain, 0.0, 1.0)
         return victim, ambient
 
-    def _assemble(self, per_core: list[list[InterruptBatch]]) -> Sequence[CoreTimeline]:
+    def _assemble(self, per_core: list[list]) -> Sequence[CoreTimeline]:
         """The run's cores: the attacker's assembled now, the rest on first read."""
         cores = _DeferredCores(per_core, self._build_core)
         cores.assemble(self.config.attacker_core)
         return cores
 
-    def _build_core(self, batches: list[InterruptBatch]) -> CoreTimeline:
+    def _build_core(self, batches: list) -> CoreTimeline:
+        batches = [b.batch() if isinstance(b, _RoutedShare) else b for b in batches]
         if self.config.vm.enabled:
             batches = [
                 InterruptBatch(
@@ -542,27 +569,29 @@ class InterruptSynthesizer:
 
     def _scatter(
         self,
-        per_core: list[list[InterruptBatch]],
+        per_core: list[list],
         itype: InterruptType,
         times: np.ndarray,
         durations: np.ndarray,
         targets: np.ndarray,
         cause: str,
     ) -> None:
+        """Hand one burst's events to the cores in ``targets``.
+
+        A burst on one core (affinity and pinned routing) is appended
+        whole; a burst on several leaves each of them a
+        :class:`_RoutedShare`, so no core is split before it is read.
+        """
         if not len(targets):
             return
-        first = int(targets[0])
-        if bool((targets == first).all()):
-            # Affinity/pinned routing sends a whole burst to one core.
-            per_core[first].append(
-                InterruptBatch(itype, times, durations, cause=cause)
-            )
+        counts = np.bincount(targets)
+        cores = np.flatnonzero(counts).tolist()
+        if len(cores) == 1:
+            per_core[cores[0]].append(InterruptBatch(itype, times, durations, cause=cause))
             return
-        for core in np.unique(targets):
-            mask = targets == core
-            per_core[int(core)].append(
-                InterruptBatch(itype, times[mask], durations[mask], cause=cause)
-            )
+        record = (itype, times, durations, targets, cause)
+        for core in cores:
+            per_core[core].append(_RoutedShare(record, core, int(counts[core])))
 
     def _add_deferred(
         self,

@@ -5,6 +5,19 @@ significance of our classifier compared to the classifier from [65]"
 (§4.2), reporting p < 0.0001 for all but one configuration.  We
 implement Student's (pooled) and Welch's two-sample t-tests from first
 principles; the scipy implementations are used in tests as an oracle.
+
+Both tests are scale-free: they compute on the two samples scaled by one
+power of two, so a common unit does not move the result, however small
+or large it is.
+
+>>> a, b = [1.0, 2.0, 4.0], [3.0, 5.0, 6.0]
+>>> round(students_t_test(a, b).statistic, 4)
+-1.8708
+>>> tiny = students_t_test([x * 1e-162 for x in a], [x * 1e-162 for x in b])
+>>> round(tiny.statistic, 4), round(tiny.p_value, 4)
+(-1.8708, 0.1347)
+>>> round(welch_t_test([x * 1e-162 for x in a], [x * 1e-162 for x in b]).statistic, 4)
+-1.8708
 """
 
 from __future__ import annotations
@@ -36,11 +49,23 @@ def _t_sf(t: float, dof: float) -> float:
 
 
 def _validate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as float arrays, scaled by one power of two so that
+    the largest magnitude lies in [0.5, 1).
+
+    A power of two changes no significant bit, and the statistic,
+    degrees of freedom and p-value do not depend on a common unit, so a
+    unit near either end of the float range (1e-160, 1e160) no longer
+    underflows or overflows the variances.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least two observations")
-    return a, b
+    peak = max(np.abs(a).max(), np.abs(b).max())
+    if not np.isfinite(peak):
+        return a, b
+    _, exponent = np.frexp(peak)
+    return np.ldexp(a, -exponent), np.ldexp(b, -exponent)
 
 
 def students_t_test(a, b) -> TTestResult:
@@ -67,8 +92,10 @@ def welch_t_test(a, b) -> TTestResult:
         statistic = math.inf if a.mean() != b.mean() else 0.0
         return TTestResult(statistic, 0.0 if statistic else 1.0, float(na + nb - 2))
     statistic = (a.mean() - b.mean()) / math.sqrt(se2)
-    # Welch–Satterthwaite, computed on ratios of the per-sample terms so
-    # denormal-scale variances cannot underflow the squares into 0/0.
+    # Welch–Satterthwaite, computed on ratios of the per-sample terms: at
+    # unit scale one sample's variance can still be tiny (a constant
+    # sample against one that spreads over 1e-100), and its square would
+    # underflow into 0/0.
     x, y = va / na, vb / nb
     scale = max(x, y)
     xr, yr = x / scale, y / scale

@@ -12,9 +12,11 @@ Chrome's Δ is 0.1 ms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
+from repro.timers import base as timers_base
 from repro.timers.base import BrowserTimer
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -106,7 +108,8 @@ class JitteredTimer(BrowserTimer):
     ε is a pure function of (bucket, seed), so each timer keeps a byte
     table of it for buckets ``0 .. n - 1``, filled in bulk and doubled
     whenever a read lands past its end; :func:`_jitter_bit` serves the
-    buckets the table does not cover.
+    buckets the table does not cover.  The attacker walk's boundary pass
+    (:meth:`period_boundaries`) reads that table inline.
 
     >>> timer = JitteredTimer(delta_ns=100.0, seed=1)
     >>> all(timer.read(t) - t < 2 * 100.0 for t in range(0, 2000, 7))
@@ -134,7 +137,8 @@ class JitteredTimer(BrowserTimer):
             # One doubling at a time: small chunks fill faster than one
             # large one.
             size = len(table)
-            table += _jitter_bits(size, 2 * size or _TABLE_FIRST_CHUNK, self.seed).tobytes()
+            stop = min(2 * size or _TABLE_FIRST_CHUNK, _TABLE_MAX_BUCKETS)
+            table += _jitter_bits(size, stop, self.seed).tobytes()
         return table[bucket] * self.delta_ns
 
     def read(self, t_real_ns: float) -> float:
@@ -159,3 +163,88 @@ class JitteredTimer(BrowserTimer):
             if self.read(crossing) - base >= elapsed_ns:
                 return max(crossing, float(t0_real_ns))
         raise AssertionError("jittered crossing must occur within k_base + 3 buckets")
+
+    def period_boundaries(
+        self, gap_starts, gap_ends, horizon_ns: float, period_ns: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`BrowserTimer.period_boundaries` as one loop over the ε table.
+
+        The table first grows, in one fill, to every bucket the walk can
+        read: a period starts before the horizon, and its crossing lies at
+        most ``ceil(P / Δ) + 3`` buckets later.  Each period then does
+        inline what ``read`` and ``first_crossing`` do, in their
+        arithmetic, and resumes through the same bisection, with no
+        method call.  Beyond the table, and for a period that is not
+        positive or a horizon that is not finite, the base loop runs.
+
+        >>> gap_starts = np.array([1_020.0, 2_990.0])
+        >>> gap_ends = np.array([1_180.0, 3_400.0])
+        >>> fused = JitteredTimer(delta_ns=100.0, seed=7).period_boundaries(
+        ...     gap_starts, gap_ends, 4_000.0, 450.0)
+        >>> loop = BrowserTimer.period_boundaries(
+        ...     JitteredTimer(delta_ns=100.0, seed=7), gap_starts, gap_ends, 4_000.0, 450.0)
+        >>> all(np.array_equal(a, b) for a, b in zip(fused, loop))
+        True
+        >>> [float(t) for t in fused[1]]
+        [500.0, 1180.0, 1500.0, 2000.0, 2600.0, 3400.0, 4000.0]
+        """
+        delta = self.delta_ns
+        if not (period_ns > 0 and math.isfinite(horizon_ns)):
+            return super().period_boundaries(gap_starts, gap_ends, horizon_ns, period_ns)
+        k_base = math.ceil(period_ns / delta)
+        # A start bucket is at most floor(horizon / Δ); a candidate
+        # crossing is at most k_base + 3 buckets on, and floors into at
+        # most the bucket after that.
+        last_bucket = max(math.floor(horizon_ns / delta), 0) + k_base + 4
+        if last_bucket >= _TABLE_MAX_BUCKETS:
+            return super().period_boundaries(gap_starts, gap_ends, horizon_ns, period_ns)
+        table = self._table
+        if len(table) <= last_bucket:
+            table += _jitter_bits(len(table), last_bucket + 1, self.seed).tobytes()
+        candidates = range(max(k_base - 1, 1), k_base + 4)
+        # ε · Δ by table value: 0 · Δ is 0.0 and 1 · Δ is Δ, exactly.
+        epsilon = (0.0, delta)
+        gap_starts = memoryview(gap_starts)
+        gap_ends = memoryview(gap_ends)
+        n_gaps = len(gap_ends)
+        floor = math.floor
+        begins: list[float] = []
+        ends: list[float] = []
+        observed: list[float] = []
+        self.reset()
+        i = bisect_right(gap_ends, 0.0)
+        t = gap_ends[i] if i < n_gaps and gap_starts[i] <= 0.0 else 0.0
+        for _ in range(timers_base._MAX_PERIODS):
+            if t >= horizon_ns:
+                break
+            # read(t), which is also first_crossing's base value.
+            bucket = floor(t / delta)
+            value = bucket * delta + epsilon[table[bucket]]
+            observed.append(value)
+            # first_crossing(t, period_ns): the first candidate bucket
+            # whose read has advanced by the period.
+            for k in candidates:
+                crossing = (bucket + k) * delta
+                b = floor(crossing / delta)
+                if b * delta + epsilon[table[b]] - value >= period_ns:
+                    break
+            else:
+                raise AssertionError("jittered crossing must occur within k_base + 3 buckets")
+            if crossing < t:
+                crossing = t
+            # Resume at the next instant the attacker executes.  Crossings
+            # only move forward, so the search starts at the last index.
+            i = bisect_right(gap_ends, crossing, i)
+            t_end = gap_ends[i] if i < n_gaps and gap_starts[i] <= crossing else crossing
+            if t_end <= t:  # the base loop's degenerate-timer fallback
+                stalled = t + period_ns
+                i = bisect_right(gap_ends, stalled, i)
+                t_end = gap_ends[i] if i < n_gaps and gap_starts[i] <= stalled else stalled
+            begins.append(t)
+            ends.append(t_end)
+            t = t_end
+        else:
+            raise RuntimeError(
+                f"trace exceeded {timers_base._MAX_PERIODS} periods; timer never advances"
+            )
+        return np.array(begins), np.array(ends), np.array(observed)

@@ -7,10 +7,12 @@ inputs:
 ====================== ========== =================================================
 oracle                 mode       certifies
 ====================== ========== =================================================
-``sim.synthesize``     bit        vectorized interrupt synthesis with cores
-                                  assembled on first access == retained scalar
-                                  reference with eager assembly
-                                  (``sim/interrupts_ref.py``)
+``sim.synthesize``     bit        vectorized interrupt synthesis with routed
+                                  bursts split, and cores assembled, on first
+                                  access == retained scalar reference with
+                                  eager splits and assembly
+                                  (``sim/interrupts_ref.py``), on the default,
+                                  a VM and an ``irqbalance`` machine
 ``engine.parallel``    bit        2-worker engine collection == serial collection
 ``engine.trace_cache`` bit        a cache round-trip returns the stored trace
 ``serve.batched``      bit        micro-batched server probs == direct
@@ -27,8 +29,10 @@ oracle                 mode       certifies
                                   the same collection held in memory
 ``collect.walk``       bit        two-phase period walk == retained per-period
                                   loop (``core/walk_ref.py``) for every timer
-                                  kind, both attackers, noise off and on; plus
-                                  unfloored ``count_many`` == per-period ``count``
+                                  kind, both attackers, noise off and on, and
+                                  jittered timers at Δ = 33 333.3 ns and
+                                  Δ = 7 ms > P; plus unfloored ``count_many``
+                                  == per-period ``count``
 ``ml.network``         bit        paper CNN+LSTM trained a few Adam steps with the
                                   shipped conv/pool/ReLU kernels and Adam ==
                                   the retained ones (``ml/layers_ref.py``), plus
@@ -63,6 +67,7 @@ from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
+from repro.sim.vm import SEPARATE_VMS
 from repro.timers.quantized import (
     _TABLE_FIRST_CHUNK,
     _TABLE_MAX_BUCKETS,
@@ -75,6 +80,8 @@ from repro.timers.spec import (
     NATIVE_TIMER,
     RANDOMIZED_DEFENSE_TIMER,
     TOR_TIMER,
+    TimerKind,
+    TimerSpec,
 )
 from repro.verify.oracle import Case, Oracle, register
 from repro.workload.browser import CHROME
@@ -131,20 +138,30 @@ def _run_struct(run) -> dict:
     }
 
 
+#: The default machine; a VM machine, whose cores split routed bursts
+#: before the duration transform; and an ``irqbalance`` machine, whose
+#: pinned routing sends every device burst to one core.
+_SYNTH_MACHINES = (
+    MachineConfig(),
+    MachineConfig(vm=SEPARATE_VMS),
+    MachineConfig(irqbalance=True),
+)
+
+
 def _synthesize_with(case: Case, synthesizer_cls) -> List[dict]:
-    config = MachineConfig()
     horizon = _horizon_ns(case)
     runs = []
-    for site in _case_sites(case):
-        timeline = site.generate_load(
-            np.random.default_rng(case.seed * 7_919 + site.seed), horizon
-        )
-        run = synthesizer_cls(config).synthesize(
-            timeline,
-            style=site.style,
-            rng=np.random.default_rng(case.seed * 1_000_003 + site.seed),
-        )
-        runs.append(_run_struct(run))
+    for config in _SYNTH_MACHINES:
+        for site in _case_sites(case):
+            timeline = site.generate_load(
+                np.random.default_rng(case.seed * 7_919 + site.seed), horizon
+            )
+            run = synthesizer_cls(config).synthesize(
+                timeline,
+                style=site.style,
+                rng=np.random.default_rng(case.seed * 1_000_003 + site.seed),
+            )
+            runs.append(_run_struct(run))
     return runs
 
 
@@ -624,6 +641,14 @@ _WALK_TIMERS = (
 )
 _WALK_ATTACKERS = (LoopCountingAttacker(), SweepCountingAttacker())
 _WALK_NOISE = (0.0, CHROME.measurement_noise)
+#: Jittered timers off Chrome's Δ, for the loop-counting attacker with
+#: noise off: a Δ that is not a whole number of nanoseconds, and a Δ
+#: above the 5 ms period, where the crossing scan starts at its clamp
+#: of one bucket.
+_WALK_JITTERED = tuple(
+    (TimerSpec(TimerKind.JITTERED, resolution_ns=delta_ns), _WALK_ATTACKERS[0], 0.0)
+    for delta_ns in (33_333.3, 7 * MS)
+)
 #: One fixed frequency at which NumPy's array ``**`` and Python's scalar
 #: ``**`` disagree on the sweep attacker's frequency factor.
 _PINNED_MACHINE = MachineConfig(
@@ -642,9 +667,13 @@ def _walk_runs(case: Case, machine: MachineConfig):
 
 
 def _walks(case: Case, collector_cls) -> List[dict]:
-    """Walk each run under every timer x attacker x noise combination."""
+    """Walk each run under every timer x attacker x noise combination,
+    then under the off-Chrome jittered timers."""
     browser = _case_browser(case)
-    configs = list(itertools.product(_WALK_TIMERS, _WALK_ATTACKERS, _WALK_NOISE))
+    configs = [
+        *itertools.product(_WALK_TIMERS, _WALK_ATTACKERS, _WALK_NOISE),
+        *_WALK_JITTERED,
+    ]
     walks = []
     for seed, run in _walk_runs(case, MachineConfig()):
         for i, (timer, attacker, noise) in enumerate(configs):
@@ -862,9 +891,10 @@ register(
     Oracle(
         name="sim.synthesize",
         description=(
-            "vectorized InterruptSynthesizer, cores assembled on first access, "
-            "vs the retained scalar reference with eager assembly "
-            "(sim/interrupts_ref.py), every core array bit-identical"
+            "vectorized InterruptSynthesizer, routed bursts split and cores "
+            "assembled on first access, vs the retained scalar reference with "
+            "eager splits and assembly (sim/interrupts_ref.py), every core "
+            "array bit-identical, on the default, a VM and an irqbalance machine"
         ),
         mode="bit",
         reference=_synthesize_reference,
@@ -949,8 +979,9 @@ register(
         description=(
             "two-phase TraceCollector period walk vs the retained per-period "
             "loop (core/walk_ref.py): observed starts, counters and RNG state "
-            "for 5 timers x 2 attackers x noise off/on, plus unfloored "
-            "count_many vs count at a pinned 2.0 GHz"
+            "for 5 timers x 2 attackers x noise off/on and jittered timers at "
+            "33 333.3 ns and 7 ms, plus unfloored count_many vs count at a "
+            "pinned 2.0 GHz"
         ),
         mode="bit",
         reference=_walk_reference,

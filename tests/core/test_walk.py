@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import collector as collector_module
 from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.collector import NoiseHooks, TraceCollector
 from repro.core.walk_ref import ReferenceTraceCollector
@@ -13,6 +12,7 @@ from repro.defenses.interrupt_noise import SpuriousInterruptInjector
 from repro.sim.events import MS
 from repro.sim.frequency import FrequencyConfig
 from repro.sim.machine import MachineConfig
+from repro.timers import base as timers_base
 from repro.timers.spec import (
     CHROME_TIMER,
     FIREFOX_TIMER,
@@ -88,7 +88,7 @@ class TestBitIdentity:
 
 class TestPeriodBoundaries:
     def test_max_periods_guard(self, monkeypatch):
-        monkeypatch.setattr(collector_module, "_MAX_PERIODS", 10)
+        monkeypatch.setattr(timers_base, "_MAX_PERIODS", 10)
         collector = TraceCollector(MachineConfig(), BROWSER)
         with pytest.raises(RuntimeError, match="exceeded 10 periods"):
             collector.collect(profile_for("nytimes.com"))
@@ -96,8 +96,8 @@ class TestPeriodBoundaries:
     def test_boundaries_chain_and_end_at_execution(self, nytimes_run):
         gaps = nytimes_run.attacker_timeline.gaps
         horizon = 8_000 * MS
-        begins, ends, observed = collector_module._period_boundaries(
-            gaps, CHROME_TIMER.build(seed=2), horizon, 5 * MS
+        begins, ends, observed = CHROME_TIMER.build(seed=2).period_boundaries(
+            gaps.gap_starts, gaps.gap_ends, horizon, 5 * MS
         )
         assert len(begins) == len(ends) == len(observed) > 1000
         assert np.array_equal(begins[1:], ends[:-1])

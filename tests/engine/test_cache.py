@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import io
 import struct
 import zipfile
@@ -11,9 +12,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core.collector import TraceCollector
+from repro import __version__
+from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
+from repro.core.collector import NoiseHooks, TraceCollector
+from repro.defenses.interrupt_noise import SpuriousInterruptInjector
 from repro.engine import ExecutionEngine, TraceCache, Uncacheable, cache_key, stable_token
-from repro.engine.cache import CACHE_DIR_ENV_VAR, default_cache_dir
+from repro.engine.cache import CACHE_DIR_ENV_VAR, SCHEMA_VERSION, default_cache_dir
 from repro.sim.machine import MachineConfig
 from repro.workload.browser import CHROME, FIREFOX, LINUX
 from repro.workload.website import profile_for
@@ -90,6 +94,75 @@ class TestCacheKey:
             ("trace_index", 1),
         ):
             assert cache_key({**base, field_name: changed}) != reference
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            {"seed": 1, "site": "nytimes"},
+            {"point": _Point(1, 2.5), "color": _Color.RED, "arrays": [np.arange(3)]},
+            {"schema": 7, "zeta": None, "alpha": {"b": 1, "a": 2}},
+        ],
+    )
+    def test_body_is_the_stable_token_of_the_components(self, components):
+        """Built from per-component parts, a key is still the digest of
+        the one token of the whole component dict, so old entries hit."""
+        body = stable_token({"schema": SCHEMA_VERSION, **components})
+        assert cache_key(components) == hashlib.sha256(body.encode()).hexdigest()
+
+
+class TestBatchKeys:
+    """The collector tokenizes shared parts once per batch; its keys are
+    byte-identical to ``cache_key`` over each trace's full component dict."""
+
+    @staticmethod
+    def full_key(collector, site, index, noise):
+        return cache_key(
+            {
+                "version": __version__,
+                "machine": collector.machine,
+                "browser": collector.browser,
+                "attacker": collector.attacker,
+                "timer": collector.timer_spec,
+                "period_ns": collector.period_ns,
+                "horizon_ns": collector.spec.horizon_ns,
+                "site": site,
+                "trace_index": index,
+                "seed": collector.seed,
+                "noise": noise,
+            }
+        )
+
+    @pytest.mark.parametrize(
+        "attacker", [LoopCountingAttacker(), SweepCountingAttacker()], ids=lambda a: a.name
+    )
+    @pytest.mark.parametrize(
+        "noise",
+        [None, NoiseHooks(interrupt_injector=SpuriousInterruptInjector(), occupancy_floor=0.3)],
+        ids=["no-noise", "noise-hooks"],
+    )
+    def test_equal_full_dict_keys(self, attacker, noise):
+        collector = TraceCollector(MachineConfig(os=LINUX), CHROME, attacker=attacker, seed=5)
+        sites = [profile_for("nytimes.com"), profile_for("amazon.com")]
+        requests = [(site, k, noise) for site in sites for k in range(2)]
+        expected = [self.full_key(collector, *request) for request in requests]
+        assert len(set(expected)) == 4
+        assert collector._cache_keys(requests) == expected
+        assert [collector._cache_key(*request) for request in requests] == expected
+
+    def test_uncacheable_noise_bypasses_only_its_requests(self, collector):
+        class Opaque:
+            def inject(self, machine, horizon_ns, rng):
+                return []
+
+        site = profile_for("nytimes.com")
+        opaque = NoiseHooks(interrupt_injector=Opaque())
+        requests = [(site, 0, None), (site, 1, opaque), (site, 1, None)]
+        keys = collector._cache_keys(requests)
+        assert keys[1] is None
+        assert keys[0] == self.full_key(collector, site, 0, None)
+        assert keys[2] == self.full_key(collector, site, 1, None)
+        collector._collect_batch(requests)
+        assert collector.cache.stats.puts == 2
 
 
 @pytest.fixture
@@ -186,6 +259,43 @@ def _one_flipped_byte(raw: bytes) -> bytes:
     flipped = bytearray(raw)
     flipped[_first_member_data_offset(raw)] ^= 0xFF
     return bytes(flipped)
+
+
+class TestEntryFormat:
+    def test_six_deflated_npy_members(self, cache, collector):
+        site = profile_for("nytimes.com")
+        key = collector._cache_key(site, 0, None)
+        cache.put(key, collector._collect_uncached(site, 0, None))
+        with zipfile.ZipFile(cache._entry_path(key)) as archive:
+            members = archive.infolist()
+        names = ("observed_starts", "counters", "horizon_ns", "period_ns", "label", "attacker")
+        assert sorted(m.filename for m in members) == sorted(f"{n}.npy" for n in names)
+        assert {m.compress_type for m in members} == {zipfile.ZIP_DEFLATED}
+
+    def test_entry_written_by_savez_compressed_loads(self, cache, collector):
+        """Entries written before level-1 deflate still hit."""
+        site = profile_for("nytimes.com")
+        trace = collector._collect_uncached(site, 0, None)
+        key = collector._cache_key(site, 0, None)
+        entry = cache._entry_path(key)
+        entry.parent.mkdir(parents=True)
+        with open(entry, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                observed_starts=trace.observed_starts,
+                counters=trace.counters,
+                horizon_ns=np.int64(trace.spec.horizon_ns),
+                period_ns=np.int64(trace.spec.period_ns),
+                label=np.str_(trace.label),
+                attacker=np.str_(trace.attacker),
+            )
+        loaded = cache.get(key)
+        assert loaded.observed_starts.tobytes() == trace.observed_starts.tobytes()
+        assert loaded.counters.tobytes() == trace.counters.tobytes()
+        assert (loaded.label, loaded.attacker, loaded.spec) == (
+            trace.label, trace.attacker, trace.spec,
+        )
+        assert cache.stats.hits == 1
 
 
 class TestTornEntries:

@@ -13,6 +13,7 @@ from repro.serve.server import (
     MAX_WAIT_ENV_VAR,
     QUEUE_ENV_VAR,
     FingerprintServer,
+    _Pending,
 )
 
 
@@ -62,6 +63,21 @@ class TestBatchingCorrectness:
         # can pack full batches (>1 proves fan-in happened).
         assert max(r.batch_size for r in results) > 1
 
+    def test_other_lengths_batch_apart(self, registry, model, dataset):
+        """A request of another length waits for a batch of its own
+        instead of failing the batch it would have joined."""
+        x, _ = dataset
+        with FingerprintServer(registry, max_batch=8, max_wait_ms=200.0) as server:
+            results = server.predict_many([x[0], x[1][:90], x[2]])
+        assert all(r.ok for r in results)
+        assert [r.batch_size for r in results] == [2, 1, 2]
+        same_length = model.predict_proba(np.stack([x[0], x[2]]))
+        np.testing.assert_array_equal(results[0].probs, same_length[0])
+        np.testing.assert_array_equal(results[2].probs, same_length[1])
+        np.testing.assert_array_equal(
+            results[1].probs, model.predict_proba(x[1][:90][None])[0]
+        )
+
 
 class TestErrorPaths:
     def test_error_codes_catalog(self):
@@ -94,14 +110,15 @@ class TestErrorPaths:
         assert "queue" in result.detail
 
     def test_mixed_lengths_become_model_error(self, registry):
-        with FingerprintServer(registry, max_batch=2, max_wait_ms=200.0) as server:
-            short = server.submit(np.ones(60))
-            long = server.submit(np.ones(120))
-            short.done.wait()
-            long.done.wait()
-        codes = {short.result.error, long.result.error}
-        assert codes == {"model_error"}
-        assert "mixed trace lengths" in short.result.detail
+        """The server batches by length, so a mixed batch can only reach
+        the model through a batching bug; the guard still fails it whole."""
+        server = FingerprintServer(registry)
+        batch = [
+            _Pending(np.ones(n), "default", time.monotonic(), None) for n in (60, 120)
+        ]
+        server._run_batch(batch)
+        assert {p.result.error for p in batch} == {"model_error"}
+        assert "mixed trace lengths" in batch[0].result.detail
 
     def test_wrong_length_for_lstm_model_fails(self, lstm_artifact_dir, dataset):
         x, _ = dataset
@@ -113,6 +130,16 @@ class TestErrorPaths:
         assert good.ok
         assert not short.ok and short.error == "model_error"
         assert "120 samples" in short.detail and "(1, 90)" in short.detail
+
+    def test_wrong_length_fails_only_itself(self, lstm_artifact_dir, dataset):
+        x, _ = dataset
+        registry = ModelRegistry()
+        registry.add("default", lstm_artifact_dir)
+        with FingerprintServer(registry, max_batch=8, max_wait_ms=200.0) as server:
+            results = server.predict_many([x[0], x[1][:90], x[2]])
+        assert [r.ok for r in results] == [True, False, True]
+        assert results[1].error == "model_error"
+        assert [results[0].batch_size, results[2].batch_size] == [2, 2]
 
     def test_backpressure_overloaded(self, registry, dataset):
         x, _ = dataset

@@ -7,17 +7,21 @@ import pytest
 
 from repro.sim.events import SEC
 from repro.sim.interrupts import MOVABLE_TYPES, InterruptBatch, InterruptType
+from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
-from repro.sim.vm import SEPARATE_VMS
+from repro.sim.vm import BARE_METAL, SEPARATE_VMS
 from repro.workload.browser import LINUX, WINDOWS
 from repro.workload.website import profile_for
 
 HORIZON = 6 * SEC
 
 
-def simulate(config=None, seed=11, site_name="nytimes.com", extra=None):
+def simulate(
+    config=None, seed=11, site_name="nytimes.com", extra=None,
+    synthesizer_cls=InterruptSynthesizer,
+):
     config = config or MachineConfig(os=LINUX)
-    synthesizer = InterruptSynthesizer(config)
+    synthesizer = synthesizer_cls(config)
     rng = np.random.default_rng(seed)
     site = profile_for(site_name)
     timeline = site.generate_load(rng, HORIZON)
@@ -257,6 +261,17 @@ class TestDeferredCores:
         for got, want in zip(restored.cores, run.cores):
             assert _core_bytes(got) == _core_bytes(want)
         assert len(build_calls) == 4
+
+    @pytest.mark.parametrize("vm", [False, True])
+    def test_pickled_run_equals_eager_splits_and_assembly(self, vm):
+        """Routed shares resolve on unpickling exactly as the reference
+        synthesizer's per-core splits, VM transform included."""
+        config = MachineConfig(os=LINUX, vm=SEPARATE_VMS if vm else BARE_METAL)
+        restored = pickle.loads(pickle.dumps(simulate(config)))
+        eager = simulate(config, synthesizer_cls=ReferenceInterruptSynthesizer)
+        assert type(eager.cores) is list
+        for got, want in zip(restored.cores, eager.cores):
+            assert _core_bytes(got) == _core_bytes(want)
 
 
 class TestSiteSignal:

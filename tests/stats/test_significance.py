@@ -60,6 +60,31 @@ class TestAgainstScipy:
         assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-6, abs=1e-10)
 
 
+class TestScaleFree:
+    """A common unit scales away, however small or large."""
+
+    A = [1.0, 2.0, 4.0]
+    B = [3.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("test", [students_t_test, welch_t_test])
+    @pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e160])
+    def test_common_scale_leaves_the_result(self, test, scale):
+        unit = test(self.A, self.B)
+        scaled = test(np.array(self.A) * scale, np.array(self.B) * scale)
+        assert unit.statistic == pytest.approx(-1.8708, abs=1e-4)
+        assert scaled.statistic == pytest.approx(unit.statistic, rel=1e-14)
+        assert scaled.p_value == pytest.approx(unit.p_value, rel=1e-12)
+        assert scaled.dof == unit.dof
+        assert not scaled.significant()
+
+    def test_welch_dof_with_a_constant_sample_against_a_tiny_spread(self):
+        """At unit scale the tiny sample's variance term still squares to
+        zero; the degrees of freedom stay those of that sample alone."""
+        result = welch_t_test([0.75, 0.75, 0.75], [1e-100, 2e-100, 4e-100])
+        assert result.dof == pytest.approx(2.0, rel=1e-12)
+        assert result.p_value < 1e-100
+
+
 class TestBehaviour:
     def test_identical_samples_not_significant(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])

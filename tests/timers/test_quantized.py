@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import MS
-from repro.timers.base import PreciseTimer
+from repro.timers import quantized
+from repro.timers.base import BrowserTimer, PreciseTimer
 from repro.timers.quantized import (
     _TABLE_FIRST_CHUNK,
     _TABLE_MAX_BUCKETS,
@@ -176,4 +177,85 @@ class TestJitterTable:
         instants += [far - 1.0, far + 1.0, 3.0 * far]
         for t in instants:
             assert timer.read(t) == _hashed_read(t, 100.0, 9)
+        assert len(timer._table) == _TABLE_MAX_BUCKETS
+
+
+def _gaps(horizon: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` sorted, disjoint gaps of 1-200 µs, the first one covering 0."""
+    rng = np.random.default_rng(seed)
+    starts = np.sort(rng.uniform(0.0, horizon, n))
+    starts[0] = -50.0
+    ends = np.minimum(starts + rng.uniform(1e3, 2e5, n), np.append(starts[1:], np.inf))
+    return starts, ends
+
+
+def _both_walks(delta_ns, gap_starts, gap_ends, horizon, period):
+    """The fused and the base-loop boundary passes of two equal jittered
+    timers, and the fused one's timer."""
+    fused = JitteredTimer(delta_ns, seed=4)
+    loop = JitteredTimer(delta_ns, seed=4)
+    return (
+        fused.period_boundaries(gap_starts, gap_ends, horizon, period),
+        BrowserTimer.period_boundaries(loop, gap_starts, gap_ends, horizon, period),
+        fused,
+    )
+
+
+def _assert_same_walk(fused, loop):
+    for got, want in zip(fused, loop):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+class TestFusedBoundaryPass:
+    """The jittered timer's one-loop boundary pass equals the base loop
+    on the edges the ``collect.walk`` oracle does not reach."""
+
+    def test_gap_ending_past_the_horizon(self, monkeypatch):
+        """The walk's last crossing lands in a gap that ends 50 ms after
+        the horizon; the table is filled once and covers every read."""
+        fills = []
+
+        def counting(start, stop, seed):
+            fills.append((start, stop))
+            return _jitter_bits(start, stop, seed)
+
+        horizon = 1_000 * MS
+        starts, ends = _gaps(horizon - 2 * MS, 200, seed=1)
+        starts = np.append(starts, horizon - 1 * MS)
+        ends = np.append(ends, horizon + 50 * MS)
+        timer = JitteredTimer(0.1 * MS, seed=4)
+        monkeypatch.setattr(quantized, "_jitter_bits", counting)
+        fused = timer.period_boundaries(starts, ends, horizon, 5 * MS)
+        assert fills == [(0, len(timer._table))]
+        monkeypatch.undo()
+        loop = BrowserTimer.period_boundaries(
+            JitteredTimer(0.1 * MS, seed=4), starts, ends, horizon, 5 * MS
+        )
+        _assert_same_walk(fused, loop)
+        assert fused[1][-1] == horizon + 50 * MS
+
+    def test_horizon_beyond_the_table(self):
+        horizon = (_TABLE_MAX_BUCKETS + 1_000) * 100.0
+        starts, ends = _gaps(horizon, 300, seed=2)
+        fused, loop, timer = _both_walks(100.0, starts, ends, horizon, 5 * MS)
+        _assert_same_walk(fused, loop)
+        assert len(timer._table) == _TABLE_MAX_BUCKETS
+
+    @pytest.mark.parametrize("delta_ns", [2.5 * MS, 5 * MS, 7 * MS])
+    def test_period_at_or_below_the_resolution(self, delta_ns):
+        horizon = 3_000 * MS
+        starts, ends = _gaps(horizon, 500, seed=3)
+        fused, loop, _ = _both_walks(delta_ns, starts, ends, horizon, 5 * MS)
+        _assert_same_walk(fused, loop)
+        assert len(fused[0]) > 100
+
+    def test_reads_past_a_walk_filled_table_still_cap_it(self):
+        """The walk fills the table to no power of two; later reads keep
+        doubling it, but never past the cap."""
+        timer = JitteredTimer(delta_ns=100.0, seed=9)
+        timer.period_boundaries(np.empty(0), np.empty(0), 1_000_003.0, 5_000.0)
+        assert len(timer._table) not in {_TABLE_FIRST_CHUNK << k for k in range(10)}
+        t = (_TABLE_MAX_BUCKETS - 1) * 100.0 + 50.0
+        assert timer.read(t) == _hashed_read(t, 100.0, 9)
         assert len(timer._table) == _TABLE_MAX_BUCKETS

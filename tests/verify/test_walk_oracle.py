@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from repro.core import collector as collector_module
 from repro.core.attacker import SweepCountingAttacker
 from repro.core.collector import TraceCollector
 from repro.core.walk_ref import ReferenceTraceCollector
+from repro.timers.base import BrowserTimer
+from repro.timers.quantized import JitteredTimer
 from repro.verify import oracles
 from repro.verify.compare import diff_structures
 from repro.verify.driver import sweep
@@ -32,14 +33,18 @@ class TestCollectWalkOracle:
         assert report.ok
 
     def test_nudged_boundary_pass_fails(self, monkeypatch):
-        """One observed start moved by one ulp in the new walk only."""
-        boundaries = collector_module._period_boundaries
+        """One observed start moved by one ulp in the new walk only.
 
-        def nudged(*args):
-            begins, ends, observed = boundaries(*args)
-            return begins, ends, _one_ulp_up(observed)
+        The reference walk never calls ``period_boundaries``; the jittered
+        timer's fused loop and the base loop are both nudged.
+        """
+        for cls in (BrowserTimer, JitteredTimer):
 
-        monkeypatch.setattr(collector_module, "_period_boundaries", nudged)
+            def nudged(self, *args, boundaries=cls.period_boundaries):
+                begins, ends, observed = boundaries(self, *args)
+                return begins, ends, _one_ulp_up(observed)
+
+            monkeypatch.setattr(cls, "period_boundaries", nudged)
         failure = get_oracle("collect.walk").run_case(SMALL)
         assert failure is not None
         assert "observed_starts" in failure
