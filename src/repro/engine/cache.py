@@ -5,9 +5,18 @@ machine, browser, attacker, timer, attacker period, site signature,
 trace index, collector seed — plus the package version, since any code
 change may change the numbers.  The cache hashes a canonical rendition
 of all of that into a key and stores the finished
-:class:`~repro.core.trace.Trace` as a compressed ``.npz``, so warm
-re-runs of ``biggerfish all`` and repeated benchmark invocations skip
-simulation entirely.
+:class:`~repro.core.trace.Trace` under it, so warm re-runs of
+``biggerfish all`` and repeated benchmark invocations skip simulation
+entirely.
+
+An entry (schema 2) is one zlib stream deflated at level 1: a one-line
+JSON header (``horizon_ns``, ``period_ns``, ``label``, ``attacker``,
+``samples``), then ``observed_starts`` and ``counters`` as little-endian
+float64.  A hit is one file read, one ``zlib.decompress``, one
+``json.loads`` and one ``np.frombuffer``.  Schema-1 entries were
+``.npz`` archives; their keys differ, so they are never read again, but
+``info`` counts them, ``clear`` removes them and eviction drops them
+before any schema-2 entry.
 
 Anything that cannot be canonically described (an exotic noise injector,
 say) raises :class:`Uncacheable` during key construction and the
@@ -26,16 +35,17 @@ import contextlib
 import dataclasses
 import enum
 import hashlib
+import json
 import os
 import pathlib
 import tempfile
-import zipfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.config import read_setting
 from repro.obs import metrics as obs_metrics
 
@@ -46,15 +56,27 @@ CACHE_MAX_BYTES_ENV_VAR = "BIGGERFISH_CACHE_MAX_BYTES"
 #: Default size cap.
 DEFAULT_MAX_BYTES = 2 * 1024**3
 #: Bump to invalidate every existing entry on disk-format changes.
-SCHEMA_VERSION = 1
-#: What loading a missing, torn or stale-format entry raises: OSError for
-#: a missing file, EOFError for an empty one, BadZipFile for a truncated
-#: one, zlib.error for a corrupt deflate stream, RuntimeError when a
-#: flipped zip flag asks for a password or an unknown compression method,
-#: KeyError/ValueError for missing or malformed members.
-_UNREADABLE_ENTRY = (
-    OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error
-)
+SCHEMA_VERSION = 2
+#: File suffix of a schema-2 entry.
+ENTRY_SUFFIX = ".zlib"
+#: File suffix of a schema-1 entry, a zip of six ``.npy`` members.
+_SCHEMA1_SUFFIX = ".npz"
+#: zlib level of an entry: on an 8 s Chrome trace, level 6 (zlib's
+#: default) takes about four times as long for 1.4 % fewer bytes.
+_DEFLATE_LEVEL = 1
+#: An entry header's fields and their JSON types.
+_HEADER_FIELDS = {
+    "horizon_ns": int,
+    "period_ns": int,
+    "label": str,
+    "attacker": str,
+    "samples": int,
+}
+#: What loading a missing, torn or malformed entry raises: OSError for
+#: a missing file, zlib.error for an empty, truncated or corrupt stream
+#: (the stream's checksum catches a flipped byte), ValueError for a
+#: header or payload that is not a whole entry.
+_UNREADABLE_ENTRY = (OSError, ValueError, zlib.error)
 
 
 class Uncacheable(TypeError):
@@ -158,6 +180,54 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path("~/.cache/biggerfish/traces").expanduser()
 
 
+def _encode_entry(trace) -> bytes:
+    """A trace as the bytes of a schema-2 entry."""
+    header = {
+        "horizon_ns": int(trace.spec.horizon_ns),
+        "period_ns": int(trace.spec.period_ns),
+        "label": trace.label,
+        "attacker": trace.attacker,
+        "samples": len(trace.counters),
+    }
+    values = np.concatenate([trace.observed_starts, trace.counters]).astype("<f8", copy=False)
+    line = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    return zlib.compress(line + values.tobytes(), _DEFLATE_LEVEL)
+
+
+def _decode_entry(raw: bytes):
+    """The trace in a schema-2 entry's bytes.
+
+    Raises ``zlib.error`` for a torn or corrupt stream and ``ValueError``
+    for a header that is not a JSON object of the five fields, a payload
+    whose length disagrees with the header, or a trace that
+    :class:`~repro.core.trace.Trace` rejects (a negative counter, say).
+    Both arrays are writable float64 views of one fresh buffer.
+    """
+    from repro.core.trace import Trace, TraceSpec
+
+    payload = zlib.decompress(raw)
+    start = payload.index(b"\n") + 1
+    header = json.loads(payload[:start])
+    if not isinstance(header, dict) or any(
+        type(header.get(name)) is not kind for name, kind in _HEADER_FIELDS.items()
+    ):
+        raise ValueError("entry header is not an object of the schema-2 fields")
+    samples = header["samples"]
+    if len(payload) - start != 16 * samples:
+        raise ValueError(
+            f"entry holds {len(payload) - start} payload bytes, "
+            f"its header says {samples} samples"
+        )
+    values = np.frombuffer(payload, dtype="<f8", offset=start).astype(np.float64)
+    return Trace(
+        spec=TraceSpec(horizon_ns=header["horizon_ns"], period_ns=header["period_ns"]),
+        observed_starts=values[:samples],
+        counters=values[samples:],
+        label=header["label"],
+        attacker=header["attacker"],
+    )
+
+
 @dataclass
 class CacheStats:
     """Counters for one cache handle's lifetime."""
@@ -180,10 +250,10 @@ class CacheStats:
 class TraceCache:
     """On-disk store of finished traces, addressed by configuration hash.
 
-    Entries are sharded two hex characters deep (``ab/abcdef....npz``) to
-    keep directories small at paper scale (100 sites x 100 traces x many
-    configurations).  Writes are atomic (temp file + rename) so a killed
-    run never leaves a torn entry.
+    Entries are sharded two hex characters deep (``ab/abcdef....zlib``)
+    to keep directories small at paper scale (100 sites x 100 traces x
+    many configurations).  Writes are atomic (temp file + rename) so a
+    killed run never leaves a torn entry.
     """
 
     def __init__(
@@ -205,14 +275,18 @@ class TraceCache:
     # -- internals ------------------------------------------------------
 
     def _entry_path(self, key: str) -> pathlib.Path:
-        return self.path / key[:2] / f"{key}.npz"
+        return self.path / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     def _entries(self) -> list[pathlib.Path]:
-        """Finished entries; ``put``'s in-flight ``.tmp-*`` files are not."""
+        """Finished entries, schema-1 leftovers included; ``put``'s
+        in-flight ``.tmp-*`` files are not."""
         if not self.path.exists():
             return []
         return sorted(
-            p for p in self.path.glob("*/*.npz") if not p.name.startswith(".")
+            p
+            for suffix in (ENTRY_SUFFIX, _SCHEMA1_SUFFIX)
+            for p in self.path.glob(f"*/*{suffix}")
+            if not p.name.startswith(".")
         )
 
     def _stat_entries(self) -> list[tuple[float, int, pathlib.Path]]:
@@ -234,97 +308,81 @@ class TraceCache:
 
     def get(self, key: str):
         """Load the trace stored under ``key``, or None on a miss."""
-        from repro.core.trace import Trace, TraceSpec
-
         entry = self._entry_path(key)
-        try:
-            with np.load(entry, allow_pickle=False) as archive:
-                trace = Trace(
-                    spec=TraceSpec(
-                        horizon_ns=int(archive["horizon_ns"]),
-                        period_ns=int(archive["period_ns"]),
-                    ),
-                    observed_starts=archive["observed_starts"],
-                    counters=archive["counters"],
-                    label=str(archive["label"]),
-                    attacker=str(archive["attacker"]),
-                )
-        except _UNREADABLE_ENTRY:
-            # Missing, torn or stale-format entries all count as misses;
-            # the caller re-simulates and overwrites.
-            self.stats.misses += 1
-            obs_metrics.counter("engine.cache.misses").inc()
-            return None
-        # Refresh mtime on every hit so eviction order is LRU, not FIFO —
-        # without this the hottest entries are the first to be evicted.
-        with contextlib.suppress(OSError):
-            os.utime(entry)
-        self.stats.hits += 1
-        self.stats.bytes_read += entry.stat().st_size
-        obs_metrics.counter("engine.cache.hits").inc()
-        obs_metrics.counter("engine.cache.bytes_read").inc(entry.stat().st_size)
-        return trace
+        with obs.span("engine.cache.get") as span:
+            try:
+                with open(entry, "rb") as handle:
+                    raw = handle.read()
+                trace = _decode_entry(raw)
+            except _UNREADABLE_ENTRY:
+                # Missing, torn or malformed entries all count as misses;
+                # the caller re-simulates and overwrites.
+                self.stats.misses += 1
+                obs_metrics.counter("engine.cache.misses").inc()
+                span.set(hit=False)
+                return None
+            # Refresh mtime on every hit so eviction order is LRU, not
+            # FIFO — without this the hottest entries are the first to be
+            # evicted.
+            with contextlib.suppress(OSError):
+                os.utime(entry)
+            self.stats.hits += 1
+            self.stats.bytes_read += len(raw)
+            obs_metrics.counter("engine.cache.hits").inc()
+            obs_metrics.counter("engine.cache.bytes_read").inc(len(raw))
+            span.set(hit=True)
+            return trace
 
     def put(self, key: str, trace) -> None:
         """Store a finished trace under ``key`` (atomic, then evict)."""
-        entry = self._entry_path(key)
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        old_size = 0
-        with contextlib.suppress(OSError):
-            old_size = entry.stat().st_size
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".npz", dir=entry.parent
-        )
-        members = {
-            "observed_starts": trace.observed_starts,
-            "counters": trace.counters,
-            "horizon_ns": np.int64(trace.spec.horizon_ns),
-            "period_ns": np.int64(trace.spec.period_ns),
-            "label": np.str_(trace.label),
-            "attacker": np.str_(trace.attacker),
-        }
-        try:
-            # np.savez_compressed's archive, at deflate level 1: the
-            # default level costs about twice the time for 3 % less size.
-            with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(
-                handle, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
-            ) as archive:
-                for name, value in members.items():
-                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                        np.lib.format.write_array(
-                            member, np.asanyarray(value), allow_pickle=False
-                        )
-            os.replace(tmp_name, entry)
-        except BaseException:
+        with obs.span("engine.cache.put"):
+            entry = self._entry_path(key)
+            data = _encode_entry(trace)
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            old_size = 0
             with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        written = entry.stat().st_size
-        self.stats.puts += 1
-        self.stats.bytes_written += written
-        obs_metrics.counter("engine.cache.puts").inc()
-        obs_metrics.counter("engine.cache.bytes_written").inc(written)
-        if self._size_bytes is None:
-            # First put through a cold handle: the directory scan runs
-            # after os.replace put the entry in place, so it already
-            # counts the new bytes — adding `written` on top would
-            # double-count every fresh entry and trigger premature
-            # eviction.
-            self._scan_size()
-        else:
-            self._size_bytes += written - old_size
-        if self._size_bytes > self.max_bytes:
-            self._evict_to_cap(protect=entry)
+                old_size = entry.stat().st_size
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=".tmp-", suffix=ENTRY_SUFFIX, dir=entry.parent
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp_name, entry)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp_name)
+                raise
+            written = len(data)
+            self.stats.puts += 1
+            self.stats.bytes_written += written
+            obs_metrics.counter("engine.cache.puts").inc()
+            obs_metrics.counter("engine.cache.bytes_written").inc(written)
+            if self._size_bytes is None:
+                # First put through a cold handle: the directory scan runs
+                # after os.replace put the entry in place, so it already
+                # counts the new bytes — adding `written` on top would
+                # double-count every fresh entry and trigger premature
+                # eviction.
+                self._scan_size()
+            else:
+                self._size_bytes += written - old_size
+            if self._size_bytes > self.max_bytes:
+                self._evict_to_cap(protect=entry)
 
     def _evict_to_cap(self, protect: Optional[pathlib.Path] = None) -> None:
         """Drop least-recently-used entries until under the size cap.
 
-        ``get`` refreshes mtime on every hit, so mtime order is LRU
+        Schema-1 leftovers go first, since nothing reads them again;
+        then ``get`` refreshing mtime on every hit makes mtime order LRU
         order.  ``protect`` — the entry that was just written — is never
         evicted: a put into a full cache must not delete the very trace
         its caller is about to rely on.
         """
-        entries = sorted(self._stat_entries())
+        entries = sorted(
+            self._stat_entries(),
+            key=lambda stat: (stat[2].suffix == ENTRY_SUFFIX, stat),
+        )
         size = sum(s for _, s, _ in entries)
         for _, entry_size, entry in entries:
             if size <= self.max_bytes:

@@ -155,6 +155,8 @@ def _feature_state(model) -> tuple[dict, Dict[str, np.ndarray]]:
         "seed": model.seed,
         "n_classes": int(model._model.n_classes),
     }
+    if model._input_length is not None:
+        config["input_length"] = int(model._input_length)
     return config, arrays
 
 
@@ -191,6 +193,12 @@ def _feature_restore(config: dict, arrays: Dict[str, np.ndarray]):
             f"weight matrix has {regression.W.shape[1]} classes, "
             f"metadata says {config['n_classes']}"
         )
+    # Artifacts saved before feature models recorded their training
+    # length have no such field and take rows of any length.
+    input_length = config.get("input_length")
+    if input_length is not None and (type(input_length) is not int or input_length < 1):
+        raise ArtifactError(f"input_length must be a positive integer, got {input_length!r}")
+    model._input_length = input_length
     model._standardizer = standardizer
     model._model = regression
     return model

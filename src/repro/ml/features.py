@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
+
 
 def mean_pool(x: np.ndarray, n_bins: int) -> np.ndarray:
     """Mean-pool rows of ``x`` down to ``n_bins`` columns."""
@@ -29,6 +31,8 @@ def mean_pool(x: np.ndarray, n_bins: int) -> np.ndarray:
     n, length = x.shape
     if n_bins < 1:
         raise ValueError(f"n_bins must be positive, got {n_bins}")
+    if length == 0:
+        raise ValueError("cannot pool rows of zero length")
     if length < n_bins:
         # Short inputs: repeat-edge pad up to the bin count.
         pad = np.repeat(x[:, -1:], n_bins - length, axis=1)
@@ -54,26 +58,34 @@ class FeatureExtractor:
         return self.shape_bins + self.diff_bins + self.fft_bins + 4
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Features for a batch of traces ``(n, length)``."""
+        """Features for a batch of traces ``(n, length)``, ``length >= 1``.
+
+        A 1-sample trace has no differences and no spectrum past DC; both
+        blocks are zeros for it.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected (n, length), got {x.shape}")
-        shape = mean_pool(x, self.shape_bins)
-        diffs = np.abs(np.diff(x, axis=1))
-        if diffs.shape[1] == 0:
-            diffs = np.zeros((len(x), 1))
-        diff_pooled = mean_pool(diffs, self.diff_bins)
-        spectrum = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
-        # Energy-normalize so per-load gain (session bandwidth, caching)
-        # does not scale the spectral fingerprint, then pool narrowly:
-        # burst micro-structure (packet trains, render cadence) shows up
-        # as sharp lines in the 5-50 Hz band that survive 4-bin pooling.
-        spectrum = spectrum / (spectrum.sum(axis=1, keepdims=True) + 1e-12)
-        fft_feats = mean_pool(spectrum[:, 1 : 1 + 4 * self.fft_bins], self.fft_bins)
-        stats = np.column_stack(
-            [x.mean(axis=1), x.std(axis=1), x.min(axis=1), diffs.mean(axis=1)]
-        )
-        return np.concatenate([shape, diff_pooled, fft_feats, stats], axis=1)
+        with obs.span("ml.features", rows=x.shape[0], length=x.shape[1]):
+            shape = mean_pool(x, self.shape_bins)
+            diffs = np.abs(np.diff(x, axis=1))
+            if diffs.shape[1] == 0:
+                diffs = np.zeros((len(x), 1))
+            diff_pooled = mean_pool(diffs, self.diff_bins)
+            spectrum = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
+            # Energy-normalize so per-load gain (session bandwidth, caching)
+            # does not scale the spectral fingerprint, then pool narrowly:
+            # burst micro-structure (packet trains, render cadence) shows up
+            # as sharp lines in the 5-50 Hz band that survive 4-bin pooling.
+            spectrum = spectrum / (spectrum.sum(axis=1, keepdims=True) + 1e-12)
+            band = spectrum[:, 1 : 1 + 4 * self.fft_bins]
+            if band.shape[1] == 0:
+                band = np.zeros((len(x), 1))
+            fft_feats = mean_pool(band, self.fft_bins)
+            stats = np.column_stack(
+                [x.mean(axis=1), x.std(axis=1), x.min(axis=1), diffs.mean(axis=1)]
+            )
+            return np.concatenate([shape, diff_pooled, fft_feats, stats], axis=1)
 
 
 class Standardizer:

@@ -1,4 +1,4 @@
-"""Retained reference implementations of the network's hot layers.
+"""Retained reference implementations of the ml hot paths.
 
 :class:`~repro.ml.layers.MaxPool1D` finds each block's first maximum by
 comparing positions with the block max and scatters its gradient through
@@ -19,6 +19,12 @@ two implementations must agree **bit-for-bit** on every loss, gradient,
 parameter, activation and prediction: that is the ``ml.network``
 differential oracle in :mod:`repro.verify`.
 
+:class:`ReferenceSoftmaxRegression` keeps the training loop that
+:class:`~repro.ml.linear.SoftmaxRegression` ran before it trained in
+place: separate ``W`` and ``b``, every intermediate a fresh array and
+one Adam update per parameter.  The ``ml.linear`` oracle holds the two
+to the same bits on ``W``, ``b`` and ``predict_proba``.
+
 Nothing here is exported through ``repro.ml``'s public surface; the
 verify harness and its tests are the only intended consumers.
 """
@@ -28,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.layers import Conv1D, Layer, MaxPool1D, ReLU
+from repro.ml.linear import SoftmaxRegression
+from repro.ml.losses import softmax
 from repro.ml.optim import Adam
 
 
@@ -121,6 +129,40 @@ class ReferenceAdam(Adam):
             m_hat = m / bias1
             v_hat = v / bias2
             param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+class ReferenceSoftmaxRegression(SoftmaxRegression):
+    """Softmax regression trained by the out-of-place loop, as written."""
+
+    def _train(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, d = x.shape
+        rng = np.random.default_rng(self.seed)
+        self.W = rng.normal(0.0, 0.01, size=(d, self.n_classes))
+        self.b = np.zeros(self.n_classes)
+        onehot = np.zeros((n, self.n_classes))
+        onehot[np.arange(n), y] = 1.0
+        m_w = np.zeros_like(self.W)
+        v_w = np.zeros_like(self.W)
+        m_b = np.zeros_like(self.b)
+        v_b = np.zeros_like(self.b)
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, self.epochs + 1):
+            probs = softmax(x @ self.W + self.b)
+            grad_logits = (probs - onehot) / n
+            grad_w = x.T @ grad_logits + self.l2 * self.W
+            grad_b = grad_logits.sum(axis=0)
+            for param, grad, m, v in (
+                (self.W, grad_w, m_w, v_w),
+                (self.b, grad_b, m_b, v_b),
+            ):
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad * grad
+                m_hat = m / (1 - beta1**t)
+                v_hat = v / (1 - beta2**t)
+                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        return self.W, self.b
 
 
 #: Each shipped layer class and the reference that replaces its kernels.

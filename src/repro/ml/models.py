@@ -68,6 +68,21 @@ class _ArtifactMixin:
         return model
 
 
+def _rows_of_length(x: np.ndarray, length: int | None) -> np.ndarray:
+    """``x`` as a float64 ``(rows, length)`` matrix.
+
+    Raises ``ValueError`` naming both lengths for any other shape; a
+    ``length`` of None accepts rows of any length.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if length is not None and (x.ndim != 2 or x.shape[1] != length):
+        raise ValueError(
+            f"this model classifies rows of {length} samples "
+            f"(its training length), got an array of shape {x.shape}"
+        )
+    return x
+
+
 def build_paper_network(
     input_length: int,
     n_classes: int,
@@ -173,12 +188,7 @@ class LstmFingerprinter(_ArtifactMixin):
         """
         if not hasattr(self, "_network"):
             raise RuntimeError("classifier not fitted")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self._input_length:
-            raise ValueError(
-                f"this model classifies rows of {self._input_length} samples "
-                f"(its training length), got an array of shape {x.shape}"
-            )
+        x = _rows_of_length(x, self._input_length)
         x = (x - self._input_mean) / self._input_std
         return self._network.predict_proba(x[:, :, None])
 
@@ -194,7 +204,9 @@ class FeatureFingerprinter(_ArtifactMixin):
     seed: int = 0
 
     def fit(self, x: np.ndarray, y: np.ndarray, n_classes: int) -> "FeatureFingerprinter":
-        features = self.extractor.transform(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        features = self.extractor.transform(x)
+        self._input_length = x.shape[1]
         self._standardizer = Standardizer()
         features = self._standardizer.fit_transform(features)
         self._model = SoftmaxRegression(
@@ -207,11 +219,17 @@ class FeatureFingerprinter(_ArtifactMixin):
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities for a ``(rows, training length)`` matrix.
+
+        Raises ``ValueError`` for rows of any other length: the pooled
+        features of another length describe another time scale.  A model
+        loaded from an artifact saved without its training length takes
+        rows of any length.
+        """
         if not hasattr(self, "_model"):
             raise RuntimeError("classifier not fitted")
-        features = self._standardizer.transform(
-            self.extractor.transform(np.asarray(x, dtype=np.float64))
-        )
+        x = _rows_of_length(x, self._input_length)
+        features = self._standardizer.transform(self.extractor.transform(x))
         return self._model.predict_proba(features)
 
 

@@ -37,6 +37,11 @@ oracle                 mode       certifies
                                   shipped conv/pool/ReLU kernels and Adam ==
                                   the retained ones (``ml/layers_ref.py``), plus
                                   layer probes on ties, NaN, ±inf and strides
+``ml.linear``          bit        softmax regression trained in place on one
+                                  ``(W; b)`` block == the retained out-of-place
+                                  loop (``ml/layers_ref.py``): ``W``, ``b`` and
+                                  ``predict_proba``, with and without L2, on
+                                  saturating logits and on one row
 ====================== ========== =================================================
 
 All callables derive every RNG stream from the case alone, so a failing
@@ -59,7 +64,8 @@ from repro.engine.cache import TraceCache, cache_key
 from repro.engine.engine import ExecutionEngine
 from repro.ml.artifact import load_artifact
 from repro.ml.layers import Conv1D, MaxPool1D, ReLU
-from repro.ml.layers_ref import ReferenceAdam, as_reference
+from repro.ml.layers_ref import ReferenceAdam, ReferenceSoftmaxRegression, as_reference
+from repro.ml.linear import SoftmaxRegression
 from repro.ml.models import FeatureFingerprinter, build_paper_network
 from repro.ml.optim import Adam
 from repro.sim.events import MS, SEC
@@ -884,6 +890,58 @@ def _network_optimized(case: Case) -> dict:
 
 
 # ----------------------------------------------------------------------
+# ml.linear — softmax regression trained in place vs the retained loop
+# ----------------------------------------------------------------------
+
+#: Enough Adam steps for the bias corrections to move well away from
+#: their first values, few enough to keep a case cheap.
+_LINEAR_EPOCHS = 40
+
+
+def _linear_problems(case: Case):
+    """``(classes, eval rows, {name: (x, y, hyperparameters)})``: one class
+    more than the case's sites, one more row per class than its traces,
+    and one feature plus one per 4 ms of horizon."""
+    rng = np.random.default_rng([case.seed, 0x11EA])
+    classes = case.sites + 1
+    rows = classes * (case.traces + 1)
+    features = 1 + int(case.horizon_ms) // 4
+    x = rng.normal(size=(rows, features))
+    problems = {
+        "fold": (x, rng.integers(0, classes, size=rows), {}),
+        "unregularized": (x, rng.integers(0, classes, size=rows), {"l2": 0.0}),
+        # Logits far apart: exp underflows to exact zeros.
+        "saturated": (
+            1e3 * x, rng.integers(0, classes, size=rows), {"learning_rate": 0.5}
+        ),
+        "one row": (rng.normal(size=(1, features)), np.array([classes - 1]), {}),
+    }
+    return classes, rng.normal(size=(rows, features)), problems
+
+
+def _linear_fits(case: Case, model_cls) -> dict:
+    classes, x_eval, problems = _linear_problems(case)
+    fits = {}
+    for name, (x, y, hyperparameters) in problems.items():
+        model = model_cls(
+            n_classes=classes,
+            epochs=_LINEAR_EPOCHS,
+            seed=case.seed & 0x7FFFFFFF,
+            **hyperparameters,
+        ).fit(x, y)
+        fits[name] = {"W": model.W, "b": model.b, "probs": model.predict_proba(x_eval)}
+    return fits
+
+
+def _linear_reference(case: Case) -> dict:
+    return _linear_fits(case, ReferenceSoftmaxRegression)
+
+
+def _linear_optimized(case: Case) -> dict:
+    return _linear_fits(case, SoftmaxRegression)
+
+
+# ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
 
@@ -1030,5 +1088,20 @@ register(
         mode="bit",
         reference=_network_reference,
         optimized=_network_optimized,
+    )
+)
+
+register(
+    Oracle(
+        name="ml.linear",
+        description=(
+            "SoftmaxRegression trained in place on one (W; b) block with one "
+            "Adam update per epoch vs the retained out-of-place loop "
+            "(ml/layers_ref.py): W, b and predict_proba after 40 epochs, with "
+            "and without L2, on saturating logits and on a single row"
+        ),
+        mode="bit",
+        reference=_linear_reference,
+        optimized=_linear_optimized,
     )
 )

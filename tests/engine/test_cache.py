@@ -5,9 +5,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import io
-import struct
-import zipfile
+import json
+import os
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +17,12 @@ from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.collector import NoiseHooks, TraceCollector
 from repro.defenses.interrupt_noise import SpuriousInterruptInjector
 from repro.engine import ExecutionEngine, TraceCache, Uncacheable, cache_key, stable_token
-from repro.engine.cache import CACHE_DIR_ENV_VAR, SCHEMA_VERSION, default_cache_dir
+from repro.engine.cache import (
+    CACHE_DIR_ENV_VAR,
+    ENTRY_SUFFIX,
+    SCHEMA_VERSION,
+    default_cache_dir,
+)
 from repro.sim.machine import MachineConfig
 from repro.workload.browser import CHROME, FIREFOX, LINUX
 from repro.workload.website import profile_for
@@ -235,12 +240,15 @@ class TestTraceCacheRoundTrip:
         assert y_cold == y_warm == ["other", "other"]
 
 
-def _first_member_data_offset(archive: bytes) -> int:
-    """Offset of the first zip member's (deflated) data."""
-    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
-        start = zf.infolist()[0].header_offset
-    name_len, extra_len = struct.unpack_from("<HH", archive, start + 26)
-    return start + 30 + name_len + extra_len
+def _split_entry(raw: bytes) -> tuple[dict, bytes]:
+    """A schema-2 entry's parsed header line and the payload after it."""
+    line, _, payload = zlib.decompress(raw).partition(b"\n")
+    return json.loads(line), payload
+
+
+def _rewritten(header, payload: bytes) -> bytes:
+    """A well-formed zlib stream holding ``header``'s line and ``payload``."""
+    return zlib.compress(json.dumps(header).encode() + b"\n" + payload, 1)
 
 
 def _half(raw: bytes) -> bytes:
@@ -256,46 +264,114 @@ def _zip_magic_then_garbage(raw: bytes) -> bytes:
 
 
 def _one_flipped_byte(raw: bytes) -> bytes:
+    """One byte in the middle of the deflate data flipped: the stream no
+    longer inflates, or its Adler-32 check fails."""
     flipped = bytearray(raw)
-    flipped[_first_member_data_offset(raw)] ^= 0xFF
+    flipped[len(raw) // 2] ^= 0xFF
     return bytes(flipped)
 
 
-class TestEntryFormat:
-    def test_six_deflated_npy_members(self, cache, collector):
-        site = profile_for("nytimes.com")
-        key = collector._cache_key(site, 0, None)
-        cache.put(key, collector._collect_uncached(site, 0, None))
-        with zipfile.ZipFile(cache._entry_path(key)) as archive:
-            members = archive.infolist()
-        names = ("observed_starts", "counters", "horizon_ns", "period_ns", "label", "attacker")
-        assert sorted(m.filename for m in members) == sorted(f"{n}.npy" for n in names)
-        assert {m.compress_type for m in members} == {zipfile.ZIP_DEFLATED}
+def _header_not_an_object(raw: bytes) -> bytes:
+    header, payload = _split_entry(raw)
+    return _rewritten(list(header.values()), payload)
 
-    def test_entry_written_by_savez_compressed_loads(self, cache, collector):
-        """Entries written before level-1 deflate still hit."""
+
+def _payload_length_mismatch(raw: bytes) -> bytes:
+    header, payload = _split_entry(raw)
+    return _rewritten({**header, "samples": header["samples"] + 1}, payload)
+
+
+def _negative_counter(raw: bytes) -> bytes:
+    header, payload = _split_entry(raw)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[-1] = -1.0
+    return _rewritten(header, values.tobytes())
+
+
+def _schema1_leftover(cache: TraceCache, trace, key: str):
+    """A schema-1 entry as the previous release wrote it: a zip of six
+    deflated ``.npy`` members at ``ab/<key>.npz``."""
+    leftover = cache.path / key[:2] / f"{key}.npz"
+    leftover.parent.mkdir(parents=True, exist_ok=True)
+    with open(leftover, "wb") as handle:
+        np.savez_compressed(
+            handle,
+            observed_starts=trace.observed_starts,
+            counters=trace.counters,
+            horizon_ns=np.int64(trace.spec.horizon_ns),
+            period_ns=np.int64(trace.spec.period_ns),
+            label=np.str_(trace.label),
+            attacker=np.str_(trace.attacker),
+        )
+    return leftover
+
+
+class TestEntryFormat:
+    def test_one_zlib_stream_of_a_header_line_and_float64(self, cache, collector):
         site = profile_for("nytimes.com")
         trace = collector._collect_uncached(site, 0, None)
         key = collector._cache_key(site, 0, None)
+        cache.put(key, trace)
         entry = cache._entry_path(key)
-        entry.parent.mkdir(parents=True)
-        with open(entry, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                observed_starts=trace.observed_starts,
-                counters=trace.counters,
-                horizon_ns=np.int64(trace.spec.horizon_ns),
-                period_ns=np.int64(trace.spec.period_ns),
-                label=np.str_(trace.label),
-                attacker=np.str_(trace.attacker),
-            )
-        loaded = cache.get(key)
-        assert loaded.observed_starts.tobytes() == trace.observed_starts.tobytes()
-        assert loaded.counters.tobytes() == trace.counters.tobytes()
-        assert (loaded.label, loaded.attacker, loaded.spec) == (
-            trace.label, trace.attacker, trace.spec,
+        assert entry.name == f"{key}{ENTRY_SUFFIX}"
+        raw = entry.read_bytes()
+        assert zlib.compress(zlib.decompress(raw), 1) == raw  # deflated at level 1
+        header, payload = _split_entry(raw)
+        assert header == {
+            "horizon_ns": trace.spec.horizon_ns,
+            "period_ns": trace.spec.period_ns,
+            "label": trace.label,
+            "attacker": trace.attacker,
+            "samples": len(trace),
+        }
+        assert payload == (
+            trace.observed_starts.astype("<f8").tobytes() + trace.counters.astype("<f8").tobytes()
         )
-        assert cache.stats.hits == 1
+
+    def test_hit_returns_writable_float64_arrays(self, cache, collector):
+        site = profile_for("nytimes.com")
+        key = collector._cache_key(site, 0, None)
+        cache.put(key, collector._collect_uncached(site, 0, None))
+        loaded = cache.get(key)
+        for array in (loaded.observed_starts, loaded.counters):
+            assert array.dtype == np.float64 and array.flags.writeable
+            assert array.flags.aligned
+
+    def test_schema1_leftovers_are_counted_cleared_and_evicted_first(
+        self, tmp_path, collector
+    ):
+        """A schema-1 entry is never read again: its key hashed schema 1.
+        ``info`` still counts it, ``clear`` removes it, and eviction drops
+        it before any schema-2 entry, however recently it was written."""
+        site = profile_for("nytimes.com")
+        trace = collector._collect_uncached(site, 0, None)
+        key = collector._cache_key(site, 0, None)
+        probe = TraceCache(tmp_path / "probe")
+        probe.put(key, trace)
+        entry_size = probe.info()["size_bytes"]
+
+        cache = TraceCache(tmp_path / "cache", max_bytes=int(entry_size * 2.5))
+        leftover = _schema1_leftover(cache, trace, key)
+        assert cache.get(key) is None
+        assert cache.info() == {
+            "path": str(cache.path),
+            "entries": 1,
+            "size_bytes": leftover.stat().st_size,
+            "max_bytes": cache.max_bytes,
+        }
+        future = leftover.stat().st_mtime + 3600
+        os.utime(leftover, (future, future))
+        cache.put("a" * 64, trace)
+        cache.put("b" * 64, trace)  # over the cap: one entry must go
+        assert cache.stats.evictions == 1
+        assert not leftover.exists()
+        assert cache.get("a" * 64) is not None and cache.get("b" * 64) is not None
+
+        _schema1_leftover(cache, trace, key)
+        assert cache.info()["entries"] == 3
+        assert cache.clear() == 3
+        assert cache.info()["entries"] == 0
+        assert sorted(cache.path.glob("*/*")) == []
 
 
 class TestTornEntries:
@@ -303,8 +379,24 @@ class TestTornEntries:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [_half, _empty, _zip_magic_then_garbage, _one_flipped_byte],
-        ids=["half-truncated", "empty", "zip-magic-then-garbage", "flipped-byte"],
+        [
+            _half,
+            _empty,
+            _zip_magic_then_garbage,
+            _one_flipped_byte,
+            _header_not_an_object,
+            _payload_length_mismatch,
+            _negative_counter,
+        ],
+        ids=[
+            "half-truncated",
+            "empty",
+            "zip-magic-then-garbage",
+            "flipped-byte",
+            "header-not-an-object",
+            "payload-length-mismatch",
+            "negative-counter",
+        ],
     )
     def test_corrupt_entry_is_a_miss(self, cache, collector, corrupt):
         site = profile_for("nytimes.com")
@@ -423,7 +515,7 @@ class TestCacheMaintenance:
     @staticmethod
     def _plant_in_flight_temp(cache: TraceCache):
         """Another writer's ``put`` between its write and its rename."""
-        temp = cache.path / "ab" / ".tmp-inflight.npz"
+        temp = cache.path / "ab" / f".tmp-inflight{ENTRY_SUFFIX}"
         temp.parent.mkdir(parents=True, exist_ok=True)
         temp.write_bytes(b"\0" * 5000)
         return temp
@@ -474,7 +566,7 @@ class TestCacheAccounting:
         return collector._collect_uncached(profile_for("nytimes.com"), 0, None)
 
     def _disk_size(self, cache: TraceCache) -> int:
-        return sum(p.stat().st_size for p in sorted(cache.path.glob("*/*.npz")))
+        return sum(p.stat().st_size for p in sorted(cache.path.glob(f"*/*{ENTRY_SUFFIX}")))
 
     def test_cold_handle_put_does_not_double_count(self, tmp_path, collector):
         """First put on an unscanned handle: the directory scan already

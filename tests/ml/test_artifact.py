@@ -86,6 +86,41 @@ class TestRoundTrip:
         assert info.provenance == {"seed": 3, "scale": "smoke"}
         assert info.config["seed"] == 3
 
+    def test_feature_artifact_records_training_length(self, feature_model, tmp_path):
+        feature_model.save(tmp_path / "m")
+        assert load_info(tmp_path / "m").config["input_length"] == 160
+        with pytest.raises(ValueError, match=r"160 samples.*\(1, 120\)"):
+            load_artifact(tmp_path / "m").predict_proba(np.ones((1, 120)))
+
+    def test_feature_artifact_without_training_length_loads(
+        self, dataset, feature_model, tmp_path
+    ):
+        """An artifact saved before feature models recorded their training
+        length still loads, predicts as saved and takes any length."""
+        x, _ = dataset
+        feature_model.save(tmp_path / "m", classes=CLASSES)
+        manifest = tmp_path / "m" / ARTIFACT_JSON
+        document = json.loads(manifest.read_text())
+        del document["config"]["input_length"]
+        manifest.write_text(json.dumps(document))
+        info = load_info(tmp_path / "m")
+        assert info.schema_version == SCHEMA_VERSION == 1
+        clone = load_artifact(tmp_path / "m")
+        np.testing.assert_array_equal(feature_model.predict_proba(x), clone.predict_proba(x))
+        assert clone.predict_proba(x[:, :120]).shape == (len(x), 4)
+        clone.save(tmp_path / "again", classes=CLASSES)
+        assert "input_length" not in load_info(tmp_path / "again").config
+
+    @pytest.mark.parametrize("length", [0, -3, 1.5, "160", True])
+    def test_malformed_training_length_rejected(self, feature_model, tmp_path, length):
+        feature_model.save(tmp_path / "m")
+        manifest = tmp_path / "m" / ARTIFACT_JSON
+        document = json.loads(manifest.read_text())
+        document["config"]["input_length"] = length
+        manifest.write_text(json.dumps(document))
+        with pytest.raises(ArtifactError, match="input_length"):
+            load_artifact(tmp_path / "m")
+
     def test_manifest_is_stable_json(self, feature_model, tmp_path):
         feature_model.save(tmp_path / "a", classes=CLASSES)
         feature_model.save(tmp_path / "b", classes=CLASSES)

@@ -27,6 +27,12 @@ class TestMeanPool:
         with pytest.raises(ValueError):
             mean_pool(np.ones(5), 2)
 
+    def test_rejects_zero_length_rows(self):
+        """There is no edge to pad from; returning no columns would hand
+        the caller a matrix of the wrong width."""
+        with pytest.raises(ValueError, match="zero length"):
+            mean_pool(np.ones((2, 0)), 4)
+
     @given(
         st.integers(min_value=1, max_value=64),
         st.integers(min_value=1, max_value=32),
@@ -50,9 +56,23 @@ class TestFeatureExtractor:
         assert extractor.transform(x).shape == (5, extractor.n_features)
 
     def test_handles_short_traces(self):
+        """Every length gives ``n_features`` columns; a 1-sample trace has
+        no spectrum past DC, and lengths 2 and 3 have one bin, pooled by
+        edge padding."""
         extractor = FeatureExtractor()
-        x = np.random.default_rng(0).random((2, 30))
-        assert extractor.transform(x).shape == (2, extractor.n_features)
+        spectral = slice(64 + 32, 64 + 32 + 96)
+        for length in (1, 2, 3, 30):
+            x = np.random.default_rng(length).random((2, length))
+            features = extractor.transform(x)
+            assert features.shape == (2, extractor.n_features)
+            spectrum = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
+            spectrum = spectrum / (spectrum.sum(axis=1, keepdims=True) + 1e-12)
+            if length == 1:
+                assert np.all(features[:, spectral] == 0.0)
+            elif length <= 3:
+                np.testing.assert_array_equal(
+                    features[:, spectral], np.repeat(spectrum[:, 1:2], 96, axis=1)
+                )
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):

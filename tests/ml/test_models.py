@@ -57,6 +57,17 @@ class TestFeatureFingerprinter:
         model = FeatureFingerprinter(seed=0).fit(x, y, n_classes=3)
         assert model.predict_proba(x[:5]).shape == (5, 3)
 
+    @pytest.fixture(scope="class")
+    def small_model(self):
+        x, y = toy_traces(n_per_class=4)
+        return FeatureFingerprinter(epochs=5, seed=0).fit(x, y, n_classes=3)
+
+    @pytest.mark.parametrize("length", [90, 400])
+    def test_wrong_length_rejected(self, small_model, length):
+        """Pooled features of another length describe another time scale."""
+        with pytest.raises(ValueError, match=rf"120 samples.*\(2, {length}\)"):
+            small_model.predict_proba(np.ones((2, length)))
+
 
 class TestLstmFingerprinter:
     def test_learns_toy_problem(self):

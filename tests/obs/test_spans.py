@@ -124,6 +124,64 @@ class TestCollectorSpans:
         assert sum(len(core.arrivals) for core in run.cores) == 98_664
 
 
+class TestWarmPathSpans:
+    """A cold and then a warm closed-world run: the trace-cache spans nest
+    under ``pipeline.collect``, the classifier's under ``pipeline.evaluate``."""
+
+    @staticmethod
+    def _ancestors(event, by_id):
+        names = []
+        while event["parent_id"] is not None:
+            event = by_id[event["parent_id"]]
+            names.append(event["name"])
+        return names
+
+    def test_cache_and_classifier_spans_nest_under_the_pipeline(self, spool, tmp_path):
+        from repro.config import SMOKE
+        from repro.core.pipeline import FingerprintingPipeline
+        from repro.engine import ExecutionEngine, TraceCache
+
+        scale = SMOKE.with_(n_sites=3, traces_per_site=3, n_folds=3, trace_seconds=0.3)
+        engine = ExecutionEngine(jobs=1, cache=TraceCache(tmp_path / "cache"))
+        pipeline = FingerprintingPipeline(
+            MachineConfig(os=LINUX), CHROME, scale=scale, seed=1, engine=engine
+        )
+        pipeline.run_closed_world()
+        pipeline.run_closed_world()
+        events = _read_events(spool)
+        by_id = {e["span_id"]: e for e in events}
+
+        def under(name):
+            found = [e for e in events if e["name"] == name]
+            return found, [self._ancestors(e, by_id) for e in found]
+
+        gets, chains = under("engine.cache.get")
+        assert [e["attrs"]["hit"] for e in gets] == [False] * 9 + [True] * 9
+        assert all("pipeline.collect" in chain for chain in chains)
+        puts, chains = under("engine.cache.put")
+        assert len(puts) == 9 and all("pipeline.collect" in chain for chain in chains)
+        fits, chains = under("ml.linear.fit")
+        assert len(fits) == 6 and all("pipeline.evaluate" in chain for chain in chains)
+        features, chains = under("ml.features")
+        # One transform to fit and one to predict per fold.
+        assert len(features) == 12
+        assert all("pipeline.evaluate" in chain for chain in chains)
+
+    def test_spans_leave_the_results_unchanged(self, tmp_path):
+        from repro.config import SMOKE
+        from repro.core.pipeline import FingerprintingPipeline
+
+        scale = SMOKE.with_(n_sites=3, traces_per_site=3, n_folds=3, trace_seconds=0.3)
+
+        def run():
+            pipeline = FingerprintingPipeline(MachineConfig(os=LINUX), CHROME, scale=scale)
+            return pipeline.run_closed_world().fold_top1
+
+        plain = run()
+        obs.enable(tmp_path / "spool")
+        assert run() == plain
+
+
 class TestEnvActivation:
     def test_env_var_activates_lazily(self, tmp_path, monkeypatch):
         spool_dir = tmp_path / "env-spool"

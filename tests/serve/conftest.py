@@ -1,5 +1,8 @@
 """Shared fixtures: a small trained artifact and a registry around it."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,19 @@ def model(dataset):
 def artifact_dir(model, tmp_path_factory):
     path = tmp_path_factory.mktemp("artifact") / "model"
     model.save(path, classes=CLASSES, provenance={"seed": 2, "scale": "test"})
+    return path
+
+
+@pytest.fixture(scope="session")
+def legacy_artifact_dir(artifact_dir, tmp_path_factory):
+    """The feature artifact as saved before feature models recorded their
+    training length: it classifies rows of any length."""
+    path = tmp_path_factory.mktemp("artifact") / "legacy"
+    shutil.copytree(artifact_dir, path)
+    manifest = path / "artifact.json"
+    document = json.loads(manifest.read_text())
+    del document["config"]["input_length"]
+    manifest.write_text(json.dumps(document))
     return path
 
 

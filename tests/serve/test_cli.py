@@ -153,3 +153,27 @@ class TestPredictCommand:
         assert len(lines) == 1 and lines[0].startswith("biggerfish predict: 8 request(s) failed")
         assert "120 samples" in lines[0] and "400)" in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_feature_artifact_of_another_length_fails_cleanly(self, tmp_path, capsys):
+        """A feature model trained on 120-sample rows, asked to classify
+        smoke-scale traces: exit 1 with one stderr line naming both lengths."""
+        from repro.ml.models import FeatureFingerprinter
+
+        rng = np.random.default_rng(5)
+        x = rng.normal(1.0, 0.05, size=(16, 120))
+        y = np.repeat(np.arange(8), 2)
+        artifact = tmp_path / "model"
+        FeatureFingerprinter(epochs=5, seed=5).fit(x, y, 8).save(artifact)
+        code = main(
+            [
+                "predict", "--artifact", str(artifact), "--scale", "smoke",
+                "--seed", "0", "--traces", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "accuracy" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("biggerfish predict: 8 request(s) failed")
+        assert "120 samples" in lines[0] and "400)" in lines[0]
+        assert "Traceback" not in captured.err

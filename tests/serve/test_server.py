@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.ml.artifact import load_artifact
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     ERROR_CODES,
@@ -63,10 +64,15 @@ class TestBatchingCorrectness:
         # can pack full batches (>1 proves fan-in happened).
         assert max(r.batch_size for r in results) > 1
 
-    def test_other_lengths_batch_apart(self, registry, model, dataset):
+    def test_other_lengths_batch_apart(self, legacy_artifact_dir, dataset):
         """A request of another length waits for a batch of its own
-        instead of failing the batch it would have joined."""
+        instead of failing the batch it would have joined.  Only a model
+        that records no training length (an artifact saved before feature
+        models recorded it) classifies rows of several lengths."""
         x, _ = dataset
+        registry = ModelRegistry()
+        registry.add("default", legacy_artifact_dir)
+        model = load_artifact(legacy_artifact_dir)
         with FingerprintServer(registry, max_batch=8, max_wait_ms=200.0) as server:
             results = server.predict_many([x[0], x[1][:90], x[2]])
         assert all(r.ok for r in results)
@@ -124,6 +130,15 @@ class TestErrorPaths:
         x, _ = dataset
         registry = ModelRegistry()
         registry.add("default", lstm_artifact_dir)
+        with FingerprintServer(registry, max_wait_ms=0.0) as server:
+            good = server.predict(x[0])
+            short = server.predict(x[0][:90])
+        assert good.ok
+        assert not short.ok and short.error == "model_error"
+        assert "120 samples" in short.detail and "(1, 90)" in short.detail
+
+    def test_wrong_length_for_feature_model_fails(self, registry, dataset):
+        x, _ = dataset
         with FingerprintServer(registry, max_wait_ms=0.0) as server:
             good = server.predict(x[0])
             short = server.predict(x[0][:90])

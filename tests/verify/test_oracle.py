@@ -82,6 +82,7 @@ class TestRegistry:
             "engine.parallel",
             "engine.trace_cache",
             "ml.artifact",
+            "ml.linear",
             "ml.network",
             "serve.batched",
             "sim.gap_timeline",
