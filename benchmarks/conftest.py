@@ -1,8 +1,13 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one paper table/figure at ``SMOKE`` scale,
-asserts its qualitative shape (who wins, what drops, where floors sit)
-and archives the rendered table under ``benchmarks/results/``.
+``test_claims.py`` runs every paper table/figure at ``SMOKE`` scale,
+archives its rendered table under ``benchmarks/results/`` and asserts the
+shape claims each experiment declares (who wins, what drops, where floors
+sit).  The archives are deterministic: a run that changes one is a change
+to the reproduced numbers (CI checks ``git diff --exit-code
+benchmarks/results``).  ``test_ablations.py`` isolates the mechanisms
+behind the tables and ``test_engine_speedup.py`` (marked ``slow``) checks
+the engine, cache and profiling overhead.
 """
 
 from __future__ import annotations
@@ -18,14 +23,3 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture
-def archive(results_dir):
-    """Callable writing a rendered experiment table to an artifact file."""
-
-    def write(experiment_id: str, result) -> None:
-        path = results_dir / f"{experiment_id}.txt"
-        path.write_text(result.format_table() + "\n")
-
-    return write

@@ -1,12 +1,15 @@
 """One module per paper table/figure, plus the registry and CLI runner."""
 
 from repro.experiments.base import (
+    Claim,
     Experiment,
     ExperimentHandle,
     ExperimentResult,
     ExperimentSpec,
     FunctionExperiment,
+    all_claims,
     all_specs,
+    base_rate,
     format_rows,
     get_experiment,
     get_spec,
@@ -18,8 +21,9 @@ from repro.experiments.base import (
 )
 
 __all__ = [
-    "Experiment", "ExperimentHandle", "ExperimentResult", "ExperimentSpec",
-    "FunctionExperiment", "all_specs", "format_rows", "get_experiment",
-    "get_spec", "list_experiments", "register", "run_experiment",
-    "sparkline", "suggest_experiment",
+    "Claim", "Experiment", "ExperimentHandle", "ExperimentResult",
+    "ExperimentSpec", "FunctionExperiment", "all_claims", "all_specs",
+    "base_rate", "format_rows", "get_experiment", "get_spec",
+    "list_experiments", "register", "run_experiment", "sparkline",
+    "suggest_experiment",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.core.attacker import LoopCountingAttacker
 from repro.core.collector import NoiseHooks
 from repro.core.pipeline import FingerprintingPipeline
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, base_rate, format_rows, register
 from repro.ml.crossval import CrossValResult
 from repro.sim.machine import MachineConfig
 from repro.workload.background import office_background
@@ -42,10 +42,21 @@ class BackgroundNoiseResult(ExperimentResult):
         )
 
 
+CLAIMS = (
+    Claim("background-noise.attack-survives",
+          "With Slack and Spotify running, top-1 stays above 4 x the base rate.",
+          lambda r, s: r.noisy.top1.mean > 4 * base_rate(s)),
+    Claim("background-noise.drop-is-small",
+          "Slack and Spotify cost the attack less than 15 % of its quiet accuracy.",
+          lambda r, s: r.drop < 0.15 * r.quiet.top1.mean),
+)
+
+
 @register(
     "background-noise",
     paper_ref="§4.2",
     description="attack robustness to Slack + Spotify background noise",
+    claims=CLAIMS,
 )
 def run(ctx) -> BackgroundNoiseResult:
     """Evaluate the attack with and without office background apps."""

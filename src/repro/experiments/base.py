@@ -5,12 +5,13 @@ the :class:`Experiment` protocol: an :class:`ExperimentSpec` (id, paper
 reference, description) plus ``run(ctx: RunContext) -> ExperimentResult``,
 where the context carries scale, seed, engine handle and trace cache.
 Results know how to print themselves as the rows/series the paper
-reports.  The registry powers the ``biggerfish`` CLI and the benchmark
-harness.
+reports.  The registry powers the ``biggerfish`` CLI, the benchmark
+harness and ``tools/generate_experiments.py``.
 
-Modules register a context-style run function with::
+Modules register a context-style run function, with the paper's shape
+claims about its result, via::
 
-    @register("table1", paper_ref="Table 1", description="...")
+    @register("table1", paper_ref="Table 1", description="...", claims=CLAIMS)
     def run(ctx: RunContext, **extras) -> Table1Result: ...
 
 The decorator wraps it in a :class:`FunctionExperiment` and binds the
@@ -24,9 +25,10 @@ one-release deprecation window (build a context with
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Sequence
 
+from repro.config import Scale
 from repro.engine.context import RunContext
 
 
@@ -70,13 +72,36 @@ def sparkline(values, width: int = 60) -> str:
     return "".join(glyphs[i] for i in scaled)
 
 
+def base_rate(scale: Scale) -> float:
+    """Chance top-1 accuracy of a closed world of ``scale.n_sites`` sites."""
+    return 1.0 / scale.n_sites
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One of the paper's shape claims about an experiment's result.
+
+    ``holds(result, scale)`` returns a ``bool`` for a result produced at
+    ``scale``.  Thresholds are written against the base rate
+    (:func:`base_rate`) or are scale-free: orderings, ratios of drops, or
+    a fraction of the undefended accuracy.  ``benchmarks/test_claims.py``
+    asserts every claim at smoke scale; ``tools/generate_experiments.py``
+    reports which hold at its scale.
+    """
+
+    id: str
+    statement: str
+    holds: Callable[[Any, Scale], bool] = field(repr=False)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Identity of one experiment: id, paper reference, one-liner."""
+    """Identity of one experiment: id, paper reference, one-liner, claims."""
 
     id: str
     paper_ref: str = ""
     description: str = ""
+    claims: tuple[Claim, ...] = field(default=(), compare=False, repr=False)
 
 
 class Experiment(abc.ABC):
@@ -147,20 +172,31 @@ class ExperimentHandle:
 _REGISTRY: Dict[str, ExperimentHandle] = {}
 
 
-def register(experiment_id: str, paper_ref: str = "", description: str = ""):
+def register(
+    experiment_id: str,
+    paper_ref: str = "",
+    description: str = "",
+    claims: Sequence[Claim] = (),
+):
     """Decorator registering a ``run(ctx, **extras)`` experiment function.
 
     Returns an :class:`ExperimentHandle`, so the module-level ``run``
-    name stays callable (``module.run(ctx, **extras)``).
+    name stays callable (``module.run(ctx, **extras)``).  Claim ids are
+    unique across the registry.
     """
 
     def wrap(fn: Callable[..., ExperimentResult]) -> ExperimentHandle:
         if experiment_id in _REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
+        ids = [claim.id for claim in claims] + [claim.id for _, claim in all_claims()]
+        duplicates = sorted({claim_id for claim_id in ids if ids.count(claim_id) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate claim ids {duplicates}")
         doc = (fn.__doc__ or "").strip()
         summary = description or (doc.splitlines()[0] if doc else "")
         spec = ExperimentSpec(
-            id=experiment_id, paper_ref=paper_ref, description=summary
+            id=experiment_id, paper_ref=paper_ref, description=summary,
+            claims=tuple(claims),
         )
         handle = ExperimentHandle(FunctionExperiment(spec, fn))
         _REGISTRY[experiment_id] = handle
@@ -210,3 +246,8 @@ def list_experiments() -> list[str]:
 def all_specs() -> list[ExperimentSpec]:
     """Specs of every registered experiment, sorted by id."""
     return [_REGISTRY[experiment_id].spec for experiment_id in sorted(_REGISTRY)]
+
+
+def all_claims() -> list[tuple[str, Claim]]:
+    """Every registered ``(experiment id, claim)`` pair, sorted by id."""
+    return [(spec.id, claim) for spec in all_specs() for claim in spec.claims]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.collector import TraceCollector
 from repro.core.trace import Trace
-from repro.experiments.base import ExperimentResult, format_rows, register, sparkline
+from repro.experiments.base import Claim, ExperimentResult, format_rows, register, sparkline
 from repro.sim.events import MS
 from repro.sim.machine import MachineConfig
 from repro.workload.browser import CHROME, LINUX
@@ -51,10 +51,33 @@ class Fig3Result(ExperimentResult):
         return "Figure 3: example loop-counting traces\n" + format_rows(header, rows)
 
 
+def _front_loaded(result: Fig3Result, scale) -> bool:
+    marquee = ("nytimes.com", "amazon.com")
+    vectors = [trace.to_vector() for trace in result.traces if trace.label in marquee]
+    halves = [(v[: len(v) // 2].mean(), v[len(v) // 2 :].mean()) for v in vectors]
+    return len(halves) == 2 and all(early < late for early, late in halves)
+
+
+CLAIMS = (
+    Claim("fig3.counter-ceiling",
+          "The largest counter, in P = 5 ms equivalents, lies between 24 000 and 29 000 "
+          "(paper: ~27 000).",
+          lambda r, s: 24_000 <= r.counter_range()[1] * 5.0 / r.period_ms <= 29_000),
+    Claim("fig3.interrupt-dips",
+          "Every trace dips below 0.93 x its maximum in interrupt-heavy phases (the dark bands).",
+          lambda r, s: all(t.to_vector().min() < 0.93 * t.to_vector().max() for t in r.traces)),
+    Claim("fig3.front-loaded",
+          "nytimes.com and amazon.com count less in the first half of the trace than in "
+          "the second.",
+          _front_loaded),
+)
+
+
 @register(
     "fig3",
     paper_ref="Figure 3",
     description="example loop-counting traces for three marquee websites",
+    claims=CLAIMS,
 )
 def run(ctx) -> Fig3Result:
     """Collect one loop-counting trace per marquee site."""

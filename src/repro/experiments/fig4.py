@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.collector import TraceCollector
 from repro.core.trace import average_traces
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, format_rows, register
 from repro.sim.events import MS
 from repro.sim.machine import MachineConfig
 from repro.stats.summary import pearson_r
@@ -43,10 +43,24 @@ class Fig4Result(ExperimentResult):
         )
 
 
+def _strong_correlation(result: Fig4Result, scale) -> bool:
+    correlations = [row.correlation for row in result.rows]
+    return bool(min(correlations) > 0.55 and sum(correlations) / len(correlations) > 0.65)
+
+
+CLAIMS = (
+    Claim("fig4.strong-correlation",
+          "The attackers' averaged traces correlate above 0.55 on every site and above 0.65 "
+          "on average (paper: 0.79-0.94).",
+          _strong_correlation),
+)
+
+
 @register(
     "fig4",
     paper_ref="Figure 4",
     description="loop- vs sweep-counting averaged-trace correlation",
+    claims=CLAIMS,
 )
 def run(ctx) -> Fig4Result:
     """Average n runs per attacker per site and correlate them."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, format_rows, register, sparkline
+from repro.experiments.base import Claim, ExperimentResult, format_rows, register, sparkline
 from repro.sim.events import MS, seconds_to_ns
 from repro.sim.interrupts import InterruptType
 from repro.sim.machine import InterruptSynthesizer, MachineConfig, MachineRun
@@ -110,10 +110,42 @@ def _simulate_runs(
     return [_simulate_one(task) for task in tasks]
 
 
+def _row(result: Fig5Result, site: str) -> Fig5Row:
+    return next(row for row in result.rows if row.site == site)
+
+
+def _tracks_activity(result: Fig5Result, scale) -> bool:
+    profile = _row(result, "nytimes.com").total_fraction
+    n = len(profile)
+    return bool(profile[: n // 2].mean() > 1.5 * profile[3 * n // 4 :].mean())
+
+
+CLAIMS = (
+    Claim("fig5.interrupts-explain-gaps",
+          "Over 99 % of more than 500 attacker-visible gaps above 100 ns are attributed to "
+          "interrupts.",
+          lambda r, s: r.n_gaps > 500 and r.attributed_fraction > 0.99),
+    Claim("fig5.weather-resched-heavy",
+          "Rescheduling takes over twice the share of handler time on weather.com that it "
+          "takes on amazon.com.",
+          lambda r, s: _row(r, "weather.com").resched_share()
+          > 2 * _row(r, "amazon.com").resched_share()),
+    Claim("fig5.handler-time-tracks-activity",
+          "nytimes.com's handler time over its first half averages over 1.5 x that of its "
+          "last quarter.",
+          _tracks_activity),
+    Claim("fig5.peak-handler-share",
+          "Every site's peak handler-time share lies between 1 % and 25 % of CPU time "
+          "(paper: ~5 %).",
+          lambda r, s: all(0.01 < row.total_fraction.max() < 0.25 for row in r.rows)),
+)
+
+
 @register(
     "fig5",
     paper_ref="Figure 5 / §5.2",
     description="interrupt handler-time profiles and gap attribution",
+    claims=CLAIMS,
 )
 def run(ctx) -> Fig5Result:
     """Instrument runs with the eBPF tracer; aggregate handler time."""

@@ -18,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, format_rows, register, sparkline
+from repro.experiments.base import Claim, ExperimentResult, format_rows, register, sparkline
 from repro.sim.events import US, seconds_to_ns
 from repro.sim.interrupts import InterruptType
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
@@ -74,10 +74,35 @@ def _simulate_load(task):
     return synthesizer.synthesize(timeline, style=site.style, rng=rng)
 
 
+def _softirqs_broadest(result: Fig6Result, scale) -> bool:
+    spread = {itype: hist.samples.std() for itype, hist in result.histograms.items()}
+    softirq = spread[InterruptType.SOFTIRQ_NET_RX]
+    return bool(softirq > max(spread[InterruptType.NETWORK_RX], spread[InterruptType.TIMER]))
+
+
+CLAIMS = (
+    Claim("fig6.meltdown-floor",
+          "Every interrupt type shows over 50 gaps, none shorter than 1.5 µs.",
+          lambda r, s: all(hist.n_samples > 50 and hist.min_ns() >= 1.5 * US - 1e-6
+                           for hist in r.histograms.values())),
+    Claim("fig6.timer-mode-above-network",
+          "Timer-interrupt gaps peak at a longer length than network-receive gaps.",
+          lambda r, s: r.histograms[InterruptType.TIMER].mode_ns()
+          > r.histograms[InterruptType.NETWORK_RX].mode_ns()),
+    Claim("fig6.softirqs-broadest",
+          "Softirq gap lengths spread wider than network-receive or timer gaps.",
+          _softirqs_broadest),
+    Claim("fig6.irq-work-rides-timer",
+          "Over 60 % of IRQ-work gaps also contain a timer tick.",
+          lambda r, s: r.irq_work_timer_coincidence > 0.6),
+)
+
+
 @register(
     "fig6",
     paper_ref="Figure 6",
     description="per-type distributions of interrupt-caused gap lengths",
+    claims=CLAIMS,
 )
 def run(ctx) -> Fig6Result:
     """Histogram gap lengths over many page loads.

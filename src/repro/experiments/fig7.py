@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, format_rows, register, sparkline
+from repro.experiments.base import Claim, ExperimentResult, format_rows, register, sparkline
 from repro.sim.events import MS
 from repro.experiments.fig8 import TIMER_LINEUP
 
@@ -62,10 +62,38 @@ class Fig7Result(ExperimentResult):
         )
 
 
+def _sample(result: Fig7Result, word: str) -> TimerSample:
+    return next(s for s in result.samples if word in s.name)
+
+
+def _randomized_wanders(result: Fig7Result, scale) -> bool:
+    ours, chrome = _sample(result, "ours"), _sample(result, "Chrome")
+    return ours.max_deviation_ms > 10 * chrome.max_deviation_ms and 3 <= ours.n_distinct <= 60
+
+
+CLAIMS = (
+    Claim("fig7.monotone",
+          "All three timers are monotone.",
+          lambda r, s: all(sample.monotonic for sample in r.samples)),
+    Claim("fig7.quantized-big-steps",
+          "Tor's quantizer takes at most 3 values in 200 ms and strays over 90 ms from real time.",
+          lambda r, s: _sample(r, "Tor").n_distinct <= 3
+          and _sample(r, "Tor").max_deviation_ms > 90),
+    Claim("fig7.jitter-within-2-delta",
+          "Chrome's jittered timer strays less than 0.2 ms (2Δ) from real time.",
+          lambda r, s: _sample(r, "Chrome").max_deviation_ms < 0.2),
+    Claim("fig7.randomized-wanders",
+          "The randomized timer strays over 10 x as far as Chrome's, in 3 to 60 random steps "
+          "at random times.",
+          _randomized_wanders),
+)
+
+
 @register(
     "fig7",
     paper_ref="Figure 7",
     description="observed-vs-real staircases for the three secure timers",
+    claims=CLAIMS,
 )
 def run(ctx, window_ms: float = 200.0) -> Fig7Result:
     """Sample each timer at 0.05 ms resolution over the window."""

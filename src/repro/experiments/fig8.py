@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, format_rows, register
 from repro.sim.events import MS
 from repro.timers.spec import (
     CHROME_TIMER,
@@ -70,10 +70,45 @@ class Fig8Result(ExperimentResult):
         raise KeyError(name_prefix)
 
 
+def _quantized_locks(result: Fig8Result, scale) -> bool:
+    lo, median, hi, std = result.sample_for("Quantized").stats()
+    return lo == median == hi == 100.0 and std == 0.0
+
+
+def _jitter_tight(result: Fig8Result, scale) -> bool:
+    lo, _, hi, std = result.sample_for("Jittered").stats()
+    return 4.8 <= lo and hi <= 5.2 and std < 0.2
+
+
+def _randomized_spread(result: Fig8Result, scale) -> bool:
+    _, _, hi, std = result.sample_for("Randomized").stats()
+    return std > 20 * result.sample_for("Jittered").stats()[3] and hi > 20.0
+
+
+CLAIMS = (
+    Claim("fig8.quantized-locks-to-100ms",
+          "Under Tor's quantizer every 5 ms loop spans exactly 100 ms.",
+          _quantized_locks),
+    Claim("fig8.jitter-tight",
+          "Under Chrome's jitter a 5 ms loop spans 4.8-5.2 ms, with a standard deviation "
+          "under 0.2 ms.",
+          _jitter_tight),
+    Claim("fig8.randomized-spread",
+          "Under the randomized timer loop durations spread over 20 x wider than under "
+          "jitter, and some exceed 20 ms.",
+          _randomized_spread),
+    Claim("fig8.randomized-bounded",
+          "Randomized loop durations stay within 130 ms (the 100 ms resync threshold plus "
+          "one step).",
+          lambda r, s: bool(r.sample_for("Randomized").durations_ms.max() <= 130.0)),
+)
+
+
 @register(
     "fig8",
     paper_ref="Figure 8",
     description="real duration of one attacker period under each timer",
+    claims=CLAIMS,
 )
 def run(ctx, period_ms: float = 5.0, n_periods: int = 400) -> Fig8Result:
     """Measure back-to-back period durations under each timer.

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.pipeline import FingerprintingPipeline, OpenWorldResult
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, base_rate, format_rows, register
 from repro.ml.crossval import CrossValResult
 from repro.sim.machine import MachineConfig
 from repro.stats.significance import TTestResult, students_t_test
@@ -112,10 +112,44 @@ class Table1Result(ExperimentResult):
         return sum(1 for row in self.rows if row.loop_wins_closed)
 
 
+def _loop_top1(result: Table1Result, tor: bool) -> list[float]:
+    """Loop-counting top-1 of the Tor rows (``tor``) or of every other row."""
+    rows = result.rows
+    return [r.loop_closed.top1.mean for r in rows if (r.browser == TOR_BROWSER.name) == tor]
+
+
+def _tor_degraded_but_alive(result: Table1Result, scale) -> bool:
+    tor, fast = _loop_top1(result, tor=True), _loop_top1(result, tor=False)
+    return bool(tor and fast) and 1.5 * base_rate(scale) < tor[0] < 0.9 * min(fast)
+
+
+def _open_world_catches_sensitive(result: Table1Result, scale) -> bool:
+    missed = [row.loop_open and row.loop_open.missed_sensitive_rate for row in result.rows]
+    return all(rate is not None and rate.mean < 0.40 for rate in missed)
+
+
+CLAIMS = (
+    Claim("table1.loop-beats-cache",
+          "Loop-counting matches or beats cache-occupancy in every configuration.",
+          lambda r, s: r.loop_win_count() == len(r.rows)),
+    Claim("table1.fast-browsers-accurate",
+          "In every browser but Tor, loop-counting top-1 exceeds 4.4 x the base rate.",
+          lambda r, s: all(acc > 4.4 * base_rate(s) for acc in _loop_top1(r, tor=False))),
+    Claim("table1.tor-degraded-but-alive",
+          "Tor's 100 ms timer holds loop-counting below 0.9 x the weakest other browser, "
+          "but above 1.5 x the base rate.",
+          _tor_degraded_but_alive),
+    Claim("table1.open-world-catches-sensitive",
+          "In the open world, every configuration misses under 40 % of sensitive visits.",
+          _open_world_catches_sensitive),
+)
+
+
 @register(
     "table1",
     paper_ref="Table 1",
     description="loop-counting vs cache-occupancy accuracy across browsers/OSes",
+    claims=CLAIMS,
 )
 def run(
     ctx,

@@ -19,7 +19,7 @@ from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.pipeline import FingerprintingPipeline
 from repro.defenses.cache_noise import CacheSweepNoise
 from repro.defenses.interrupt_noise import PAGE_LOAD_OVERHEAD, interrupt_noise_hooks
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, base_rate, format_rows, register
 from repro.ml.crossval import CrossValResult
 from repro.sim.machine import MachineConfig
 from repro.workload.browser import CHROME, LINUX
@@ -64,10 +64,39 @@ class Table2Result(ExperimentResult):
         )
 
 
+#: Least share of its no-noise accuracy that interrupt noise costs each attack.
+SEVERE_DROP = {"loop-counting": 0.30, "sweep-counting": 0.25}
+
+CLAIMS = (
+    Claim("table2.loop-beats-sweep",
+          "Without noise, loop-counting is more accurate than sweep-counting.",
+          lambda r, s: r.rows[0].no_noise.top1.mean > r.rows[1].no_noise.top1.mean),
+    Claim("table2.cache-noise-mild",
+          "Cache-sweep noise costs each attack less than 15 % of its no-noise accuracy.",
+          lambda r, s: all(row.drop_from_cache_noise() < 0.15 * row.no_noise.top1.mean
+                           for row in r.rows)),
+    Claim("table2.interrupt-noise-severe",
+          "Interrupt noise costs loop-counting over 30 % of its no-noise accuracy, "
+          "and sweep-counting over 25 %.",
+          lambda r, s: all(row.drop_from_interrupt_noise()
+                           > SEVERE_DROP[row.attack] * row.no_noise.top1.mean for row in r.rows)),
+    Claim("table2.interrupt-noise-dominates",
+          "For each attack, interrupt noise costs over twice what cache-sweep noise costs, "
+          "plus 0.4 x the base rate.",
+          lambda r, s: all(row.drop_from_interrupt_noise()
+                           > 2 * max(row.drop_from_cache_noise(), 0.0) + 0.4 * base_rate(s)
+                           for row in r.rows)),
+    Claim("table2.page-load-overhead",
+          "The interrupt-noise extension stretches page loads 3.12 s -> 3.61 s (+15.7 %).",
+          lambda r, s: abs(r.page_load_overhead - 3.61 / 3.12) <= 1e-3),
+)
+
+
 @register(
     "table2",
     paper_ref="Table 2",
     description="both attacks under cache-sweep vs spurious-interrupt noise",
+    claims=CLAIMS,
 )
 def run(ctx) -> Table2Result:
     """Run both attacks under the three noise conditions."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.core.attacker import LoopCountingAttacker
 from repro.core.pipeline import FingerprintingPipeline
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, base_rate, format_rows, register
 from repro.isolation.ladder import isolation_ladder
 from repro.ml.crossval import CrossValResult
 from repro.timers.spec import NATIVE_TIMER
@@ -48,10 +48,33 @@ class Table3Result(ExperimentResult):
         return [row.result.top1.mean for row in self.rows]
 
 
+def _dvfs_and_pinning_barely_matter(result: Table3Result, scale) -> bool:
+    default, no_dvfs, pinned = result.accuracy_by_step()[:3]
+    return abs(default - no_dvfs) < 0.12 * default and abs(no_dvfs - pinned) < 0.12 * default
+
+
+CLAIMS = (
+    Claim("table3.attack-strong-by-default",
+          "With no isolation, the native attacker's top-1 exceeds 4.8 x the base rate.",
+          lambda r, s: r.rows[0].result.top1.mean > 4.8 * base_rate(s)),
+    Claim("table3.dvfs-and-pinning-barely-matter",
+          "Disabling frequency scaling, then pinning cores, each move top-1 by less than "
+          "12 % of the default rung's.",
+          _dvfs_and_pinning_barely_matter),
+    Claim("table3.attack-survives-every-rung",
+          "Every rung, all mechanisms together included, keeps top-1 above 3 x the base rate.",
+          lambda r, s: all(row.result.top1.mean > 3 * base_rate(s) for row in r.rows)),
+    Claim("table3.vm-does-not-help",
+          "Separate VMs keep top-1 at 97 % or more of the irqbalance rung's.",
+          lambda r, s: r.accuracy_by_step()[4] >= 0.97 * r.accuracy_by_step()[3]),
+)
+
+
 @register(
     "table3",
     paper_ref="Table 3",
     description="native loop-counting attack under incremental isolation",
+    claims=CLAIMS,
 )
 def run(ctx) -> Table3Result:
     """Evaluate the native attacker at every rung of the ladder.

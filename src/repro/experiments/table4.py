@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.core.attacker import LoopCountingAttacker
 from repro.core.pipeline import FingerprintingPipeline
 from repro.defenses.timer_defense import quantized_defense, randomized_defense
-from repro.experiments.base import ExperimentResult, format_rows, register
+from repro.experiments.base import Claim, ExperimentResult, base_rate, format_rows, register
 from repro.ml.crossval import CrossValResult
 from repro.sim.machine import MachineConfig
 from repro.timers.spec import CHROME_TIMER, TimerSpec
@@ -66,10 +66,45 @@ def _evaluate(timer: TimerSpec, period_ms: float, ctx) -> CrossValResult:
     return pipe.run_closed_world()
 
 
+def _top1(result: Table4Result) -> list[float]:
+    """Top-1 per row: jittered, quantized, randomized at P = 5/100/500 ms."""
+    return [row.result.top1.mean for row in result.rows]
+
+
+def _defense_ordering(result: Table4Result, scale) -> bool:
+    jittered, quantized, randomized = _top1(result)[:3]
+    return randomized < quantized < 0.95 * jittered and randomized < jittered / 2
+
+
+def _longer_periods_do_not_rescue(result: Table4Result, scale) -> bool:
+    jittered, _, _, p100, p500 = _top1(result)
+    base = base_rate(scale)
+    return max(p100, p500) < 0.6 * jittered and p100 < 7 * base and p500 < 12 * base
+
+
+CLAIMS = (
+    Claim("table4.jittered-does-not-defend",
+          "Chrome's jittered timer leaves top-1 above 4.8 x the base rate.",
+          lambda r, s: _top1(r)[0] > 4.8 * base_rate(s)),
+    Claim("table4.defense-ordering",
+          "Randomized (P = 5 ms) < quantized < 0.95 x jittered, and randomized is below "
+          "half of jittered.",
+          _defense_ordering),
+    Claim("table4.randomized-near-chance",
+          "The randomized timer at P = 5 ms holds top-1 below 3.5 x the base rate.",
+          lambda r, s: _top1(r)[2] < 3.5 * base_rate(s)),
+    Claim("table4.longer-periods-do-not-rescue",
+          "At P = 100 and 500 ms the randomized timer keeps top-1 below 0.6 x jittered, "
+          "and below 7 x and 12 x the base rate.",
+          _longer_periods_do_not_rescue),
+)
+
+
 @register(
     "table4",
     paper_ref="Table 4",
     description="timer defenses vs the loop-counting attack",
+    claims=CLAIMS,
 )
 def run(ctx) -> Table4Result:
     """Evaluate each timer configuration of Table 4."""

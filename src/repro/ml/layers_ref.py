@@ -120,8 +120,7 @@ class ReferenceAdam(Adam):
         bias2 = 1.0 - self.beta2**self._t
         for key, param in params.items():
             grad = grads[key]
-            m = self._m.setdefault(key, np.zeros_like(param))
-            v = self._v.setdefault(key, np.zeros_like(param))
+            m, v, _, _ = self._slots(key, param)
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

@@ -40,7 +40,9 @@ class SGD(Optimizer):
         for key, param in params.items():
             grad = grads[key]
             if self.momentum:
-                v = self._velocity.setdefault(key, np.zeros_like(param))
+                v = self._velocity.get(key)
+                if v is None:
+                    v = self._velocity[key] = np.zeros_like(param)
                 v *= self.momentum
                 v -= self.learning_rate * grad
                 param += v
@@ -66,10 +68,22 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m: Dict[ParamKey, np.ndarray] = {}
-        self._v: Dict[ParamKey, np.ndarray] = {}
-        self._scratch: Dict[ParamKey, Tuple[np.ndarray, np.ndarray]] = {}
+        #: Per parameter: first moment m, second moment v and two scratch
+        #: buffers, allocated on the parameter's first step.
+        self._state: Dict[ParamKey, Tuple[np.ndarray, ...]] = {}
         self._t = 0
+
+    def _slots(self, key: ParamKey, param: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(m, v, a, b)`` for one parameter, created on its first step."""
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = (
+                np.zeros_like(param),
+                np.zeros_like(param),
+                np.empty_like(param),
+                np.empty_like(param),
+            )
+        return state
 
     def step(self, params, grads) -> None:
         self._t += 1
@@ -77,11 +91,7 @@ class Adam(Optimizer):
         bias2 = 1.0 - self.beta2**self._t
         for key, param in params.items():
             grad = grads[key]
-            m = self._m.setdefault(key, np.zeros_like(param))
-            v = self._v.setdefault(key, np.zeros_like(param))
-            if key not in self._scratch:
-                self._scratch[key] = (np.empty_like(param), np.empty_like(param))
-            a, b = self._scratch[key]
+            m, v, a, b = self._slots(key, param)
             # m += (1 - beta1) * grad
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, grad, out=a)

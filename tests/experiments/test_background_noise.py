@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import background_noise
 from repro.engine import RunContext
 from tests.conftest import TINY
+from tests.experiments import assert_claims_return_bools
 
 
 class TestBackgroundNoise:
@@ -22,3 +23,6 @@ class TestBackgroundNoise:
 
     def test_format(self, result):
         assert "Slack + Spotify" in result.format_table()
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("background-noise", result, TINY)

@@ -8,6 +8,7 @@ from repro.sim.events import US
 from repro.sim.interrupts import InterruptType
 from repro.engine import RunContext
 from tests.conftest import TINY
+from tests.experiments import assert_claims_return_bools
 
 
 class TestFig3:
@@ -31,6 +32,9 @@ class TestFig3:
         table = result.format_table()
         assert "nytimes.com" in table and "Figure 3" in table
 
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("fig3", result, TINY)
+
 
 class TestFig4:
     @pytest.fixture(scope="class")
@@ -46,6 +50,9 @@ class TestFig4:
         assert [r.site for r in result.rows] == [
             "nytimes.com", "amazon.com", "weather.com",
         ]
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("fig4", result, TINY)
 
 
 class TestFig5:
@@ -71,6 +78,9 @@ class TestFig5:
         """Fig 5's y-axis tops out around ~5-7 % of time in handlers."""
         for row in result.rows:
             assert 0.5 < row.peak_percent() < 25.0
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("fig5", result, TINY)
 
 
 class TestFig6:
@@ -100,6 +110,9 @@ class TestFig6:
         network = result.histograms[InterruptType.NETWORK_RX].samples
         assert softirq.std() > network.std()
 
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("fig6", result, TINY)
+
 
 class TestFig7:
     @pytest.fixture(scope="class")
@@ -120,6 +133,9 @@ class TestFig7:
     def test_chrome_bound(self, result):
         chrome = next(s for s in result.samples if "Chrome" in s.name)
         assert chrome.max_deviation_ms < 0.2  # < 2Δ
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("fig7", result, TINY)
 
 
 class TestFig8:
@@ -145,3 +161,6 @@ class TestFig8:
         lo, med, hi, std = sample.stats()
         assert hi > 15.0
         assert std > 3.0
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("fig8", result, TINY)

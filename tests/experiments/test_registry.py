@@ -6,8 +6,10 @@ from repro.cli import main
 from repro.engine import RunContext
 from repro.experiments import runner  # noqa: F401  (populates the registry)
 from repro.experiments.base import (
+    Claim,
     ExperimentHandle,
     ExperimentSpec,
+    all_claims,
     all_specs,
     format_rows,
     get_experiment,
@@ -47,6 +49,24 @@ class TestRegistry:
     def test_suggestions_rank_near_misses(self):
         assert suggest_experiment("tabel1")[0] == "table1"
         assert suggest_experiment("zzzzzz") == []
+
+
+class TestClaims:
+    def test_claim_ids_unique(self):
+        ids = [claim.id for _, claim in all_claims()]
+        assert len(ids) == len(set(ids))
+
+    def test_every_table_and_figure_declares_claims(self):
+        declared = {experiment_id for experiment_id, _ in all_claims()}
+        assert declared == set(list_experiments()) - {"ablation-timer"}
+
+    @pytest.mark.parametrize("reuse", ["registered", "twice"])
+    def test_duplicate_claim_id_rejected(self, reuse):
+        claim = Claim("fig7.monotone-copy", "copy", lambda result, scale: True)
+        claims = [get_spec("fig7").claims[0]] if reuse == "registered" else [claim, claim]
+        with pytest.raises(ValueError, match="duplicate claim ids"):
+            register(f"claims-{reuse}", claims=claims)(lambda ctx: None)
+        assert f"claims-{reuse}" not in list_experiments()
 
 
 class TestExperimentHandle:

@@ -2,7 +2,9 @@
 
 These run the full attack pipelines at a very small scale, so they check
 plumbing and gross shape, not the paper's quantitative orderings — those
-are validated by the benchmark harness at larger scales.
+are the shape claims each experiment declares, asserted at smoke scale by
+``benchmarks/test_claims.py``.  Here every claim only has to return a
+``bool``.
 """
 
 import pytest
@@ -11,6 +13,7 @@ from repro.experiments import table1, table2, table3, table4
 from repro.workload.browser import CHROME, LINUX
 from repro.engine import RunContext
 from tests.conftest import TINY
+from tests.experiments import assert_claims_return_bools
 
 
 class TestTable1:
@@ -59,6 +62,9 @@ class TestTable1:
     def test_full_grid_is_the_papers(self):
         assert len(table1.TABLE1_CONFIGS) == 8
 
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("table1", result, TINY)
+
 
 class TestTable2:
     @pytest.fixture(scope="class")
@@ -74,6 +80,9 @@ class TestTable2:
 
     def test_page_load_overhead_reported(self, result):
         assert "+15.7%" in result.format_table()
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("table2", result, TINY)
 
 
 class TestTable3:
@@ -93,6 +102,9 @@ class TestTable3:
 
     def test_accuracy_by_step(self, result):
         assert len(result.accuracy_by_step()) == 5
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("table3", result, TINY)
 
 
 class TestTable4:
@@ -114,3 +126,6 @@ class TestTable4:
 
     def test_base_rate_reported(self, result):
         assert result.base_rate == pytest.approx(1.0 / TINY.n_sites)
+
+    def test_claims_return_bools(self, result):
+        assert_claims_return_bools("table4", result, TINY)

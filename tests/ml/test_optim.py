@@ -8,6 +8,16 @@ from repro.ml.optim import SGD, Adam
 from repro.verify.compare import diff_structures
 
 
+def forbid_allocation(monkeypatch):
+    """Make any further optimizer-state allocation fail the test."""
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("optimizer state allocated after the first step")
+
+    monkeypatch.setattr(np, "zeros_like", allocate)
+    monkeypatch.setattr(np, "empty_like", allocate)
+
+
 def quadratic_descent(optimizer, steps=300, start=5.0):
     """Minimize f(x) = x^2 with the given optimizer; return final |x|."""
     x = np.array([start])
@@ -36,6 +46,14 @@ class TestSGD:
         x = np.array([1.0])
         SGD(learning_rate=0.5).step({(0, "x"): x}, {(0, "x"): np.array([1.0])})
         assert x[0] == 0.5
+
+    def test_velocity_allocated_on_first_step_only(self, monkeypatch):
+        x = np.array([1.0, 2.0])
+        sgd = SGD(learning_rate=0.1, momentum=0.9)
+        sgd.step({(0, "x"): x}, {(0, "x"): np.array([1.0, -1.0])})
+        forbid_allocation(monkeypatch)
+        sgd.step({(0, "x"): x}, {(0, "x"): np.array([1.0, -1.0])})
+        assert x[0] < 1.0 and x[1] > 2.0
 
 
 class TestAdam:
@@ -66,6 +84,15 @@ class TestAdam:
         adam = Adam(learning_rate=0.1)
         adam.step({(0, "x"): x, (1, "x"): y}, {(0, "x"): np.array([1.0]), (1, "x"): np.array([-1.0])})
         assert x[0] < 1.0 < y[0]
+
+    def test_state_allocated_on_first_step_only(self, monkeypatch):
+        """m, v and the scratch buffers are made once per parameter."""
+        x = np.array([1.0, 2.0])
+        adam = Adam(learning_rate=0.1)
+        adam.step({(0, "x"): x}, {(0, "x"): np.array([1.0, -1.0])})
+        forbid_allocation(monkeypatch)
+        adam.step({(0, "x"): x}, {(0, "x"): np.array([1.0, -1.0])})
+        assert x[0] < 1.0 and x[1] > 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
