@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SMOKE
-from repro.engine import RunContext
+from repro.engine import RunContext, TraceCache
 from repro.experiments import runner  # noqa: F401  (populates the registry)
 from repro.experiments.base import all_claims, run_experiment
 from repro.workload.browser import CHROME, LINUX, MACOS, SAFARI, TOR_BROWSER
@@ -51,7 +51,7 @@ def smoke_result(results_dir):
         if experiment_id not in done:
             archive_name, overrides, extras = SMOKE_RUNS[experiment_id]
             scale = SMOKE.with_(**overrides)
-            ctx = RunContext.default(scale=scale, seed=0)
+            ctx = RunContext.default(scale=scale, seed=0, cache=TraceCache())
             result = run_experiment(experiment_id, ctx, **extras)
             path = results_dir / f"{archive_name}.txt"
             path.write_text(result.format_table() + "\n")

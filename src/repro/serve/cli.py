@@ -14,10 +14,11 @@ recording weights, label classes and training provenance.
 ``serve`` loads artifacts into a :class:`~repro.serve.server.FingerprintServer`
 and answers JSON-Lines requests on stdin — one object per line, e.g.
 ``{"id": 7, "vector": [24871, ...], "deadline_ms": 50}`` — with one
-JSON result per line on stdout.  Batching, backpressure and queue
-limits honor ``BIGGERFISH_SERVE_MAX_BATCH`` /
-``BIGGERFISH_SERVE_MAX_WAIT_MS`` / ``BIGGERFISH_SERVE_QUEUE`` (flags
-override).
+JSON result per line on stdout.  It answers one line before reading the
+next, so each request is a batch of its own; each answer reports its
+queue wait and model time (``wait_ms``, ``compute_ms``).  Batch size and
+queue limits honor ``BIGGERFISH_SERVE_MAX_BATCH`` /
+``BIGGERFISH_SERVE_QUEUE`` (flags override).
 
 ``predict`` is the evaluation loop in one command: collect fresh
 evaluation traces (disjoint trace indices from training), classify them
@@ -50,10 +51,6 @@ def _add_server_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-batch", type=int, default=None,
         help="largest micro-batch (default: BIGGERFISH_SERVE_MAX_BATCH or 32)",
-    )
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=None,
-        help="batching window in ms (default: BIGGERFISH_SERVE_MAX_WAIT_MS or 2)",
     )
     parser.add_argument(
         "--queue", type=int, default=None,
@@ -203,14 +200,13 @@ def _serve(args: argparse.Namespace) -> int:
     server = FingerprintServer(
         registry,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.queue,
     )
     served = 0
     with server:
         print(
             f"serving {registry.names()} (max_batch={server.max_batch}, "
-            f"max_wait_ms={server.max_wait_ms:g}, queue={server.max_queue})",
+            f"queue={server.max_queue})",
             file=sys.stderr,
         )
         for line in sys.stdin:
@@ -238,6 +234,8 @@ def _serve(args: argparse.Namespace) -> int:
                 response["label"] = result.label
                 response["confidence"] = round(result.confidence, 6)
                 response["batch_size"] = result.batch_size
+                response["wait_ms"] = round(result.wait_ms, 3)
+                response["compute_ms"] = round(result.compute_ms, 3)
                 if args.probs:
                     response["probs"] = [float(p) for p in result.probs]
             else:
@@ -276,7 +274,6 @@ def _predict(args: argparse.Namespace) -> int:
     server = FingerprintServer(
         registry,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.queue,
     )
     with server:

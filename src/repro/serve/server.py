@@ -3,10 +3,14 @@
 Classifying one trace at a time wastes the vectorized kernels every
 backend is built from: a Conv1D over a batch of 32 traces costs barely
 more than over one.  :class:`FingerprintServer` exploits that by
-queueing incoming requests and draining them in batches — accumulate up
-to ``max_batch`` requests for one model and trace length (waiting at
-most ``max_wait_ms`` for stragglers), run **one** ``predict_proba``
-call, and fan the rows back out to the waiting callers.  Because every
+queueing incoming requests and draining them in batches — take up to
+``max_batch`` queued requests for one model and trace length, run
+**one** ``predict_proba`` call, and fan the rows back out to the
+waiting callers.  Batching is work-conserving, as in Clipper's adaptive
+batching (Crankshaw et al., NSDI 2017): an idle worker dispatches
+whatever is queued at once and never waits for stragglers, and the
+requests that arrive while a batch computes form the next one, so
+batches fill under load without delaying a lone request.  Because every
 layer in both backends is row-independent, the batched probabilities
 are bit-identical to one-at-a-time calls — the tests assert this, and
 it is what makes the batcher safe to put in front of the paper's
@@ -23,13 +27,15 @@ Operational behavior:
 * **Structured errors** — every failure is a :class:`PredictResult`
   with ``ok=False`` and an ``error`` code from :data:`ERROR_CODES`;
   exceptions never propagate to other requests in the batch's queue.
-* **Observability** — queue depth, batch sizes, per-request latency and
-  error counts are exported through :mod:`repro.obs`, and every batch
-  runs under a ``serve.batch`` span.
+* **Observability** — queue depth, batch sizes, error counts and each
+  served request's queue wait, compute time and their sum are exported
+  through :mod:`repro.obs` (``serve.queue_ms``, ``serve.compute_ms``,
+  ``serve.latency_ms``), and every batch runs under a ``serve.batch``
+  span.
 
-Defaults come from ``BIGGERFISH_SERVE_MAX_BATCH``,
-``BIGGERFISH_SERVE_MAX_WAIT_MS`` and ``BIGGERFISH_SERVE_QUEUE`` when the
-corresponding constructor arguments are omitted.
+Defaults come from ``BIGGERFISH_SERVE_MAX_BATCH`` and
+``BIGGERFISH_SERVE_QUEUE`` when the corresponding constructor arguments
+are omitted.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from repro.serve.registry import LoadedModel, ModelRegistry
 ERROR_CODES = ("overloaded", "deadline", "model_error", "bad_input", "shutdown")
 
 MAX_BATCH_ENV_VAR = "BIGGERFISH_SERVE_MAX_BATCH"
-MAX_WAIT_ENV_VAR = "BIGGERFISH_SERVE_MAX_WAIT_MS"
 QUEUE_ENV_VAR = "BIGGERFISH_SERVE_QUEUE"
 
 
@@ -61,9 +66,10 @@ class PredictResult:
     ``ok`` requests carry the winning ``label``, its ``confidence`` and
     the full probability row; failed ones carry an ``error`` code from
     :data:`ERROR_CODES` plus a human-readable ``detail``.
-    ``batch_size`` records how many requests shared the model call and
-    ``wait_ms`` how long this one spent queued — both are observability
-    aids, not part of the prediction.
+    ``batch_size`` records how many requests shared the model call,
+    ``wait_ms`` how long this one spent queued (from submission to the
+    start of that call) and ``compute_ms`` how long the call took — all
+    observability aids, not part of the prediction.
     """
 
     ok: bool
@@ -74,6 +80,7 @@ class PredictResult:
     detail: str = ""
     batch_size: int = 0
     wait_ms: float = 0.0
+    compute_ms: float = 0.0
 
 
 def _failure(code: str, detail: str = "", wait_ms: float = 0.0) -> PredictResult:
@@ -113,14 +120,10 @@ class FingerprintServer:
         *,
         default_model: Optional[str] = None,
         max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
     ):
         max_batch = read_setting(
             max_batch, MAX_BATCH_ENV_VAR, 32, name="max_batch", minimum=1
-        )
-        max_wait_ms = read_setting(
-            max_wait_ms, MAX_WAIT_ENV_VAR, 2.0, name="max_wait_ms", convert=float
         )
         max_queue = read_setting(
             max_queue, QUEUE_ENV_VAR, 256, name="max_queue", minimum=1
@@ -136,7 +139,6 @@ class FingerprintServer:
         self.registry = registry
         self.default_model = default_model
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self._queue: "deque[_Pending]" = deque()
         self._cond = threading.Condition()
@@ -199,39 +201,7 @@ class FingerprintServer:
         deadline_ms: Optional[float] = None,
     ) -> _Pending:
         """Enqueue one trace vector; returns a waitable pending handle."""
-        obs.counter("serve.requests").inc()
-        now = time.monotonic()
-        deadline = now + deadline_ms / 1000.0 if deadline_ms is not None else None
-        name = model if model is not None else self.default_model
-        pending = _Pending(
-            vector=np.empty(0), model=name or "", enqueued=now, deadline=deadline
-        )
-        if name is None or name not in self.registry:
-            pending.resolve(_failure("bad_input", f"unknown model {name!r}"))
-            return pending
-        try:
-            array = np.asarray(vector, dtype=np.float64)
-            if array.ndim != 1 or array.size == 0:
-                raise ValueError(f"expected a 1-D trace vector, got shape {array.shape}")
-            if not np.all(np.isfinite(array)):
-                raise ValueError("trace vector contains NaN or infinity")
-        except (TypeError, ValueError) as exc:
-            pending.resolve(_failure("bad_input", str(exc)))
-            return pending
-        pending.vector = array
-        with self._cond:
-            if not self._running:
-                pending.resolve(_failure("shutdown", "server is not running"))
-                return pending
-            if len(self._queue) >= self.max_queue:
-                pending.resolve(
-                    _failure("overloaded", f"queue full ({self.max_queue})")
-                )
-                return pending
-            self._queue.append(pending)
-            obs.gauge("serve.queue_depth").set(len(self._queue))
-            self._cond.notify()
-        return pending
+        return self._enqueue([vector], model, deadline_ms)[0]
 
     def predict(
         self,
@@ -254,15 +224,70 @@ class FingerprintServer:
     ) -> List[PredictResult]:
         """Submit many vectors at once, wait for all results.
 
-        Submitting before waiting lets the worker pack them into full
-        batches — the natural bulk-classification entry point.
+        The vectors join the queue together and in order, so the worker
+        packs them into full batches of ``max_batch`` — the natural
+        bulk-classification entry point.  Those that do not fit in the
+        queue fail with ``overloaded``, and they are always the last.
         """
-        handles = [
-            self.submit(v, model=model, deadline_ms=deadline_ms) for v in vectors
-        ]
+        handles = self._enqueue(vectors, model, deadline_ms)
         for handle in handles:
             handle.done.wait()
         return [handle.result for handle in handles]
+
+    def _enqueue(
+        self, vectors: Sequence, model: Optional[str], deadline_ms: Optional[float]
+    ) -> List[_Pending]:
+        """Validate ``vectors`` and queue the valid ones in order.
+
+        The lock is taken and the worker notified once per call, so the
+        worker sees every vector of the call at the same time.
+        """
+        now = time.monotonic()
+        deadline = now + deadline_ms / 1000.0 if deadline_ms is not None else None
+        name = model if model is not None else self.default_model
+        handles = [self._validated(vector, name, now, deadline) for vector in vectors]
+        obs.counter("serve.requests").inc(len(handles))
+        with self._cond:
+            queued = 0
+            for pending in handles:
+                if pending.result is not None:
+                    continue
+                if not self._running:
+                    pending.resolve(_failure("shutdown", "server is not running"))
+                elif len(self._queue) >= self.max_queue:
+                    pending.resolve(
+                        _failure("overloaded", f"queue full ({self.max_queue})")
+                    )
+                else:
+                    self._queue.append(pending)
+                    queued += 1
+            if queued:
+                obs.gauge("serve.queue_depth").set(len(self._queue))
+                self._cond.notify()
+        return handles
+
+    def _validated(
+        self, vector, name: Optional[str], now: float, deadline: Optional[float]
+    ) -> _Pending:
+        """A handle for one request, already resolved as ``bad_input`` when
+        its model is unknown or its vector is not a finite 1-D trace."""
+        pending = _Pending(
+            vector=np.empty(0), model=name or "", enqueued=now, deadline=deadline
+        )
+        if name is None or name not in self.registry:
+            pending.resolve(_failure("bad_input", f"unknown model {name!r}"))
+            return pending
+        try:
+            array = np.asarray(vector, dtype=np.float64)
+            if array.ndim != 1 or array.size == 0:
+                raise ValueError(f"expected a 1-D trace vector, got shape {array.shape}")
+            if not np.all(np.isfinite(array)):
+                raise ValueError("trace vector contains NaN or infinity")
+        except (TypeError, ValueError) as exc:
+            pending.resolve(_failure("bad_input", str(exc)))
+            return pending
+        pending.vector = array
+        return pending
 
     # ------------------------------------------------------------------
     # batching worker
@@ -277,12 +302,14 @@ class FingerprintServer:
     def _next_batch(self) -> Optional[List[_Pending]]:
         """Block for the next batch; None when stopped and drained.
 
-        The idle wait is a plain notify-driven ``Condition.wait()`` —
-        ``submit`` and ``stop`` notify, so an idle server makes zero
-        wakeups between requests (the old ``wait(0.1)`` form polled the
-        empty queue ten times a second).  Only the batch-accumulation
-        phase uses a timed wait, against the real ``max_wait_ms``
-        deadline rather than a fixed polling interval.
+        Work-conserving: the worker never waits while a request is
+        queued.  It takes the oldest request together with every queued
+        request for the same model and length, up to ``max_batch``, and
+        runs them at once; requests that arrive while that batch
+        computes form the next one.  The only wait is the idle one, a
+        plain notify-driven ``Condition.wait()`` — ``submit`` and
+        ``stop`` notify, so an idle server makes zero wakeups between
+        requests.
         """
         with self._cond:
             while not self._queue:
@@ -290,23 +317,10 @@ class FingerprintServer:
                     return None
                 self._cond.wait()
                 self.worker_wakeups += 1
-            first = self._queue.popleft()
-        batch = [first]
-        wait_until = time.monotonic() + self.max_wait_ms / 1000.0
-        while len(batch) < self.max_batch:
-            with self._cond:
-                batch.extend(
-                    self._take_matching_locked(
-                        first.model, len(first.vector), self.max_batch - len(batch)
-                    )
-                )
-                if len(batch) >= self.max_batch:
-                    break
-                remaining = wait_until - time.monotonic()
-                if remaining <= 0 or not self._running:
-                    break
-                self._cond.wait(remaining)
-        with self._cond:
+            first = self._queue[0]
+            batch = self._take_matching_locked(
+                first.model, len(first.vector), self.max_batch
+            )
             obs.gauge("serve.queue_depth").set(len(self._queue))
         return batch
 
@@ -355,6 +369,7 @@ class FingerprintServer:
             return
         obs.counter("serve.batches").inc()
         obs.histogram("serve.batch_size").observe(float(len(live)))
+        started = time.monotonic()
         try:
             with obs.span("serve.batch", model=model_name, size=len(live)):
                 probs = self._classify(loaded, [p.vector for p in live])
@@ -363,15 +378,22 @@ class FingerprintServer:
             for pending in live:
                 pending.resolve(_failure("model_error", detail))
             return
-        done = time.monotonic()
+        compute_ms = (time.monotonic() - started) * 1000.0
+        # One sample per served request in each histogram, so a request's
+        # latency is its queue wait plus its batch's compute time.
+        queue_hist = obs.histogram("serve.queue_ms")
+        compute_hist = obs.histogram("serve.compute_ms")
+        latency_hist = obs.histogram("serve.latency_ms")
         for pending, row in zip(live, probs):
             index = int(row.argmax())
             if loaded.classes is not None and index < len(loaded.classes):
                 label = loaded.classes[index]
             else:
                 label = str(index)
-            wait_ms = (done - pending.enqueued) * 1000.0
-            obs.histogram("serve.latency_ms").observe(wait_ms)
+            wait_ms = (started - pending.enqueued) * 1000.0
+            queue_hist.observe(wait_ms)
+            compute_hist.observe(compute_ms)
+            latency_hist.observe(wait_ms + compute_ms)
             pending.resolve(
                 PredictResult(
                     ok=True,
@@ -380,6 +402,7 @@ class FingerprintServer:
                     probs=row,
                     batch_size=len(live),
                     wait_ms=wait_ms,
+                    compute_ms=compute_ms,
                 )
             )
 
@@ -400,7 +423,6 @@ class FingerprintServer:
 __all__ = [
     "ERROR_CODES",
     "MAX_BATCH_ENV_VAR",
-    "MAX_WAIT_ENV_VAR",
     "QUEUE_ENV_VAR",
     "FingerprintServer",
     "PredictResult",

@@ -293,10 +293,9 @@ def _serve_batched(case: Case) -> dict:
         registry = ModelRegistry()
         registry.add("default", artifact)
         # One batch for everything: batched == direct bit-identity holds
-        # per predict_proba call, so the oracle forces a single call.
-        with FingerprintServer(
-            registry, max_batch=len(x_eval), max_wait_ms=100.0
-        ) as server:
+        # per predict_proba call, and predict_many queues every vector at
+        # once, so a batch as large as the matrix makes a single call.
+        with FingerprintServer(registry, max_batch=len(x_eval)) as server:
             results = server.predict_many(list(x_eval))
     failed = [r for r in results if not r.ok]
     if failed:

@@ -55,6 +55,7 @@ class TestServeJsonl:
         assert [r["id"] for r in responses] == [0, 1, 2]
         assert all(r["ok"] for r in responses)
         assert all("label" in r and "confidence" in r for r in responses)
+        assert all(r["wait_ms"] >= 0.0 and r["compute_ms"] > 0.0 for r in responses)
 
     def test_probs_flag_includes_rows(self, artifact_dir, dataset, monkeypatch, capsys):
         x, _ = dataset

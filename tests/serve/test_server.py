@@ -1,21 +1,52 @@
 """Tests for the micro-batching fingerprint server."""
 
+import statistics
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.ml.artifact import load_artifact
+from repro.obs.metrics import active_registry
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     ERROR_CODES,
     MAX_BATCH_ENV_VAR,
-    MAX_WAIT_ENV_VAR,
     QUEUE_ENV_VAR,
     FingerprintServer,
     _Pending,
 )
+
+
+class _Gate:
+    """The registry model's ``predict_proba``, with its first call held
+    until ``release`` is set; ``sizes`` records each call's row count."""
+
+    def __init__(self, registry):
+        self.loaded = registry.get("default")
+        self.original = self.loaded.model.predict_proba
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sizes = []
+
+    def __call__(self, batch):
+        self.sizes.append(len(batch))
+        if len(self.sizes) == 1:
+            self.entered.set()
+            self.release.wait(5.0)
+        return self.original(batch)
+
+
+@pytest.fixture()
+def gate(registry):
+    gate = _Gate(registry)
+    gate.loaded.model.predict_proba = gate
+    yield gate
+    gate.release.set()
+    gate.loaded.model.predict_proba = gate.original
 
 
 class TestBatchingCorrectness:
@@ -24,7 +55,7 @@ class TestBatchingCorrectness:
         bit-identical to direct evaluation, row for row."""
         x, _ = dataset
         direct = model.predict_proba(x)
-        with FingerprintServer(registry, max_batch=8, max_wait_ms=20.0) as server:
+        with FingerprintServer(registry, max_batch=8) as server:
             results = server.predict_many(list(x))
         assert all(r.ok for r in results)
         np.testing.assert_array_equal(direct, np.stack([r.probs for r in results]))
@@ -36,9 +67,9 @@ class TestBatchingCorrectness:
         orders inside BLAS.  (Bit-exactness against a same-shape direct
         call is asserted in test_batched_equals_direct.)"""
         x, _ = dataset
-        with FingerprintServer(registry, max_batch=1, max_wait_ms=0.0) as server:
+        with FingerprintServer(registry, max_batch=1) as server:
             singles = [server.predict(row) for row in x[:8]]
-        with FingerprintServer(registry, max_batch=8, max_wait_ms=20.0) as server:
+        with FingerprintServer(registry, max_batch=8) as server:
             batched = server.predict_many(list(x[:8]))
         for single, multi in zip(singles, batched):
             assert single.label == multi.label
@@ -57,10 +88,10 @@ class TestBatchingCorrectness:
 
     def test_requests_actually_batch(self, registry, dataset):
         x, _ = dataset
-        with FingerprintServer(registry, max_batch=8, max_wait_ms=50.0) as server:
+        with FingerprintServer(registry, max_batch=8) as server:
             results = server.predict_many(list(x[:8]))
         assert all(r.ok for r in results)
-        # predict_many submits everything before waiting, so the worker
+        # predict_many queues everything before waiting, so the worker
         # can pack full batches (>1 proves fan-in happened).
         assert max(r.batch_size for r in results) > 1
 
@@ -73,7 +104,7 @@ class TestBatchingCorrectness:
         registry = ModelRegistry()
         registry.add("default", legacy_artifact_dir)
         model = load_artifact(legacy_artifact_dir)
-        with FingerprintServer(registry, max_batch=8, max_wait_ms=200.0) as server:
+        with FingerprintServer(registry, max_batch=8) as server:
             results = server.predict_many([x[0], x[1][:90], x[2]])
         assert all(r.ok for r in results)
         assert [r.batch_size for r in results] == [2, 1, 2]
@@ -83,6 +114,112 @@ class TestBatchingCorrectness:
         np.testing.assert_array_equal(
             results[1].probs, model.predict_proba(x[1][:90][None])[0]
         )
+
+
+class TestWorkConserving:
+    def test_lone_request_is_not_held(self, registry, dataset):
+        """An idle worker dispatches a lone request at once; no batching
+        window delays it."""
+        x, _ = dataset
+        with FingerprintServer(registry) as server:
+            assert server.predict(x[0]).ok  # load the model
+            round_trips = []
+            for row in x[:20]:
+                started = time.perf_counter()
+                assert server.predict(row).ok
+                round_trips.append(time.perf_counter() - started)
+        assert statistics.median(round_trips) < 0.002
+
+    def test_arrivals_during_compute_form_the_next_batch(self, registry, dataset, gate):
+        x, _ = dataset
+        with FingerprintServer(registry, max_batch=8) as server:
+            lone = server.submit(x[0])
+            assert gate.entered.wait(5.0)
+            queued = [server.submit(row) for row in x[1:4]]
+            gate.release.set()
+            for handle in [lone, *queued]:
+                assert handle.done.wait(5.0)
+        assert gate.sizes == [1, 3]
+        assert lone.result.batch_size == 1
+        assert [h.result.batch_size for h in queued] == [3, 3, 3]
+
+    def test_concurrent_callers_each_get_their_rows(self, registry, model, dataset):
+        """Six threads, half calling ``predict`` row by row and half
+        ``predict_many``, with a short switch interval: every request is
+        answered, with its own row's label."""
+        x, _ = dataset
+        expected = list(model.predict_proba(x).argmax(axis=1))
+        answers = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FingerprintServer(registry, max_batch=4) as server:
+
+                def client(k):
+                    if k % 2:
+                        answers[k] = server.predict_many(list(x))
+                    else:
+                        answers[k] = [server.predict(row) for row in x]
+
+                threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(answers) == list(range(6))
+        for results in answers.values():
+            assert all(r.ok for r in results)
+            assert [int(r.probs.argmax()) for r in results] == expected
+
+    def test_predict_many_refuses_only_the_overflow(self, registry, dataset):
+        x, _ = dataset
+        with FingerprintServer(registry, max_queue=8) as server:
+            results = server.predict_many(list(x[:11]))
+        assert [r.ok for r in results] == [True] * 8 + [False] * 3
+        assert {r.error for r in results[8:]} == {"overloaded"}
+
+
+class TestTimings:
+    def test_wait_and_compute_are_timed_apart(self, registry, dataset, gate):
+        """``wait_ms`` ends where the model call starts; ``compute_ms`` is
+        that call."""
+        x, _ = dataset
+        with FingerprintServer(registry, max_batch=8) as server:
+            first = server.submit(x[0])
+            assert gate.entered.wait(5.0)
+            queued = [server.submit(row) for row in x[1:4]]
+            time.sleep(0.05)
+            gate.release.set()
+            for handle in [first, *queued]:
+                assert handle.done.wait(5.0)
+        assert first.result.compute_ms >= 50.0
+        assert first.result.wait_ms < 50.0
+        assert all(h.result.wait_ms >= 50.0 for h in queued)
+        assert all(h.result.compute_ms < first.result.compute_ms for h in queued)
+
+    def test_timings_reach_the_histograms(self, registry, dataset, tmp_path, monkeypatch):
+        """One sample per served request in each histogram, and a
+        request's latency is its queue wait plus its compute time."""
+        x, _ = dataset
+        monkeypatch.delenv(obs.PROFILE_DIR_ENV_VAR, raising=False)
+        obs.enable(tmp_path / "spool")
+        try:
+            with FingerprintServer(registry, max_batch=4) as server:
+                results = server.predict_many(list(x[:10]))
+            histograms = active_registry().snapshot()["histograms"]
+        finally:
+            obs.disable()
+        assert all(r.ok for r in results)
+        queue, compute = histograms["serve.queue_ms"], histograms["serve.compute_ms"]
+        assert queue["count"] == compute["count"] == 10
+        assert queue["sum"] == pytest.approx(sum(r.wait_ms for r in results))
+        assert compute["sum"] == pytest.approx(sum(r.compute_ms for r in results))
+        latency = histograms["serve.latency_ms"]
+        assert latency["count"] == 10
+        assert latency["sum"] == pytest.approx(queue["sum"] + compute["sum"])
 
 
 class TestErrorPaths:
@@ -110,7 +247,7 @@ class TestErrorPaths:
 
     def test_expired_deadline(self, registry, dataset):
         x, _ = dataset
-        with FingerprintServer(registry, max_wait_ms=30.0) as server:
+        with FingerprintServer(registry) as server:
             result = server.predict(x[0], deadline_ms=-1.0)
         assert not result.ok and result.error == "deadline"
         assert "queue" in result.detail
@@ -130,7 +267,7 @@ class TestErrorPaths:
         x, _ = dataset
         registry = ModelRegistry()
         registry.add("default", lstm_artifact_dir)
-        with FingerprintServer(registry, max_wait_ms=0.0) as server:
+        with FingerprintServer(registry) as server:
             good = server.predict(x[0])
             short = server.predict(x[0][:90])
         assert good.ok
@@ -139,7 +276,7 @@ class TestErrorPaths:
 
     def test_wrong_length_for_feature_model_fails(self, registry, dataset):
         x, _ = dataset
-        with FingerprintServer(registry, max_wait_ms=0.0) as server:
+        with FingerprintServer(registry) as server:
             good = server.predict(x[0])
             short = server.predict(x[0][:90])
         assert good.ok
@@ -150,51 +287,34 @@ class TestErrorPaths:
         x, _ = dataset
         registry = ModelRegistry()
         registry.add("default", lstm_artifact_dir)
-        with FingerprintServer(registry, max_batch=8, max_wait_ms=200.0) as server:
+        with FingerprintServer(registry, max_batch=8) as server:
             results = server.predict_many([x[0], x[1][:90], x[2]])
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].error == "model_error"
         assert [results[0].batch_size, results[2].batch_size] == [2, 2]
 
-    def test_backpressure_overloaded(self, registry, dataset):
+    def test_backpressure_overloaded(self, registry, dataset, gate):
         x, _ = dataset
-        loaded = registry.get("default")
-        release = threading.Event()
-        original = loaded.model.predict_proba
-
-        def slow(batch):
-            release.wait(5.0)
-            return original(batch)
-
-        loaded.model.predict_proba = slow
-        try:
-            server = FingerprintServer(
-                registry, max_batch=1, max_wait_ms=0.0, max_queue=2
-            )
-            with server:
-                handles = [server.submit(x[0]) for _ in range(12)]
-                overloaded = [
-                    h for h in handles if h.result is not None
-                    and h.result.error == "overloaded"
-                ]
-                assert overloaded, "bounded queue never pushed back"
-                release.set()
-                for handle in handles:
-                    handle.done.wait(10.0)
-            served = [h for h in handles if h.result.ok]
-            assert served, "queued requests should still be served"
-        finally:
-            loaded.model.predict_proba = original
+        with FingerprintServer(registry, max_batch=1, max_queue=2) as server:
+            handles = [server.submit(x[0]) for _ in range(12)]
+            overloaded = [
+                h for h in handles if h.result is not None
+                and h.result.error == "overloaded"
+            ]
+            assert overloaded, "bounded queue never pushed back"
+            gate.release.set()
+            for handle in handles:
+                handle.done.wait(10.0)
+        served = [h for h in handles if h.result.ok]
+        assert served, "queued requests should still be served"
 
 
 class TestConfiguration:
     def test_env_var_defaults(self, registry, monkeypatch):
         monkeypatch.setenv(MAX_BATCH_ENV_VAR, "7")
-        monkeypatch.setenv(MAX_WAIT_ENV_VAR, "3.5")
         monkeypatch.setenv(QUEUE_ENV_VAR, "99")
         server = FingerprintServer(registry)
         assert server.max_batch == 7
-        assert server.max_wait_ms == 3.5
         assert server.max_queue == 99
 
     def test_explicit_args_override_env(self, registry, monkeypatch):
@@ -210,8 +330,6 @@ class TestConfiguration:
     def test_invalid_limits_rejected(self, registry):
         with pytest.raises(ValueError):
             FingerprintServer(registry, max_batch=0)
-        with pytest.raises(ValueError):
-            FingerprintServer(registry, max_wait_ms=-1.0)
         with pytest.raises(ValueError):
             FingerprintServer(registry, max_queue=0)
 
@@ -249,7 +367,7 @@ class TestWorkerWakeups:
         and ``stop``, so an idle stretch must add exactly none.
         """
         x, _ = dataset
-        with FingerprintServer(registry, max_wait_ms=0.0) as server:
+        with FingerprintServer(registry) as server:
             assert server.predict(x[0]).ok  # drain startup activity
             baseline = server.worker_wakeups
             time.sleep(0.35)  # >3 poll periods of the old 100 ms loop

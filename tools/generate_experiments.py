@@ -7,6 +7,12 @@ value, then evaluates every shape claim the experiments declare
 reproducible: it embeds the scale and seed, and no wall-clock figure.
 
 Run:  python tools/generate_experiments.py [--scale default] [--seed 0]
+
+Traces go through the trace cache at ``BIGGERFISH_CACHE_DIR`` (default
+``~/.cache/biggerfish/traces``), so a re-run reads them back.  Cache
+keys carry the package version, not a source hash: after a simulator
+change that does not bump the version, point ``BIGGERFISH_CACHE_DIR``
+at a fresh directory.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import argparse
 from pathlib import Path
 
 from repro.config import SCALES
-from repro.engine import RunContext
+from repro.engine import RunContext, TraceCache
 from repro.experiments import (
     ablation_timer,
     background_noise,
@@ -41,8 +47,10 @@ def pct(mean_std) -> str:
 
 def build_report(scale, seed: int) -> str:
     # One context drives every experiment: scale + seed + an engine that
-    # honors BIGGERFISH_JOBS / BIGGERFISH_RETRIES / BIGGERFISH_TASK_TIMEOUT.
-    ctx = RunContext.default(scale=scale, seed=seed)
+    # honors BIGGERFISH_JOBS / BIGGERFISH_RETRIES / BIGGERFISH_TASK_TIMEOUT,
+    # with the trace cache at BIGGERFISH_CACHE_DIR (experiments share
+    # traces, and a re-run reads them back).
+    ctx = RunContext.default(scale=scale, seed=seed, cache=TraceCache())
     lines: list[str] = []
     add = lines.append
     # Experiment id -> result, for the claims section.
