@@ -47,7 +47,6 @@ import numpy as np
 
 from repro import obs
 from repro.config import read_setting
-from repro.obs import metrics as obs_metrics
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV_VAR = "BIGGERFISH_CACHE_DIR"
@@ -318,7 +317,7 @@ class TraceCache:
                 # Missing, torn or malformed entries all count as misses;
                 # the caller re-simulates and overwrites.
                 self.stats.misses += 1
-                obs_metrics.counter("engine.cache.misses").inc()
+                obs.counter("engine.cache.misses").inc()
                 span.set(hit=False)
                 return None
             # Refresh mtime on every hit so eviction order is LRU, not
@@ -328,8 +327,8 @@ class TraceCache:
                 os.utime(entry)
             self.stats.hits += 1
             self.stats.bytes_read += len(raw)
-            obs_metrics.counter("engine.cache.hits").inc()
-            obs_metrics.counter("engine.cache.bytes_read").inc(len(raw))
+            obs.counter("engine.cache.hits").inc()
+            obs.counter("engine.cache.bytes_read").inc(len(raw))
             span.set(hit=True)
             return trace
 
@@ -356,8 +355,8 @@ class TraceCache:
             written = len(data)
             self.stats.puts += 1
             self.stats.bytes_written += written
-            obs_metrics.counter("engine.cache.puts").inc()
-            obs_metrics.counter("engine.cache.bytes_written").inc(written)
+            obs.counter("engine.cache.puts").inc()
+            obs.counter("engine.cache.bytes_written").inc(written)
             if self._size_bytes is None:
                 # First put through a cold handle: the directory scan runs
                 # after os.replace put the entry in place, so it already
@@ -393,7 +392,7 @@ class TraceCache:
                 entry.unlink(missing_ok=True)
                 size -= entry_size
                 self.stats.evictions += 1
-                obs_metrics.counter("engine.cache.evictions").inc()
+                obs.counter("engine.cache.evictions").inc()
         self._size_bytes = size
 
     # -- maintenance ----------------------------------------------------

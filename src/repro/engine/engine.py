@@ -118,9 +118,9 @@ class _TimedTask:
     per-task distribution — the slowest worker was invisible.  The
     wrapper times each task where it runs and returns ``(result,
     elapsed_s)``; the parent unpacks results and folds the timings into
-    the stage statistics.  It also flushes the worker's pending metric
-    deltas after every task, which is what gets worker-side observability
-    data onto disk even though pool teardown skips ``atexit``.
+    the stage statistics.  It also flushes the worker's metric totals
+    after every task, which is what gets worker-side observability data
+    onto disk even though pool teardown skips ``atexit``.
 
     ``index``/``attempt`` identify the attempt for the fault-injection
     hook (consulted before the task function runs, so a sabotaged

@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
 import time
@@ -231,11 +232,9 @@ def _run_command(args: argparse.Namespace) -> int:
         save_dir.mkdir(parents=True, exist_ok=True)
     spool_dir = None
     if _profile_requested(args):
-        spool_dir = (
-            save_dir / ".obs-spool"
-            if save_dir
-            else pathlib.Path(tempfile.mkdtemp(prefix="biggerfish-obs-"))
-        )
+        # A fresh spool per run, so the profile holds this run's
+        # processes only; it is removed once merged.
+        spool_dir = pathlib.Path(tempfile.mkdtemp(prefix="biggerfish-obs-"))
         obs.enable(spool_dir)
     manifest = RunManifest(
         scale=scale.name,
@@ -282,12 +281,14 @@ def _run_command(args: argparse.Namespace) -> int:
     finally:
         manifest.finalize(engine)
         if spool_dir is not None:
-            obs.flush_metrics()
-            profile, summary = obs_export.export_run(
-                spool_dir, save_dir, top_n=args.top
-            )
+            obs.disable()  # writes this process's final metric totals
+            try:
+                profile, summary = obs_export.export_run(
+                    spool_dir, save_dir, top_n=args.top
+                )
+            finally:
+                shutil.rmtree(spool_dir, ignore_errors=True)
             manifest.profile = summary
-            obs.disable()
             if save_dir is None:
                 print(
                     obs_report.format_report(

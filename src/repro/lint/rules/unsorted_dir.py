@@ -9,12 +9,12 @@ site so the order is part of the code, not the disk.
 
 Bad::
 
-    for path in spool.glob("spans-*.jsonl"):
+    for path in spool.glob("obs-*.jsonl"):
         merge(path)
 
 Good::
 
-    for path in sorted(spool.glob("spans-*.jsonl")):
+    for path in sorted(spool.glob("obs-*.jsonl")):
         merge(path)
 
 The rule only recognizes a direct ``sorted(...)`` wrapper; if ordering

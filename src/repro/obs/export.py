@@ -1,12 +1,13 @@
 """Profile exporters: spool merging, JSONL log, SVG timeline, summary.
 
-A profiled run leaves a spool directory of per-process files —
-``spans-<pid>.jsonl`` (one event per completed span) and
-``metrics-<pid>.jsonl`` (delta flushes).  This module merges them into a
-:class:`Profile`, which then renders three ways:
+A profiled run leaves a spool directory of per-process files,
+``obs-<pid>-<random>.jsonl``: one line per completed span and, whenever
+they changed, a line of the process's running metric totals.  This
+module merges them into a :class:`Profile`, which then renders three
+ways:
 
 * ``profile.jsonl`` — the merged event log (spans in start order, one
-  trailing aggregated-metrics line), the durable artifact next to
+  trailing merged-metrics line), the durable artifact next to
   ``run_manifest.json``;
 * an SVG timeline — one lane block per process, spans drawn as
   depth-stacked rectangles via the existing :mod:`repro.viz.svg`
@@ -25,9 +26,9 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-from repro.obs.metrics import merge_deltas
+from repro.obs.metrics import merge_totals
 
 #: Merged event-log file name written inside ``--save-dir``.
 PROFILE_FILENAME = "profile.jsonl"
@@ -59,25 +60,93 @@ class Profile:
 
 def merge_spool(spool_dir: os.PathLike) -> Profile:
     """Merge every per-process spool file into one :class:`Profile`."""
-    spool = pathlib.Path(spool_dir)
+    return _load(sorted(pathlib.Path(spool_dir).glob("obs-*.jsonl")))
+
+
+#: The Python types each JSON type the checks name parses to.
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "array": list, "object": dict}
+#: JSON type of each span field that summarize and render_timeline read.
+_SPAN_FIELDS = {
+    "name": "string",
+    "pid": "integer",
+    "span_id": "integer",
+    "depth": "integer",
+    "t_start": "number",
+    "wall_s": "number",
+    "cpu_s": "number",
+    "rss_peak_kb": "number",
+    "attrs": "object",
+}
+#: JSON type of each ``engine.map`` attribute that the stage roll-up reads.
+_STAGE_ATTRS = {"stage": "string", "tasks": "integer"}
+#: JSON type of the values in each section of a metrics line.
+_METRIC_SECTIONS = {"counters": "number", "gauges": "number", "histograms": "object"}
+#: JSON type of each histogram field that merging and the report read.
+_HISTOGRAM_FIELDS = {"buckets": "array", "counts": "array", "sum": "number", "count": "integer"}
+
+
+def _require(value, json_type: str, what: str) -> None:
+    if not isinstance(value, _JSON_TYPES[json_type]) or isinstance(value, bool):
+        raise ValueError(f"{what} is not a JSON {json_type}")
+
+
+def _require_fields(obj: dict, fields: dict, what: str) -> None:
+    for key, json_type in fields.items():
+        _require(obj.get(key), json_type, f"{what} {key!r}")
+
+
+def _check(event, where: str) -> str:
+    """The line's type; ValueError naming ``where`` for a line the readers would trip over."""
+    _require(event, "object", f"{where}: the line")
+    kind = event.get("type")
+    if kind == "span":
+        _require_fields({"attrs": {}, **event}, _SPAN_FIELDS, f"{where}: span field")
+        if event["name"] == "engine.map":
+            attrs = {"stage": "", "tasks": 0, **event.get("attrs", {})}
+            _require_fields(attrs, _STAGE_ATTRS, f"{where}: engine.map attribute")
+    elif kind == "metrics":
+        for key, json_type in _METRIC_SECTIONS.items():
+            section = event.get(key, {})
+            _require(section, "object", f"{where}: metrics field {key!r}")
+            for name, value in section.items():
+                what = f"{where}: metric {name!r}"
+                _require(value, json_type, what)
+                if key == "histograms":
+                    _require_fields(value, _HISTOGRAM_FIELDS, f"{what} field")
+                    for cell in value["buckets"] + value["counts"]:
+                        _require(cell, "number", f"{what} cell")
+    else:
+        raise ValueError(f"{where}: unknown line type {kind!r}")
+    return kind
+
+
+def _load(paths: Iterable[pathlib.Path]) -> Profile:
+    """Every span of ``paths`` in start order and the sum of each file's last
+    metrics line: the one reader of spool files and ``profile.jsonl``."""
     spans: List[dict] = []
-    metric_events: List[dict] = []
-    for path in sorted(spool.glob("spans-*.jsonl")):
-        spans.extend(_read_jsonl(path))
-    for path in sorted(spool.glob("metrics-*.jsonl")):
-        metric_events.extend(_read_jsonl(path))
+    last_lines: List[dict] = []
+    for path in paths:
+        last = None
+        try:
+            lines = pathlib.Path(path).read_bytes().splitlines()
+        except OSError as error:
+            raise ValueError(f"{path}: cannot read ({error})") from error
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            try:
+                event = json.loads(line)
+            except ValueError as error:
+                raise ValueError(f"{where}: {error}") from error
+            if _check(event, where) == "span":
+                spans.append(event)
+            else:
+                last = event
+        if last is not None:
+            last_lines.append(last)
     spans.sort(key=lambda e: (e["t_start"], e["pid"], e["span_id"]))
-    return Profile(spans=spans, metrics=merge_deltas(metric_events))
-
-
-def _read_jsonl(path: pathlib.Path) -> List[dict]:
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+    return Profile(spans=spans, metrics=merge_totals(last_lines))
 
 
 # ----------------------------------------------------------------------
@@ -97,17 +166,8 @@ def write_profile(profile: Profile, path: os.PathLike) -> pathlib.Path:
 
 
 def read_profile(path: os.PathLike) -> Profile:
-    """Load a ``profile.jsonl`` written by :func:`write_profile`."""
-    spans: List[dict] = []
-    metrics: Dict[str, dict] = {}
-    for event in _read_jsonl(pathlib.Path(path)):
-        if event.get("type") == "span":
-            spans.append(event)
-        elif event.get("type") == "metrics":
-            for key in ("counters", "gauges", "histograms"):
-                if key in event:
-                    metrics.setdefault(key, {}).update(event[key])
-    return Profile(spans=spans, metrics=metrics)
+    """Load a ``profile.jsonl``; a malformed line raises ValueError naming its file and line."""
+    return _load([pathlib.Path(path)])
 
 
 # ----------------------------------------------------------------------

@@ -6,31 +6,21 @@ Instrumented code asks for instruments by dotted name::
     gauge("engine.jobs").set(4)
     histogram("ml.epoch_seconds").observe(elapsed)
 
-While profiling is disabled the accessors return shared no-op
-instruments, so hot paths pay one None comparison and nothing else.
-While enabled, a per-process :class:`MetricsRegistry` owns the
-instruments and periodically *flushes deltas* — the change since the
-previous flush — as JSON lines into ``metrics-<pid>.jsonl`` under the
-spool directory.  Delta flushing is what makes cross-process merging
-trivial and double-count-proof: the exporter simply sums every line,
-regardless of which process (or forked copy) wrote it.
-
-Fork-safety mirrors :mod:`repro.obs.spans`: a ``ProcessPoolExecutor``
-worker inherits the parent registry, complete with counts the parent
-already owns; the first instrument access under the new pid discards the
-inherited registry for a zeroed one, so workers report only their own
-work.  The engine flushes worker registries after every task (see
+While profiling is disabled the accessors in :mod:`repro.obs` return
+the shared no-op, so hot paths pay one None comparison and nothing
+else.  While enabled, the process's recorder owns the instruments and
+:func:`repro.obs.flush_metrics` appends their running *totals*
+(:func:`totals`) to the process's ``obs-*.jsonl`` spool file whenever
+they changed.  A file's last metrics line is therefore that process's
+whole contribution, and merging a run (:func:`merge_totals`) sums one
+line per file.  The engine flushes after every task (see
 ``repro.engine.engine._TimedTask``), which also covers pool teardown
 paths where ``atexit`` never runs.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import threading
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Sequence, Union
 
 #: Default histogram bucket upper bounds (seconds-flavoured, log-spaced).
 DEFAULT_BUCKETS = (
@@ -51,10 +41,9 @@ DEFAULT_BUCKETS = (
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
@@ -64,10 +53,9 @@ class Counter:
 class Gauge:
     """Last-write-wins instantaneous value."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -81,12 +69,11 @@ class Histogram:
     catches everything above the last bound.
     """
 
-    __slots__ = ("name", "buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum", "count")
 
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
         if list(buckets) != sorted(buckets) or len(buckets) == 0:
             raise ValueError(f"histogram buckets must be sorted and non-empty: {buckets}")
-        self.name = name
         self.buckets = tuple(float(b) for b in buckets)
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
@@ -103,248 +90,45 @@ class Histogram:
         self.counts[-1] += 1
 
 
-class _NullInstrument:
-    """Shared sink for every instrument kind while profiling is off."""
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
 Instrument = Union[Counter, Gauge, Histogram]
 
 
-class MetricsRegistry:
-    """Per-process instrument store with delta flushing."""
-
-    def __init__(self, spool_dir: Optional[os.PathLike] = None):
-        self.spool_dir = pathlib.Path(spool_dir) if spool_dir is not None else None
-        self.pid = os.getpid()
-        self._lock = threading.Lock()
-        self._instruments: Dict[str, Instrument] = {}
-        #: Values as of the last flush, keyed like the snapshot.
-        self._flushed: Dict[str, object] = {}
-
-    # -- instrument accessors ------------------------------------------
-
-    def _get(self, name: str, kind: type, *args) -> Instrument:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = kind(name, *args)
-            elif not isinstance(instrument, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(instrument).__name__}, requested {kind.__name__}"
-                )
-            return instrument
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get(name, Histogram, buckets)
-
-    # -- snapshots and flushing ----------------------------------------
-
-    def snapshot(self) -> Dict[str, dict]:
-        """Current absolute values of every instrument."""
-        with self._lock:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self) -> Dict[str, dict]:
-        out: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name, inst in sorted(self._instruments.items()):
-            if isinstance(inst, Counter):
-                out["counters"][name] = inst.value
-            elif isinstance(inst, Gauge):
-                out["gauges"][name] = inst.value
-            else:
-                out["histograms"][name] = {
-                    "buckets": list(inst.buckets),
-                    "counts": list(inst.counts),
-                    "sum": round(inst.sum, 9),
-                    "count": inst.count,
-                }
-        return out
-
-    def _delta(self) -> Optional[dict]:
-        """Change since the previous flush, or None if nothing moved.
-
-        Snapshotting, diffing against ``_flushed`` and updating
-        ``_flushed`` happen under one lock acquisition: two concurrent
-        flushers must never both read the same previous values, or the
-        same delta would be spooled twice and the merged totals drift
-        from the true snapshot.
-        """
-        with self._lock:
-            return self._delta_locked()
-
-    def _delta_locked(self) -> Optional[dict]:
-        snap = self._snapshot_locked()
-        delta: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        dirty = False
-        for name, value in snap["counters"].items():
-            previous = self._flushed.get(("c", name), 0)
-            if value != previous:
-                delta["counters"][name] = value - previous
-                dirty = True
-        for name, value in snap["gauges"].items():
-            if value != self._flushed.get(("g", name)):
-                delta["gauges"][name] = value
-                dirty = True
-        for name, hist in snap["histograms"].items():
-            previous = self._flushed.get(("h", name))
-            if previous is None:
-                if hist["count"]:
-                    delta["histograms"][name] = hist
-                    dirty = True
-            elif hist["count"] != previous["count"]:
-                delta["histograms"][name] = {
-                    "buckets": hist["buckets"],
-                    "counts": [
-                        a - b for a, b in zip(hist["counts"], previous["counts"])
-                    ],
-                    "sum": round(hist["sum"] - previous["sum"], 9),
-                    "count": hist["count"] - previous["count"],
-                }
-                dirty = True
-        if not dirty:
-            return None
-        for name, value in snap["counters"].items():
-            self._flushed[("c", name)] = value
-        for name, value in snap["gauges"].items():
-            self._flushed[("g", name)] = value
-        for name, hist in snap["histograms"].items():
-            self._flushed[("h", name)] = hist
-        return delta
-
-    def flush(self) -> bool:
-        """Append un-flushed deltas to this process's spool file.
-
-        Returns True when a line was written.  No-op without a spool.
-        """
-        if self.spool_dir is None:
-            return False
-        delta = self._delta()
-        if delta is None:
-            return False
-        delta = {k: v for k, v in delta.items() if v}
-        event = {"type": "metrics", "pid": self.pid, **delta}
-        self.spool_dir.mkdir(parents=True, exist_ok=True)
-        path = self.spool_dir / f"metrics-{self.pid}.jsonl"
-        with open(path, "a") as handle:
-            handle.write(json.dumps(event) + "\n")
-        return True
+def totals(instruments: Mapping[str, Instrument]) -> Dict[str, dict]:
+    """The running totals of ``instruments``, as one metrics line holds them."""
+    out: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+    for name, inst in sorted(instruments.items()):
+        if isinstance(inst, Counter):
+            out["counters"][name] = inst.value
+        elif isinstance(inst, Gauge):
+            out["gauges"][name] = inst.value
+        else:
+            out["histograms"][name] = {
+                "buckets": list(inst.buckets),
+                "counts": list(inst.counts),
+                "sum": round(inst.sum, 9),
+                "count": inst.count,
+            }
+    return out
 
 
-def merge_deltas(events: Sequence[dict]) -> Dict[str, dict]:
-    """Aggregate flushed delta events from any number of processes.
+def merge_totals(lines: Iterable[dict]) -> Dict[str, dict]:
+    """Sum the totals of several processes, one metrics line each.
 
-    Counters and histogram cells sum; gauges keep the last value seen
-    (events are expected in spool order, which is per-process
-    chronological).
+    Counters and histogram cells add up; a gauge keeps the value of the
+    last line that sets it.
     """
     merged: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for event in events:
-        for name, value in event.get("counters", {}).items():
+    for line in lines:
+        for name, value in line.get("counters", {}).items():
             merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, value in event.get("gauges", {}).items():
-            merged["gauges"][name] = value
-        for name, hist in event.get("histograms", {}).items():
+        merged["gauges"].update(line.get("gauges", {}))
+        for name, hist in line.get("histograms", {}).items():
             into = merged["histograms"].get(name)
             if into is None or into["buckets"] != hist["buckets"]:
-                merged["histograms"][name] = {
-                    "buckets": list(hist["buckets"]),
-                    "counts": list(hist["counts"]),
-                    "sum": hist["sum"],
-                    "count": hist["count"],
-                }
+                merged["histograms"][name] = dict(hist)  # counts are replaced, never mutated
             else:
-                into["counts"] = [
-                    a + b for a, b in zip(into["counts"], hist["counts"])
-                ]
+                into["counts"] = [a + b for a, b in zip(into["counts"], hist["counts"])]
                 into["sum"] = round(into["sum"] + hist["sum"], 9)
                 into["count"] += hist["count"]
-    for name in list(merged["counters"]):
-        merged["counters"][name] = int(merged["counters"][name])
+    merged["counters"] = {name: int(value) for name, value in merged["counters"].items()}
     return {k: dict(sorted(v.items())) for k, v in merged.items()}
-
-
-# ----------------------------------------------------------------------
-# module-level state — mirrors repro.obs.spans
-
-_REGISTRY: Optional[MetricsRegistry] = None
-_ENV_CHECKED = False
-
-
-def activate(spool_dir: os.PathLike) -> MetricsRegistry:
-    global _REGISTRY, _ENV_CHECKED
-    _REGISTRY = MetricsRegistry(spool_dir)
-    _ENV_CHECKED = True
-    return _REGISTRY
-
-
-def deactivate() -> None:
-    global _REGISTRY, _ENV_CHECKED
-    if _REGISTRY is not None:
-        _REGISTRY.flush()
-    _REGISTRY = None
-    _ENV_CHECKED = False
-
-
-def active_registry() -> Optional[MetricsRegistry]:
-    """The live registry, fork-aware and env-auto-activating.
-
-    A registry inherited across ``fork`` carries the parent's counts;
-    the first access in the child replaces it with a zeroed registry so
-    every process reports only its own work.
-    """
-    global _REGISTRY, _ENV_CHECKED
-    if _REGISTRY is None:
-        if not _ENV_CHECKED:
-            _ENV_CHECKED = True
-            from repro.obs.spans import PROFILE_DIR_ENV_VAR
-
-            spool = os.environ.get(PROFILE_DIR_ENV_VAR, "").strip()
-            if spool:
-                _REGISTRY = MetricsRegistry(pathlib.Path(spool))
-        return _REGISTRY
-    if _REGISTRY.pid != os.getpid():
-        _REGISTRY = MetricsRegistry(_REGISTRY.spool_dir)
-    return _REGISTRY
-
-
-def counter(name: str):
-    registry = active_registry()
-    return NULL_INSTRUMENT if registry is None else registry.counter(name)
-
-
-def gauge(name: str):
-    registry = active_registry()
-    return NULL_INSTRUMENT if registry is None else registry.gauge(name)
-
-
-def histogram(name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
-    registry = active_registry()
-    return NULL_INSTRUMENT if registry is None else registry.histogram(name, buckets)
-
-
-def flush_metrics() -> bool:
-    """Flush this process's pending metric deltas (no-op while off)."""
-    registry = active_registry()
-    return registry.flush() if registry is not None else False

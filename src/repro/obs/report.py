@@ -47,7 +47,9 @@ def load_run(run_dir: pathlib.Path) -> tuple[Optional[Profile], Optional[dict]]:
     """Load ``(profile, manifest)`` from a run directory; either may be None.
 
     A manifest that is present but unreadable, not valid JSON, not an
-    object or of another schema raises :class:`ValueError` naming its path.
+    object or of another schema raises :class:`ValueError` naming its
+    path; a malformed ``profile.jsonl`` line raises one naming the file
+    and line.
     """
     profile = None
     manifest = None

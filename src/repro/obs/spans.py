@@ -1,4 +1,4 @@
-"""Nested, thread/process-aware tracing spans.
+"""Nested, thread-aware tracing spans.
 
 A span measures one named region of code::
 
@@ -7,35 +7,17 @@ A span measures one named region of code::
 
 On exit it records wall time (``perf_counter``), CPU time
 (``process_time``) and the process's peak RSS so far, and appends one
-JSON line to a per-process spool file ``spans-<pid>.jsonl``.  Nesting is
-tracked per thread: every span knows its parent's id and depth, so an
-exporter can rebuild the tree.
-
-Process-awareness is the subtle part.  ``ProcessPoolExecutor`` workers
-are *forked* on Linux, so they inherit the parent's tracer object —
-including its open file handle and half-built span stack.  Every
-operation therefore re-checks ``os.getpid()``: the first span taken in a
-fresh process resets the stack, reopens the spool under the new pid and
-restarts the span-id counter.  Spawned workers (no inherited state) find
-the spool through :data:`PROFILE_DIR_ENV_VAR` instead.  Either way the
-spool directory accumulates one append-only file per participating
-process, merged later by :mod:`repro.obs.export`.
-
-While profiling is disabled, :func:`span` returns a shared no-op context
-manager — no allocation, no clock reads, no I/O.
+JSON line to its process's spool file through the recorder it was
+taken from (:func:`repro.obs.active`).  Nesting is tracked per thread:
+every span knows its parent's id and depth, so an exporter can rebuild
+the tree.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import threading
 import time
-from typing import IO, Optional
-
-#: Environment variable carrying the spool directory into workers.
-PROFILE_DIR_ENV_VAR = "BIGGERFISH_PROFILE_DIR"
 
 try:
     import resource
@@ -56,29 +38,11 @@ except ImportError:  # non-POSIX: profile without memory numbers
         return 0
 
 
-class _NullSpan:
-    """Shared do-nothing span handed out while profiling is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Span:
-    """One live measurement region; created by :meth:`SpanTracer.span`."""
+    """One live measurement region; created by :func:`repro.obs.span`."""
 
     __slots__ = (
-        "tracer",
+        "recorder",
         "name",
         "attrs",
         "span_id",
@@ -89,8 +53,8 @@ class Span:
         "_t_cpu",
     )
 
-    def __init__(self, tracer: "SpanTracer", name: str, attrs: dict):
-        self.tracer = tracer
+    def __init__(self, recorder, name: str, attrs: dict):
+        self.recorder = recorder
         self.name = name
         self.attrs = attrs
 
@@ -100,9 +64,9 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        stack = self.tracer._stack()
+        stack = self.recorder.stack()
         parent = stack[-1] if stack else None
-        self.span_id = self.tracer._next_id()
+        self.span_id = next(self.recorder.span_ids)
         self.parent_id = parent.span_id if parent is not None else None
         self.depth = parent.depth + 1 if parent is not None else 0
         stack.append(self)
@@ -114,13 +78,13 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         wall_s = time.perf_counter() - self._t_perf
         cpu_s = time.process_time() - self._t_cpu
-        stack = self.tracer._stack()
+        stack = self.recorder.stack()
         if stack and stack[-1] is self:
             stack.pop()
         event = {
             "type": "span",
             "name": self.name,
-            "pid": os.getpid(),
+            "pid": self.recorder.pid,
             "tid": threading.get_ident(),
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -134,119 +98,5 @@ class Span:
             event["error"] = exc_type.__name__
         if self.attrs:
             event["attrs"] = self.attrs
-        self.tracer._emit(event)
+        self.recorder.emit(event)
         return False
-
-
-class SpanTracer:
-    """Per-run span recorder writing JSONL spools under one directory."""
-
-    def __init__(self, spool_dir: os.PathLike):
-        self.spool_dir = pathlib.Path(spool_dir)
-        self._lock = threading.Lock()
-        self._pid: Optional[int] = None
-        self._handle: Optional[IO[str]] = None
-        self._counter = 0
-        self._local = threading.local()
-
-    # -- process/thread bookkeeping ------------------------------------
-
-    def _ensure_process(self) -> None:
-        """Reset inherited state the first time a forked child records."""
-        if self._pid != os.getpid():
-            with self._lock:
-                if self._pid != os.getpid():
-                    if self._handle is not None:
-                        try:
-                            self._handle.close()
-                        except OSError:
-                            pass
-                    self._pid = os.getpid()
-                    self._handle = None
-                    self._counter = 0
-                    self._local = threading.local()
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _next_id(self) -> int:
-        with self._lock:
-            self._counter += 1
-            return self._counter
-
-    # -- recording ------------------------------------------------------
-
-    def span(self, name: str, **attrs) -> Span:
-        self._ensure_process()
-        return Span(self, name, attrs)
-
-    def _emit(self, event: dict) -> None:
-        line = json.dumps(event, sort_keys=False)
-        with self._lock:
-            if self._handle is None:
-                self.spool_dir.mkdir(parents=True, exist_ok=True)
-                path = self.spool_dir / f"spans-{os.getpid()}.jsonl"
-                # Opening the spool under the lock is deliberate: emits
-                # must serialize against lazy-open anyway, the open is
-                # once per process, and span lines must never interleave.
-                self._handle = open(path, "a")  # lint: disable=blocking-call-under-lock
-            self._handle.write(line + "\n")
-            self._handle.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-
-
-# ----------------------------------------------------------------------
-# module-level state — one tracer per process, env-inheritable
-
-_TRACER: Optional[SpanTracer] = None
-_ENV_CHECKED = False
-
-
-def activate(spool_dir: os.PathLike) -> SpanTracer:
-    """Install a tracer spooling into ``spool_dir`` (idempotent)."""
-    global _TRACER, _ENV_CHECKED
-    _TRACER = SpanTracer(spool_dir)
-    _ENV_CHECKED = True
-    return _TRACER
-
-
-def deactivate() -> None:
-    global _TRACER, _ENV_CHECKED
-    if _TRACER is not None:
-        _TRACER.close()
-    _TRACER = None
-    _ENV_CHECKED = False
-
-
-def active_tracer() -> Optional[SpanTracer]:
-    """The live tracer, auto-activating from the environment once.
-
-    The env check runs at most once per process while disabled, so the
-    steady-state disabled cost of :func:`span` is one None comparison.
-    """
-    global _TRACER, _ENV_CHECKED
-    if _TRACER is None and not _ENV_CHECKED:
-        _ENV_CHECKED = True
-        spool = os.environ.get(PROFILE_DIR_ENV_VAR, "").strip()
-        if spool:
-            _TRACER = SpanTracer(pathlib.Path(spool))
-    return _TRACER
-
-
-def span(name: str, **attrs):
-    """A measurement region, or the shared no-op while disabled."""
-    tracer = active_tracer()
-    if tracer is None:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)

@@ -1,25 +1,32 @@
-"""Metrics registry: instruments, histogram bucketing, delta flush, merging."""
+"""Metrics: instruments, histogram bucketing, totals flushing, merging."""
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import obs
-from repro.obs.metrics import (
-    NULL_INSTRUMENT,
-    MetricsRegistry,
-    active_registry,
-    merge_deltas,
-)
+from repro.obs import NOOP
+from repro.obs.export import merge_spool
+
+
+def _metric_lines(spool):
+    return [
+        event
+        for path in sorted(spool.glob("obs-*.jsonl"))
+        for event in map(json.loads, path.read_text().splitlines())
+        if event["type"] == "metrics"
+    ]
 
 
 class TestDisabled:
     def test_accessors_return_shared_noop(self):
-        assert obs.counter("x") is NULL_INSTRUMENT
-        assert obs.gauge("y") is NULL_INSTRUMENT
-        assert obs.histogram("z") is NULL_INSTRUMENT
+        assert obs.counter("x") is NOOP
+        assert obs.gauge("y") is NOOP
+        assert obs.histogram("z") is NOOP
         obs.counter("x").inc()
         obs.gauge("y").set(3.0)
         obs.histogram("z").observe(1.0)
@@ -32,13 +39,13 @@ class TestInstruments:
     def test_counter_accumulates(self, spool):
         obs.counter("engine.cache.hits").inc()
         obs.counter("engine.cache.hits").inc(4)
-        snap = active_registry().snapshot()
+        snap = obs.active().snapshot()
         assert snap["counters"]["engine.cache.hits"] == 5
 
     def test_gauge_last_write_wins(self, spool):
         obs.gauge("engine.jobs").set(2)
         obs.gauge("engine.jobs").set(8)
-        assert active_registry().snapshot()["gauges"]["engine.jobs"] == 8.0
+        assert obs.active().snapshot()["gauges"]["engine.jobs"] == 8.0
 
     def test_same_name_same_instrument(self, spool):
         assert obs.counter("a") is obs.counter("a")
@@ -52,7 +59,7 @@ class TestInstruments:
         hist = obs.histogram("lat", buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.1, 0.5, 2.0, 100.0):
             hist.observe(value)
-        snap = active_registry().snapshot()["histograms"]["lat"]
+        snap = obs.active().snapshot()["histograms"]["lat"]
         assert snap["buckets"] == [0.1, 1.0, 10.0]
         # <=0.1 gets two (0.05 and the boundary 0.1), 0.5 -> <=1.0,
         # 2.0 -> <=10.0, 100.0 -> overflow.
@@ -65,69 +72,52 @@ class TestInstruments:
             obs.histogram("bad", buckets=(1.0, 0.5))
 
 
-class TestDeltaFlush:
-    def test_flush_writes_only_changes(self, spool):
+class TestTotalsFlush:
+    def test_flush_writes_running_totals_on_change(self, spool):
         obs.counter("c").inc(3)
         assert obs.flush_metrics() is True
         assert obs.flush_metrics() is False  # nothing moved since
         obs.counter("c").inc(2)
         assert obs.flush_metrics() is True
-        lines = [
-            json.loads(line)
-            for path in sorted(spool.glob("metrics-*.jsonl"))
-            for line in path.read_text().splitlines()
-        ]
-        assert [event["counters"]["c"] for event in lines] == [3, 2]
+        assert [event["counters"]["c"] for event in _metric_lines(spool)] == [3, 5]
 
-    def test_histogram_deltas(self, spool):
-        hist = obs.histogram("h", buckets=(1.0,))
-        hist.observe(0.5)
-        obs.flush_metrics()
-        hist.observe(2.0)
-        obs.flush_metrics()
-        lines = [
-            json.loads(line)
-            for path in sorted(spool.glob("metrics-*.jsonl"))
-            for line in path.read_text().splitlines()
-        ]
-        assert lines[0]["histograms"]["h"]["counts"] == [1, 0]
-        assert lines[1]["histograms"]["h"]["counts"] == [0, 1]
+    def test_merge_sums_each_process_last_line(self, tmp_path):
+        def line(pid, hits, counts, total, **extra):
+            histogram = {"buckets": [1.0], "counts": counts, "sum": total,
+                         "count": sum(counts)}
+            return json.dumps({"type": "metrics", "pid": pid, "counters": {"hits": hits},
+                               "histograms": {"h": histogram}, **extra}) + "\n"
 
-    def test_merge_deltas_sums_processes(self):
-        events = [
-            {"pid": 1, "counters": {"hits": 2}, "histograms": {
-                "h": {"buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1}}},
-            {"pid": 2, "counters": {"hits": 3}, "gauges": {"jobs": 4.0}},
-            {"pid": 1, "histograms": {
-                "h": {"buckets": [1.0], "counts": [0, 2], "sum": 5.0, "count": 2}}},
-        ]
-        merged = merge_deltas(events)
-        assert merged["counters"] == {"hits": 5}
+        (tmp_path / "obs-1-a.jsonl").write_text(
+            line(1, 2, [1, 0], 0.5) + line(1, 5, [1, 2], 4.5)
+        )
+        (tmp_path / "obs-2-b.jsonl").write_text(
+            line(2, 3, [0, 1], 2.0, gauges={"jobs": 4.0})
+        )
+        merged = merge_spool(tmp_path).metrics
+        assert merged["counters"] == {"hits": 8}
         assert merged["gauges"] == {"jobs": 4.0}
-        assert merged["histograms"]["h"]["counts"] == [1, 2]
-        assert merged["histograms"]["h"]["count"] == 3
-        assert merged["histograms"]["h"]["sum"] == pytest.approx(5.5)
+        assert merged["histograms"]["h"]["counts"] == [1, 3]
+        assert merged["histograms"]["h"]["count"] == 4
+        assert merged["histograms"]["h"]["sum"] == pytest.approx(6.5)
 
 
 class TestConcurrentFlush:
     def test_racing_flushers_never_double_count(self, spool):
-        """Delta computation is atomic under the registry lock.
+        """Totals are taken and written under the recorder's one lock.
 
-        The old ``_delta`` snapshotted under the lock but diffed and
-        updated ``_flushed`` outside it, so two racing flushers could
-        read the same previous values and spool the same delta twice.
+        Two racing flushers must never write their totals out of order,
+        or a file's last line would be older than the final snapshot.
         Hammer counters and flush from several threads at once: the
-        spooled deltas must sum exactly to the final snapshot.
+        merged total must equal the final snapshot exactly.
         """
-        import threading
-
-        registry = active_registry()
+        registry = obs.active()
         increments_per_thread = 200
         flusher_rounds = 50
 
         def incrementer():
             for _ in range(increments_per_thread):
-                registry.counter("race.hits").inc()
+                obs.counter("race.hits").inc()
 
         def flusher():
             for _ in range(flusher_rounds):
@@ -140,31 +130,46 @@ class TestConcurrentFlush:
         for thread in threads:
             thread.join()
         registry.flush()  # spool whatever the racers left behind
-        events = [
-            json.loads(line)
-            for path in sorted(spool.glob("metrics-*.jsonl"))
-            for line in path.read_text().splitlines()
-        ]
-        merged = merge_deltas(events)
+        merged = merge_spool(spool).metrics
         total = registry.snapshot()["counters"]["race.hits"]
         assert total == 4 * increments_per_thread
         assert merged["counters"]["race.hits"] == total
 
 
+    def test_totals_land_in_the_order_taken(self, spool):
+        """Each flush takes and writes its totals under the one lock, so
+        the spooled counts never go down, however the flushers race."""
+        registry = obs.active()
+        rounds, workers = 500, 8
+
+        def worker():
+            for _ in range(rounds):
+                obs.counter("race.hits").inc()
+                registry.flush()
+
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        hits = [event["counters"]["race.hits"] for event in _metric_lines(spool)]
+        assert hits == sorted(hits)
+        assert hits[-1] == rounds * workers
+
+
 class TestForkSafety:
     def test_inherited_registry_resets_in_child(self, spool, monkeypatch):
         obs.counter("parent.only").inc(10)
-        registry = active_registry()
+        registry = obs.active()
         # Simulate what a forked worker sees: same object, different pid.
         monkeypatch.setattr(registry, "pid", registry.pid - 1)
-        child_registry = active_registry()
+        child_registry = obs.active()
         assert child_registry is not registry
         assert child_registry.snapshot()["counters"] == {}
         assert child_registry.spool_dir == registry.spool_dir
-
-
-class TestStandaloneRegistry:
-    def test_no_spool_no_flush(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        assert registry.flush() is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
 
@@ -220,3 +221,57 @@ class TestReportCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert str(manifest) in captured.err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"type": "span", "name": "engine.map", "pid": 1',
+            '{"type": "span", "name": "x"}',
+            "[1, 2]",
+            '{"type": "metrics", "counters": [1]}',
+        ],
+        ids=["truncated", "span-missing-fields", "not-an-object", "counters-not-an-object"],
+    )
+    def test_cli_refuses_bad_profile(self, tmp_path, capsys, body):
+        run_dir = _make_run_dir(tmp_path)
+        profile = run_dir / "profile.jsonl"
+        first_line = profile.read_text().splitlines()[0]
+        profile.write_text(first_line + "\n" + body + "\n")
+        assert main(["report", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{profile}:2: " in captured.err
+
+    def test_cli_refuses_unreadable_profile(self, tmp_path, capsys):
+        run_dir = _make_run_dir(tmp_path, with_profile=False)
+        (run_dir / "profile.jsonl").mkdir()
+        assert main(["report", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert f"{run_dir / 'profile.jsonl'}: cannot read" in captured.err
+
+
+class TestProfiledRun:
+    """``--profile`` through the CLI: a run's profile holds that run only."""
+
+    @staticmethod
+    def _run(*extra):
+        assert main(["fig7", "--scale", "smoke", "--no-cache", "--profile", *extra]) == 0
+
+    def test_rerun_into_the_same_save_dir_reports_only_itself(self, tmp_path, capsys):
+        save_dir = tmp_path / "out"
+        self._run("--save-dir", str(save_dir))
+        self._run("--save-dir", str(save_dir))
+        profile = json.loads((save_dir / "run_manifest.json").read_text())["profile"]
+        assert profile["processes"] == 1
+        assert profile["events"] == 1  # this run's experiment.fig7 span
+
+    def test_no_spool_left_behind(self, tmp_path, capsys, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        # tempfile caches its directory, so patch the cache, not TMPDIR.
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        self._run()
+        assert "spans (1 events from 1 process(es)" in capsys.readouterr().out
+        assert sorted(scratch.iterdir()) == []

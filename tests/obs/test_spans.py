@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.collector import TraceCollector
-from repro.obs import spans as spans_module
+from repro.obs import NOOP
 from repro.obs.export import merge_spool
-from repro.obs.spans import NULL_SPAN
 from repro.sim.events import SEC
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.workload.browser import CHROME, LINUX
@@ -21,16 +22,19 @@ from repro.workload.website import profile_for
 
 
 def _read_events(spool_dir):
+    """The span lines of every spool file, in file order."""
     events = []
-    for path in sorted(spool_dir.glob("spans-*.jsonl")):
+    for path in sorted(spool_dir.glob("obs-*.jsonl")):
         for line in path.read_text().splitlines():
-            events.append(json.loads(line))
+            event = json.loads(line)
+            if event["type"] == "span":
+                events.append(event)
     return events
 
 
 class TestDisabled:
     def test_span_is_shared_noop(self):
-        assert obs.span("anything", k=1) is NULL_SPAN
+        assert obs.span("anything", k=1) is NOOP
         with obs.span("anything") as s:
             s.set(outcome="ignored")
 
@@ -187,7 +191,7 @@ class TestEnvActivation:
         spool_dir = tmp_path / "env-spool"
         monkeypatch.setenv(obs.PROFILE_DIR_ENV_VAR, str(spool_dir))
         # Force the one-shot env check to rerun, as a fresh process would.
-        spans_module._ENV_CHECKED = False
+        obs._ENV_CHECKED = False
         with obs.span("from.env"):
             pass
         assert [e["name"] for e in _read_events(spool_dir)] == ["from.env"]
@@ -205,7 +209,26 @@ def _spanned_square(x: int) -> int:
         return x * x
 
 
+def _spawned_task() -> int:
+    """Module-level task for a spawned worker: one span, one count."""
+    with obs.span("worker.spawned"):
+        obs.counter("worker.tasks").inc()
+    obs.flush_metrics()
+    return os.getpid()
+
+
 class TestCrossProcess:
+    def test_spawned_worker_joins_the_profile(self, spool):
+        """A spawned worker inherits no recorder: it finds the spool
+        through the environment on its first instrumented call."""
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            child = pool.submit(_spawned_task).result(timeout=120)
+        profile = merge_spool(spool)
+        assert child != os.getpid()
+        assert [e["pid"] for e in profile.spans if e["name"] == "worker.spawned"] == [child]
+        assert profile.metrics["counters"] == {"worker.tasks": 1}
+
     def test_worker_spans_merge(self, spool):
         from repro.engine import ExecutionEngine
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro import obs
 from repro.ml.artifact import load_artifact
-from repro.obs.metrics import active_registry
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     ERROR_CODES,
@@ -209,7 +208,7 @@ class TestTimings:
         try:
             with FingerprintServer(registry, max_batch=4) as server:
                 results = server.predict_many(list(x[:10]))
-            histograms = active_registry().snapshot()["histograms"]
+            histograms = obs.active().snapshot()["histograms"]
         finally:
             obs.disable()
         assert all(r.ok for r in results)
