@@ -69,7 +69,7 @@ def test_engine_speedup(tmp_path_factory, monkeypatch):
     assert warm_table == cold_table, "cached run must be bit-identical"
 
     warm_speedup = cold_s / warm_s
-    retries = faulty_engine.fault_totals["retries"]
+    retries = faulty_engine.fault_snapshot()["retries"]
     print(
         "\ntable2 @ smoke scale (seed 0)",
         f"cold serial (jobs=1):    {cold_s:8.2f}s",

@@ -229,7 +229,11 @@ def _decode_entry(raw: bytes):
 
 @dataclass
 class CacheStats:
-    """Counters for one cache handle's lifetime."""
+    """Counters for one cache handle's lifetime: the run's one cache tally.
+
+    Only the process that owns the handle counts; workers never touch
+    the cache (see ``TraceCollector.__getstate__``).
+    """
 
     hits: int = 0
     misses: int = 0
@@ -240,10 +244,6 @@ class CacheStats:
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
-
-    def merge(self, other: "CacheStats") -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class TraceCache:
@@ -317,7 +317,6 @@ class TraceCache:
                 # Missing, torn or malformed entries all count as misses;
                 # the caller re-simulates and overwrites.
                 self.stats.misses += 1
-                obs.counter("engine.cache.misses").inc()
                 span.set(hit=False)
                 return None
             # Refresh mtime on every hit so eviction order is LRU, not
@@ -327,8 +326,6 @@ class TraceCache:
                 os.utime(entry)
             self.stats.hits += 1
             self.stats.bytes_read += len(raw)
-            obs.counter("engine.cache.hits").inc()
-            obs.counter("engine.cache.bytes_read").inc(len(raw))
             span.set(hit=True)
             return trace
 
@@ -355,8 +352,6 @@ class TraceCache:
             written = len(data)
             self.stats.puts += 1
             self.stats.bytes_written += written
-            obs.counter("engine.cache.puts").inc()
-            obs.counter("engine.cache.bytes_written").inc(written)
             if self._size_bytes is None:
                 # First put through a cold handle: the directory scan runs
                 # after os.replace put the entry in place, so it already
@@ -392,7 +387,6 @@ class TraceCache:
                 entry.unlink(missing_ok=True)
                 size -= entry_size
                 self.stats.evictions += 1
-                obs.counter("engine.cache.evictions").inc()
         self._size_bytes = size
 
     # -- maintenance ----------------------------------------------------

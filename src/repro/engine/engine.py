@@ -50,6 +50,7 @@ in CI.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -72,7 +73,7 @@ DEFAULT_RETRIES = 2
 BACKOFF_S = 0.05
 #: Cap on a single backoff sleep.
 BACKOFF_CAP_S = 1.0
-#: Structured task errors kept per stage (totals keep counting past it).
+#: Structured task errors a stage's manifest entry prints (counts cover all).
 MAX_RECORDED_ERRORS_PER_STAGE = 100
 
 T = TypeVar("T")
@@ -112,15 +113,16 @@ class TaskFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class _TimedTask:
-    """Wraps a task function so workers report their own elapsed time.
+    """Wraps a task function so each task reports its own elapsed time.
 
-    ``engine.map`` used to time only the ``map()`` call, which hides the
-    per-task distribution — the slowest worker was invisible.  The
-    wrapper times each task where it runs and returns ``(result,
-    elapsed_s)``; the parent unpacks results and folds the timings into
-    the stage statistics.  It also flushes the worker's metric totals
-    after every task, which is what gets worker-side observability data
-    onto disk even though pool teardown skips ``atexit``.
+    The wrapper times each task where it runs and returns ``(result,
+    elapsed_s)``; the parent folds the time into the stage's record, so
+    the slowest worker is visible in the manifest, not just the wall
+    clock of the whole ``map``.  A task the pool runs (``in_pool``)
+    also flushes its worker's metric totals, which is what gets
+    worker-side metrics onto disk even though pool teardown skips
+    ``atexit``; a task run in the parent leaves its totals to
+    :func:`repro.obs.disable`.
 
     ``index``/``attempt`` identify the attempt for the fault-injection
     hook (consulted before the task function runs, so a sabotaged
@@ -131,6 +133,7 @@ class _TimedTask:
     stage: Optional[str]
     index: int = 0
     attempt: int = 0
+    in_pool: bool = False
 
     def __call__(self, item):
         engine_faults.maybe_inject(self.stage or "", self.index, self.attempt)
@@ -138,25 +141,49 @@ class _TimedTask:
         with obs.span("engine.task", stage=self.stage or ""):
             result = self.fn(item)
         elapsed = time.perf_counter() - started
-        obs.flush_metrics()
+        if self.in_pool:
+            obs.flush_metrics()
         return result, elapsed
 
 
 @dataclass
-class _MapProgress:
-    """Mutable per-``map``-call record of what actually finished.
+class _Stage:
+    """What one stage did: wall time, finished tasks, failed attempts.
 
-    Shared with the dispatch helpers so the exception path can record
-    *completed* work — a failed run's manifest must not claim the whole
-    stage ran.
+    The task-time spread is a running min/sum/max, so a record grows
+    with its failed attempts only, never with its tasks or ``map``
+    calls.  A failed ``map`` leaves exactly the tasks that finished,
+    known precisely because dispatch is per task.
     """
 
-    completed: int = 0
-    task_seconds: List[float] = field(default_factory=list)
+    seconds: float = 0.0
+    tasks: int = 0
+    task_min: float = math.inf
+    task_sum: float = 0.0
+    task_max: float = 0.0
+    errors: List[TaskError] = field(default_factory=list)
 
-    def note(self, elapsed: float) -> None:
-        self.completed += 1
-        self.task_seconds.append(elapsed)
+    def finish(self, outcome: tuple):
+        """Count one finished task's ``(result, elapsed_s)``; its result."""
+        result, elapsed = outcome
+        self.tasks += 1
+        self.task_min = min(self.task_min, elapsed)
+        self.task_sum += elapsed
+        self.task_max = max(self.task_max, elapsed)
+        return result
+
+
+def _fault_counts(errors: Sequence[TaskError], retries: int) -> Dict[str, int]:
+    """Retried, timed-out and lost attempts among ``errors``.
+
+    An attempt was retried exactly when it failed below the budget:
+    :meth:`ExecutionEngine._retry` raises on the attempt that spends it.
+    """
+    return {
+        "retries": sum(error.attempt < retries for error in errors),
+        "timeouts": sum(error.kind == "timeout" for error in errors),
+        "tasks_lost": sum(error.kind == "worker-lost" for error in errors),
+    }
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -192,9 +219,11 @@ class ExecutionEngine:
     ``jobs=1`` (the default) executes tasks inline — no processes, no
     pickling — so library users pay nothing unless they opt in.  The
     engine also carries the run's :class:`~repro.engine.cache.TraceCache`
-    handle (``cache=None`` disables caching) and accumulates per-stage
-    wall-clock timings plus fault counters (retries, timeouts, lost
-    tasks, structured errors) for the run manifest.
+    handle (``cache=None`` disables caching) and keeps one record per
+    stage for the run manifest: wall clock, finished tasks and their
+    time spread, and the :class:`TaskError` of every failed attempt.
+    Retries, timeouts and lost tasks are counted from those records;
+    pool respawns are the only fault counted on their own.
 
     Retries are deterministic: tasks are pure functions of their
     descriptions, so a re-executed task is bit-identical, and backoff is
@@ -212,28 +241,13 @@ class ExecutionEngine:
         self.cache = cache
         self.retries = resolve_retries(retries)
         self.task_timeout = resolve_task_timeout(task_timeout)
-        #: Stage name -> cumulative wall-clock seconds spent in map().
-        self.stage_seconds: Dict[str, float] = {}
-        #: Stage name -> cumulative *completed* task count.
-        self.stage_tasks: Dict[str, int] = {}
-        #: Stage name -> per-task elapsed statistics (min/sum/max/count).
-        self.stage_task_stats: Dict[str, Dict[str, float]] = {}
-        #: Stage name -> re-executed attempts.
-        self.stage_retries: Dict[str, int] = {}
-        #: Stage name -> attempts abandoned past the per-task timeout.
-        self.stage_timeouts: Dict[str, int] = {}
-        #: Stage name -> attempts lost to dead worker processes.
-        self.stage_tasks_lost: Dict[str, int] = {}
-        #: Stage name -> structured records of every failed attempt.
-        self.stage_errors: Dict[str, List[TaskError]] = {}
-        #: Run-lifetime fault totals (survive ``reset_timings``).
-        self.fault_totals: Dict[str, int] = {
-            "retries": 0,
-            "timeouts": 0,
-            "tasks_lost": 0,
-            "pool_respawns": 0,
-            "task_errors": 0,
-        }
+        #: Stage name (None for an unnamed ``map``) -> its record since
+        #: the last ``reset_timings``.
+        self._stages: Dict[Optional[str], _Stage] = {}
+        #: Records ``reset_timings`` retired; ``fault_snapshot`` still
+        #: counts their failed attempts.
+        self._retired: List[_Stage] = []
+        self._pool_respawns = 0
 
     def __repr__(self) -> str:
         cache = "on" if self.cache is not None else "off"
@@ -261,43 +275,23 @@ class ExecutionEngine:
         """
         items = list(items)
         task = _TimedTask(fn, stage)
-        progress = _MapProgress()
+        record = self._stages.setdefault(stage, _Stage())
         started = time.perf_counter()
         try:
             with obs.span(
                 "engine.map", stage=stage or "", tasks=len(items), jobs=self.jobs
             ):
                 if self.jobs == 1 or len(items) <= 1:
-                    outcomes = self._map_inline(task, items, progress)
-                else:
-                    outcomes = self._map_parallel(task, items, progress)
-        except BaseException:
-            # A failed stage records only the work that actually
-            # finished — precisely known because dispatch is per-task.
-            if stage is not None:
-                self.record(
-                    stage,
-                    time.perf_counter() - started,
-                    progress.completed,
-                    task_seconds=progress.task_seconds or None,
-                )
-            raise
-        if stage is not None:
-            self.record(
-                stage,
-                time.perf_counter() - started,
-                len(items),
-                task_seconds=[elapsed for _, elapsed in outcomes],
-            )
-        return [result for result, _ in outcomes]
+                    return self._map_inline(task, items, record)
+                return self._map_parallel(task, items, record)
+        finally:
+            record.seconds += time.perf_counter() - started
 
     # -- inline dispatch ------------------------------------------------
 
-    def _map_inline(
-        self, task: _TimedTask, items: list, progress: _MapProgress
-    ) -> list:
+    def _map_inline(self, task: _TimedTask, items: list, record: _Stage) -> list:
         return [
-            self._run_inline(task, item, index, progress)
+            self._run_inline(task, item, index, record)
             for index, item in enumerate(items)
         ]
 
@@ -306,7 +300,7 @@ class ExecutionEngine:
         task: _TimedTask,
         item,
         index: int,
-        progress: _MapProgress,
+        record: _Stage,
         first_attempt: int = 0,
     ):
         """One task in the parent process, with the same retry contract.
@@ -320,16 +314,13 @@ class ExecutionEngine:
             try:
                 outcome = dataclasses.replace(task, index=index, attempt=attempt)(item)
             except Exception as error:
-                attempt = self._retry(task.stage, index, attempt, "exception", error)
+                attempt = self._retry(record, task.stage, index, attempt, "exception", error)
             else:
-                progress.note(outcome[1])
-                return outcome
+                return record.finish(outcome)
 
     # -- parallel dispatch ----------------------------------------------
 
-    def _map_parallel(
-        self, task: _TimedTask, items: list, progress: _MapProgress
-    ) -> list:
+    def _map_parallel(self, task: _TimedTask, items: list, record: _Stage) -> list:
         """Run the tasks on a worker pool, round by round, until all finish.
 
         Each round submits every pending task, then collects the round
@@ -360,7 +351,9 @@ class ExecutionEngine:
                 for i in pending:
                     try:
                         futures[i] = pool.submit(
-                            dataclasses.replace(task, index=i, attempt=attempts[i]),
+                            dataclasses.replace(
+                                task, index=i, attempt=attempts[i], in_pool=True
+                            ),
                             items[i],
                         )
                     except BrokenExecutor:
@@ -392,10 +385,9 @@ class ExecutionEngine:
                     except Exception as exc:
                         kind, error = "exception", exc
                     else:
-                        outcomes[i] = outcome
-                        progress.note(outcome[1])
+                        outcomes[i] = record.finish(outcome)
                         continue
-                    attempts[i] = self._retry(task.stage, i, attempts[i], kind, error)
+                    attempts[i] = self._retry(record, task.stage, i, attempts[i], kind, error)
                     requeued.append(i)
                 if broken or wedged:
                     pool.shutdown(wait=False, cancel_futures=True)
@@ -405,14 +397,13 @@ class ExecutionEngine:
                         # per-task attempt budget already burned.
                         for i in requeued:
                             outcomes[i] = self._run_inline(
-                                task, items[i], i, progress, first_attempt=attempts[i]
+                                task, items[i], i, record, first_attempt=attempts[i]
                             )
                         requeued = []
                     else:
                         if broken:
                             respawns_left -= 1
-                        self.fault_totals["pool_respawns"] += 1
-                        obs.counter("engine.pool_respawns").inc()
+                        self._pool_respawns += 1
                         pool = ProcessPoolExecutor(max_workers=workers)
                 pending = requeued
         finally:
@@ -426,6 +417,7 @@ class ExecutionEngine:
 
     def _retry(
         self,
+        record: _Stage,
         stage: Optional[str],
         index: int,
         attempt: int,
@@ -434,42 +426,13 @@ class ExecutionEngine:
     ) -> int:
         """The one failure policy: record, give up or retry.
 
-        Records the failed attempt as a :class:`TaskError` (a timeout or
-        lost task is also tallied as such), raises
-        :class:`TaskFailedError` once the attempt spends the budget, and
-        otherwise counts the retry and returns the next attempt number.
-        Only a raised exception backs off first: a timeout has already
-        waited, and a lost task gets a fresh pool.
+        Records the failed attempt as a :class:`TaskError` in the
+        stage's record, raises :class:`TaskFailedError` once the attempt
+        spends the budget, and otherwise returns the next attempt
+        number.  Only a raised exception backs off first: a timeout has
+        already waited, and a lost task gets a fresh pool.
         """
-        record = self._record_error(stage, index, attempt, kind, error)
-        if kind == "timeout":
-            self._account(self.stage_timeouts, "timeouts", stage, "engine.task_timeouts")
-        elif kind == "worker-lost":
-            self._account(self.stage_tasks_lost, "tasks_lost", stage, "engine.tasks_lost")
-        if attempt >= self.retries:
-            raise TaskFailedError(record) from error
-        self._account(self.stage_retries, "retries", stage, "engine.retries")
-        if kind == "exception":
-            time.sleep(min(BACKOFF_CAP_S, BACKOFF_S * 2**attempt))
-        return attempt + 1
-
-    def _account(
-        self, per_stage: Dict[str, int], total_key: str, stage: Optional[str], counter: str
-    ) -> None:
-        key = stage or ""
-        per_stage[key] = per_stage.get(key, 0) + 1
-        self.fault_totals[total_key] += 1
-        obs.counter(counter).inc()
-
-    def _record_error(
-        self,
-        stage: Optional[str],
-        index: int,
-        attempt: int,
-        kind: str,
-        error: BaseException,
-    ) -> TaskError:
-        record = TaskError(
+        failure = TaskError(
             stage=stage or "",
             index=index,
             attempt=attempt,
@@ -478,85 +441,60 @@ class ExecutionEngine:
             message=str(error),
             where=_error_where(error),
         )
-        errors = self.stage_errors.setdefault(stage or "", [])
-        if len(errors) < MAX_RECORDED_ERRORS_PER_STAGE:
-            errors.append(record)
-        self.fault_totals["task_errors"] += 1
-        return record
+        record.errors.append(failure)
+        if attempt >= self.retries:
+            raise TaskFailedError(failure) from error
+        if kind == "exception":
+            time.sleep(min(BACKOFF_CAP_S, BACKOFF_S * 2**attempt))
+        return attempt + 1
 
     def fault_snapshot(self) -> Dict[str, int]:
         """Run-lifetime fault totals (for the manifest's ``faults`` block)."""
-        return dict(self.fault_totals)
+        errors = [
+            error
+            for record in (*self._retired, *self._stages.values())
+            for error in record.errors
+        ]
+        return {
+            **_fault_counts(errors, self.retries),
+            "pool_respawns": self._pool_respawns,
+            "task_errors": len(errors),
+        }
 
     # ------------------------------------------------------------------
 
-    def record(
-        self,
-        stage: str,
-        seconds: float,
-        tasks: int = 0,
-        task_seconds: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Accumulate wall-clock time (and task count) under a stage name.
-
-        ``task_seconds``, when given, folds per-task elapsed times into
-        the stage's min/mean/max spread so the slowest worker is visible
-        in the manifest.
-        """
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-        self.stage_tasks[stage] = self.stage_tasks.get(stage, 0) + tasks
-        if task_seconds:
-            stats = self.stage_task_stats.setdefault(
-                stage, {"min": float("inf"), "max": 0.0, "sum": 0.0, "count": 0}
-            )
-            stats["min"] = min(stats["min"], min(task_seconds))
-            stats["max"] = max(stats["max"], max(task_seconds))
-            stats["sum"] += sum(task_seconds)
-            stats["count"] += len(task_seconds)
-
     def timings_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Copy of the accumulated stage timings (for manifests).
+        """Each named stage's record since the last reset (for manifests).
 
         Stages that saw faults additionally carry ``retries`` /
-        ``timeouts`` / ``tasks_lost`` counters and the structured
-        ``task_errors`` records.
+        ``timeouts`` / ``tasks_lost`` counts and the first
+        ``MAX_RECORDED_ERRORS_PER_STAGE`` structured ``task_errors``.
         """
         snapshot = {}
-        for stage in sorted(self.stage_seconds):
-            entry = {
-                "seconds": round(self.stage_seconds[stage], 6),
-                "tasks": self.stage_tasks.get(stage, 0),
-            }
-            stats = self.stage_task_stats.get(stage)
-            if stats and stats["count"]:
+        for stage in sorted(name for name in self._stages if name is not None):
+            record = self._stages[stage]
+            entry = {"seconds": round(record.seconds, 6), "tasks": record.tasks}
+            if record.tasks:
                 entry["task_seconds"] = {
-                    "min": round(stats["min"], 6),
-                    "mean": round(stats["sum"] / stats["count"], 6),
-                    "max": round(stats["max"], 6),
+                    "min": round(record.task_min, 6),
+                    "mean": round(record.task_sum / record.tasks, 6),
+                    "max": round(record.task_max, 6),
                 }
-            for label, per_stage in (
-                ("retries", self.stage_retries),
-                ("timeouts", self.stage_timeouts),
-                ("tasks_lost", self.stage_tasks_lost),
-            ):
-                if per_stage.get(stage):
-                    entry[label] = per_stage[stage]
-            if self.stage_errors.get(stage):
+            for label, count in _fault_counts(record.errors, self.retries).items():
+                if count:
+                    entry[label] = count
+            if record.errors:
                 entry["task_errors"] = [
-                    record.as_dict() for record in self.stage_errors[stage]
+                    error.as_dict()
+                    for error in record.errors[:MAX_RECORDED_ERRORS_PER_STAGE]
                 ]
             snapshot[stage] = entry
         return snapshot
 
     def reset_timings(self) -> None:
-        """Clear per-stage records; run-lifetime fault totals persist."""
-        self.stage_seconds.clear()
-        self.stage_tasks.clear()
-        self.stage_task_stats.clear()
-        self.stage_retries.clear()
-        self.stage_timeouts.clear()
-        self.stage_tasks_lost.clear()
-        self.stage_errors.clear()
+        """Start fresh stage records; run-lifetime fault totals persist."""
+        self._retired.extend(self._stages.values())
+        self._stages = {}
 
 
 def _error_where(error: BaseException) -> str:

@@ -89,8 +89,10 @@ class Fig5Result(ExperimentResult):
         )
 
 
-def _simulate_one(task) -> MachineRun:
-    """Synthesize a single instrumented page load (module-level: picklable)."""
+def simulate_load(task) -> MachineRun:
+    """Synthesize one instrumented page load from ``(machine, site,
+    horizon_ns, seed)``: the engine task of Figures 5 and 6
+    (module-level, so picklable)."""
     machine, site, horizon_ns, run_seed = task
     synthesizer = InterruptSynthesizer(machine)
     rng = np.random.default_rng(run_seed)
@@ -99,15 +101,13 @@ def _simulate_one(task) -> MachineRun:
 
 
 def _simulate_runs(
-    machine: MachineConfig, site, n_runs: int, horizon_ns: int, seed: int, engine=None
+    machine: MachineConfig, site, n_runs: int, horizon_ns: int, seed: int, engine
 ) -> list[MachineRun]:
     tasks = [
         (machine, site, horizon_ns, seed * 7_001 + site.seed * 31 + k)
         for k in range(n_runs)
     ]
-    if engine is not None:
-        return engine.map(_simulate_one, tasks, stage="simulate")
-    return [_simulate_one(task) for task in tasks]
+    return engine.map(simulate_load, tasks, stage="simulate")
 
 
 def _row(result: Fig5Result, site: str) -> Fig5Row:

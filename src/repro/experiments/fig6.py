@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from repro.experiments.base import Claim, ExperimentResult, format_rows, register, sparkline
+from repro.experiments.fig5 import simulate_load
 from repro.sim.events import US, seconds_to_ns
 from repro.sim.interrupts import InterruptType
-from repro.sim.machine import InterruptSynthesizer, MachineConfig
+from repro.sim.machine import MachineConfig
 from repro.tracing.histograms import (
     FIG6_TYPES,
     GapLengthHistogram,
@@ -63,15 +62,6 @@ class Fig6Result(ExperimentResult):
             + f"\nIRQ-work gaps also containing a timer tick: "
             f"{self.irq_work_timer_coincidence * 100:.0f}%"
         )
-
-
-def _simulate_load(task):
-    """Synthesize one page load (module-level: picklable for the engine)."""
-    machine, site, horizon_ns, run_seed = task
-    synthesizer = InterruptSynthesizer(machine)
-    rng = np.random.default_rng(run_seed)
-    timeline = site.generate_load(rng, horizon_ns)
-    return synthesizer.synthesize(timeline, style=site.style, rng=rng)
 
 
 def _softirqs_broadest(result: Fig6Result, scale) -> bool:
@@ -121,10 +111,7 @@ def run(ctx) -> Fig6Result:
         for site in closed_world(n_sites)
         for k in range(loads_per_site)
     ]
-    if ctx.engine is not None:
-        runs = ctx.engine.map(_simulate_load, tasks, stage="simulate")
-    else:
-        runs = [_simulate_load(task) for task in tasks]
+    runs = ctx.engine.map(simulate_load, tasks, stage="simulate")
     # Trace every core so all interrupt types (incl. network RX, which
     # is bound to its source's affinity core) are observed.
     histograms = gap_length_histograms(runs, core=-1)

@@ -29,12 +29,13 @@ per-stage timings, cache statistics and fault counters (retries,
 timeouts, lost tasks, per-task error records) next to the rendered
 tables.
 
-``--profile`` (or ``BIGGERFISH_PROFILE=1``) turns on the
-:mod:`repro.obs` observability subsystem: spans and metrics from every
-process are merged into ``profile.jsonl``, rendered as an SVG timeline,
-and summarized into the manifest; ``biggerfish report <run-dir>`` prints
-the per-stage time/memory/cache breakdown afterwards.  Profiling never
-changes results — a profiled run's tables are bit-identical.
+``--profile`` turns on the :mod:`repro.obs` observability subsystem:
+spans and metrics from every process are merged into ``profile.jsonl``,
+rendered as an SVG timeline, and summarized into the manifest's
+``profile`` block; ``biggerfish report <run-dir>`` prints the breakdown
+afterwards, stage timings, cache and faults from the manifest and spans
+and metrics from the profile.  Profiling never changes results — a
+profiled run's tables are bit-identical.
 
 The full flag and environment-variable reference lives in
 ``docs/CLI.md``.
@@ -43,7 +44,6 @@ The full flag and environment-variable reference lives in
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import shutil
 import sys
@@ -79,9 +79,6 @@ from repro.experiments.base import (
 )
 from repro.viz.figures import render
 
-#: Environment variable equivalent of ``--profile``.
-PROFILE_ENV_VAR = "BIGGERFISH_PROFILE"
-
 
 def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
     """Register ``run``, ``cache`` and ``report`` on the ``biggerfish`` parser."""
@@ -114,8 +111,8 @@ def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
     run.add_argument(
         "--profile",
         action="store_true",
-        help="record tracing spans and metrics (or BIGGERFISH_PROFILE=1); "
-        "writes profile.jsonl and an SVG timeline into --save-dir",
+        help="record tracing spans and metrics; writes profile.jsonl and an "
+        "SVG timeline into --save-dir",
     )
     run.set_defaults(handler=_run_command)
 
@@ -177,11 +174,6 @@ def _report_command(args: argparse.Namespace) -> int:
     return code
 
 
-def _profile_requested(args: argparse.Namespace) -> bool:
-    env = os.environ.get(PROFILE_ENV_VAR, "").strip().lower()
-    return args.profile or env in ("1", "true", "yes", "on")
-
-
 def _resolve_ids(requested: list[str]) -> list[str] | None:
     """Validate experiment ids; print did-you-mean and return None on error."""
     if requested == ["all"]:
@@ -231,7 +223,7 @@ def _run_command(args: argparse.Namespace) -> int:
     if save_dir:
         save_dir.mkdir(parents=True, exist_ok=True)
     spool_dir = None
-    if _profile_requested(args):
+    if args.profile:
         # A fresh spool per run, so the profile holds this run's
         # processes only; it is removed once merged.
         spool_dir = pathlib.Path(tempfile.mkdtemp(prefix="biggerfish-obs-"))

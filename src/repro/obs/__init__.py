@@ -9,13 +9,19 @@ observe *itself* with the same rigor it applies to the simulated kernel:
   span("ml.train", fold=3):`` regions recording wall time, CPU time and
   peak RSS;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms (``engine.cache.hits``, ``sim.events_processed``,
+  histograms (``collect.traces``, ``sim.events_processed``,
   ``ml.epoch_seconds``);
 * :mod:`repro.obs.export` — spool merging, the ``profile.jsonl`` event
   log, a self-rendered SVG timeline (via :mod:`repro.viz.svg`) and the
   summary block folded into ``run_manifest.json``;
 * :mod:`repro.obs.report` — the ``biggerfish report <run-dir>`` CLI
-  rendering per-stage time/memory/cache breakdowns and slowest spans.
+  rendering a run's breakdown: stage timings, cache and fault counts
+  from the manifest, spans and metrics from the profile.
+
+A profile records what only profiling sees.  The engine's stage
+records and the trace cache's ``CacheStats`` are counted on every run
+and written once, into ``run_manifest.json``; no instrument copies
+them.
 
 Each profiled process has one :class:`Recorder` (:func:`active`) and
 one spool file, ``obs-<pid>-<random>.jsonl``, for span and metric lines

@@ -12,8 +12,14 @@ ways:
 * an SVG timeline — one lane block per process, spans drawn as
   depth-stacked rectangles via the existing :mod:`repro.viz.svg`
   primitives (a flame view of where the run's wall clock went);
-* a summary dict — per-span-name and per-stage totals, peak RSS and the
-  merged metrics — folded into the run manifest under ``"profile"``.
+* a summary dict — per-span-name totals, the slowest spans, peak RSS
+  and the merged metrics — folded into the run manifest under
+  ``"profile"``.
+
+The profile holds what only profiling sees: spans and the metrics
+instrumented code counts in its own process.  Stage timings, cache
+counts and fault counts live once, in the manifest blocks the engine
+and cache fill (``experiments``, ``cache``, ``faults``).
 
 Everything here is timestamp-deterministic: the same run produces the
 same events modulo clock readings, and merging sorts on recorded fields
@@ -77,8 +83,6 @@ _SPAN_FIELDS = {
     "rss_peak_kb": "number",
     "attrs": "object",
 }
-#: JSON type of each ``engine.map`` attribute that the stage roll-up reads.
-_STAGE_ATTRS = {"stage": "string", "tasks": "integer"}
 #: JSON type of the values in each section of a metrics line.
 _METRIC_SECTIONS = {"counters": "number", "gauges": "number", "histograms": "object"}
 #: JSON type of each histogram field that merging and the report read.
@@ -101,9 +105,6 @@ def _check(event, where: str) -> str:
     kind = event.get("type")
     if kind == "span":
         _require_fields({"attrs": {}, **event}, _SPAN_FIELDS, f"{where}: span field")
-        if event["name"] == "engine.map":
-            attrs = {"stage": "", "tasks": 0, **event.get("attrs", {})}
-            _require_fields(attrs, _STAGE_ATTRS, f"{where}: engine.map attribute")
     elif kind == "metrics":
         for key, json_type in _METRIC_SECTIONS.items():
             section = event.get(key, {})
@@ -178,11 +179,12 @@ def summarize(profile: Profile, top_n: int = 5) -> dict:
     """Condense a profile into the manifest's ``"profile"`` block.
 
     ``spans`` aggregates by span name (count / wall / CPU / max peak
-    RSS); ``stages`` aggregates ``engine.map`` spans by their stage
-    attribute; ``top_spans`` lists the slowest individual spans.
+    RSS); ``top_spans`` lists the slowest individual spans.  Stage
+    timings, cache and fault counts are not repeated here: the engine
+    and cache record them once, in the manifest's ``experiments``,
+    ``cache`` and ``faults`` blocks.
     """
     by_name: Dict[str, dict] = {}
-    stages: Dict[str, dict] = {}
     peak_rss = 0
     for event in profile.spans:
         entry = by_name.setdefault(
@@ -194,19 +196,12 @@ def summarize(profile: Profile, top_n: int = 5) -> dict:
         entry["cpu_s"] = round(entry["cpu_s"] + event["cpu_s"], 6)
         entry["max_rss_kb"] = max(entry["max_rss_kb"], event["rss_peak_kb"])
         peak_rss = max(peak_rss, event["rss_peak_kb"])
-        if event["name"] == "engine.map":
-            stage = (event.get("attrs") or {}).get("stage") or "unstaged"
-            st = stages.setdefault(stage, {"wall_s": 0.0, "maps": 0, "tasks": 0})
-            st["wall_s"] = round(st["wall_s"] + event["wall_s"], 6)
-            st["maps"] += 1
-            st["tasks"] += (event.get("attrs") or {}).get("tasks", 0)
     slowest = sorted(profile.spans, key=lambda e: -e["wall_s"])[:top_n]
     return {
         "processes": len(profile.pids),
         "events": len(profile.spans),
         "peak_rss_kb": peak_rss,
         "spans": dict(sorted(by_name.items())),
-        "stages": dict(sorted(stages.items())),
         "top_spans": [
             {
                 "name": e["name"],

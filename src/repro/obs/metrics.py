@@ -2,8 +2,8 @@
 
 Instrumented code asks for instruments by dotted name::
 
-    counter("engine.cache.hits").inc()
-    gauge("engine.jobs").set(4)
+    counter("collect.traces").inc()
+    gauge("serve.queue_depth").set(4)
     histogram("ml.epoch_seconds").observe(elapsed)
 
 While profiling is disabled the accessors in :mod:`repro.obs` return
@@ -13,9 +13,10 @@ else.  While enabled, the process's recorder owns the instruments and
 (:func:`totals`) to the process's ``obs-*.jsonl`` spool file whenever
 they changed.  A file's last metrics line is therefore that process's
 whole contribution, and merging a run (:func:`merge_totals`) sums one
-line per file.  The engine flushes after every task (see
-``repro.engine.engine._TimedTask``), which also covers pool teardown
-paths where ``atexit`` never runs.
+line per file.  A pool worker flushes after every task it runs (see
+``repro.engine.engine._TimedTask``), because pool teardown skips
+``atexit``; the parent's totals are written once, by
+:func:`repro.obs.disable`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """The ``biggerfish report <run-dir>`` breakdown renderer.
 
-Reads the profile artifacts a ``--profile`` run leaves in its save
-directory — ``profile.jsonl`` and ``run_manifest.json`` — and renders a
-terminal breakdown: per-stage wall clock and task spread, per-span-name
-totals (wall / CPU / calls / peak RSS), the top-N slowest individual
-spans, and cache hit statistics.  Works from either artifact alone:
-without a manifest the stage table comes from the spans; without spans
-it falls back to the manifest's recorded stage timings.
+Reads the artifacts a run leaves in its save directory and renders a
+terminal breakdown.  Each fact comes from the one place it is recorded:
+
+* ``run_manifest.json`` — per-stage wall clock, task counts and task
+  spread, fault counts and per-task errors, cache hit statistics;
+* ``profile.jsonl`` (a ``--profile`` run) — per-span-name totals (wall
+  / CPU / calls / peak RSS), the top-N slowest individual spans and the
+  metrics instrumented code counted.
+
+``biggerfish run`` writes the manifest beside every ``profile.jsonl``;
+a directory holding only the profile shows its spans and no stages.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def format_report(
     summary = summarize(profile, top_n=top_n) if profile is not None else None
 
     lines.append("")
-    lines.extend(_stage_section(summary, manifest))
+    lines.extend(_stage_section(manifest))
     faults_lines = _faults_section(manifest)
     if faults_lines:
         lines.append("")
@@ -106,12 +110,12 @@ def format_report(
             lines.extend(metrics_lines)
     elif manifest is None:
         lines.append("no profile.jsonl or run_manifest.json found")
-    lines.extend(_cache_section(summary, manifest))
+    lines.extend(_cache_section(manifest))
     return "\n".join(lines)
 
 
-def _stage_section(summary: Optional[dict], manifest: Optional[dict]) -> List[str]:
-    """Per-stage wall clock: prefer the manifest's task-level spread."""
+def _stage_section(manifest: Optional[dict]) -> List[str]:
+    """Per-stage wall clock and task spread, as the manifest records them."""
     rows: List[List[str]] = []
     if manifest is not None:
         for experiment_id, record in manifest.get("experiments", {}).items():
@@ -128,19 +132,6 @@ def _stage_section(summary: Optional[dict], manifest: Optional[dict]) -> List[st
                         _fmt_seconds(spread["max"]) if spread else "-",
                     ]
                 )
-    if not rows and summary is not None:
-        for stage, record in summary.get("stages", {}).items():
-            rows.append(
-                [
-                    "-",
-                    stage,
-                    _fmt_seconds(record["wall_s"]),
-                    str(record["tasks"]),
-                    "-",
-                    "-",
-                    "-",
-                ]
-            )
     if not rows:
         return ["(no stage timings recorded)"]
     header = ["experiment", "stage", "wall", "tasks", "task min", "mean", "max"]
@@ -230,19 +221,8 @@ def _metrics_section(summary: dict) -> List[str]:
     return ["metrics:", _format_rows(["metric", "kind", "value"], rows)]
 
 
-def _cache_section(summary: Optional[dict], manifest: Optional[dict]) -> List[str]:
+def _cache_section(manifest: Optional[dict]) -> List[str]:
     cache = (manifest or {}).get("cache")
-    if cache is None and summary is not None:
-        counters = (summary.get("metrics") or {}).get("counters", {})
-        hits = counters.get("engine.cache.hits")
-        if hits is None:
-            return []
-        cache = {
-            "hits": hits,
-            "misses": counters.get("engine.cache.misses", 0),
-            "puts": counters.get("engine.cache.puts", 0),
-            "evictions": counters.get("engine.cache.evictions", 0),
-        }
     if cache is None:
         return []
     total = cache.get("hits", 0) + cache.get("misses", 0)

@@ -40,6 +40,9 @@ are omitted.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 import threading
 import time
 from collections import deque
@@ -243,9 +246,12 @@ class FingerprintServer:
         worker sees every vector of the call at the same time.
         """
         now = time.monotonic()
-        deadline = now + deadline_ms / 1000.0 if deadline_ms is not None else None
         name = model if model is not None else self.default_model
-        handles = [self._validated(vector, name, now, deadline) for vector in vectors]
+        problem = self._request_problem(name, deadline_ms)
+        deadline = None
+        if deadline_ms is not None and problem is None:
+            deadline = now + deadline_ms / 1000.0
+        handles = [self._validated(vector, name, now, deadline, problem) for vector in vectors]
         obs.counter("serve.requests").inc(len(handles))
         with self._cond:
             queued = 0
@@ -266,16 +272,34 @@ class FingerprintServer:
                 self._cond.notify()
         return handles
 
+    def _request_problem(self, name, deadline_ms) -> Optional[str]:
+        """Why a request's model or ``deadline_ms`` is unusable, or None.
+
+        JSON requests carry whatever the client sent: a list as the
+        model name, a string, ``true`` or ``NaN`` as the deadline.  Each
+        is a ``bad_input`` answer, never a crash or a deadline that can
+        never pass.
+        """
+        if not isinstance(name, str) or name not in self.registry:
+            return f"unknown model {name!r}"
+        if deadline_ms is None:
+            return None
+        if isinstance(deadline_ms, numbers.Real) and not isinstance(deadline_ms, bool):
+            with contextlib.suppress(OverflowError):  # an int too large for a float
+                if math.isfinite(deadline_ms):
+                    return None
+        return f"deadline_ms must be a finite number, got {deadline_ms!r}"
+
     def _validated(
-        self, vector, name: Optional[str], now: float, deadline: Optional[float]
+        self, vector, name, now: float, deadline: Optional[float], problem: Optional[str]
     ) -> _Pending:
         """A handle for one request, already resolved as ``bad_input`` when
-        its model is unknown or its vector is not a finite 1-D trace."""
-        pending = _Pending(
-            vector=np.empty(0), model=name or "", enqueued=now, deadline=deadline
-        )
-        if name is None or name not in self.registry:
-            pending.resolve(_failure("bad_input", f"unknown model {name!r}"))
+        its fields have a ``problem`` or its vector is not a finite 1-D
+        trace."""
+        model = name if problem is None else ""
+        pending = _Pending(vector=np.empty(0), model=model, enqueued=now, deadline=deadline)
+        if problem is not None:
+            pending.resolve(_failure("bad_input", problem))
             return pending
         try:
             array = np.asarray(vector, dtype=np.float64)

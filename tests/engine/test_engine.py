@@ -160,7 +160,7 @@ class TestMap:
         assert snapshot["tasks"] == 3
         assert snapshot["task_seconds"]["mean"] >= snapshot["task_seconds"]["min"]
         engine.reset_timings()
-        assert engine.stage_task_stats == {}
+        assert engine.timings_snapshot() == {}
 
     def test_failed_map_records_only_completed_tasks(self):
         """A failed stage must not claim the whole item count ran —
@@ -180,8 +180,30 @@ class TestMap:
         with pytest.raises(TaskFailedError) as excinfo:
             engine.map(_fail_on_three, [3], stage="demo")
         assert excinfo.value.task_error.attempt == 2  # 1 try + 2 retries
-        assert engine.stage_retries["demo"] == 2
-        assert engine.fault_totals["retries"] == 2
+        assert engine.timings_snapshot()["demo"]["retries"] == 2
+        assert engine.fault_snapshot()["retries"] == 2
+
+    def test_manifest_prints_capped_errors_but_counts_all(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "BACKOFF_S", 0.0)
+        monkeypatch.setattr(engine_module, "MAX_RECORDED_ERRORS_PER_STAGE", 2)
+        engine = ExecutionEngine(jobs=1)
+        with faults.injected(faults.FaultPlan(rate=1.0, modes=("raise",))):
+            assert engine.map(_square, [1, 2, 3, 4], stage="demo") == [1, 4, 9, 16]
+        snapshot = engine.timings_snapshot()["demo"]
+        assert [error["index"] for error in snapshot["task_errors"]] == [0, 1]
+        assert snapshot["retries"] == 4
+        assert engine.fault_snapshot()["task_errors"] == 4
+
+    def test_fault_totals_outlive_reset_timings(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "BACKOFF_S", 0.0)
+        engine = ExecutionEngine(jobs=1)
+        with faults.injected(faults.FaultPlan(rate=1.0, modes=("raise",))):
+            engine.map(_square, [1, 2], stage="first")
+            engine.reset_timings()
+            engine.map(_square, [3], stage="second")
+        assert list(engine.timings_snapshot()) == ["second"]
+        totals = engine.fault_snapshot()
+        assert totals["retries"] == totals["task_errors"] == 3
 
     def test_original_error_is_chained(self):
         engine = ExecutionEngine(jobs=1, retries=0)

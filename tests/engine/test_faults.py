@@ -155,7 +155,7 @@ class TestParentSafety:
         with faults.injected(FaultPlan(rate=1.0, modes=("kill",), seed=5)):
             results = engine.map(_square, items, stage="w")
         assert results == [x * x for x in items]
-        assert engine.fault_totals["retries"] == len(items)
+        assert engine.fault_snapshot()["retries"] == len(items)
 
 
 class TestParallelRecovery:
@@ -172,12 +172,12 @@ class TestParallelRecovery:
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
-        assert engine.fault_totals["retries"] == len(injected)
-        assert engine.fault_totals["task_errors"] == len(injected)
-        errors = engine.stage_errors["w"]
-        assert sorted(e.index for e in errors) == injected
-        assert {e.kind for e in errors} == {"exception"}
-        assert {e.error_type for e in errors} == {"InjectedFault"}
+        assert engine.fault_snapshot()["retries"] == len(injected)
+        assert engine.fault_snapshot()["task_errors"] == len(injected)
+        errors = engine.timings_snapshot()["w"]["task_errors"]
+        assert sorted(e["index"] for e in errors) == injected
+        assert {e["kind"] for e in errors} == {"exception"}
+        assert {e["error_type"] for e in errors} == {"InjectedFault"}
 
     def test_killed_workers_respawn_pool(self):
         plan = FaultPlan(rate=0.2, modes=("kill",), seed=7)
@@ -186,9 +186,10 @@ class TestParallelRecovery:
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
-        assert engine.fault_totals["tasks_lost"] >= 1
-        assert engine.fault_totals["pool_respawns"] == 1
-        assert any(e.kind == "worker-lost" for e in engine.stage_errors["w"])
+        assert engine.fault_snapshot()["tasks_lost"] >= 1
+        assert engine.fault_snapshot()["pool_respawns"] == 1
+        errors = engine.timings_snapshot()["w"]["task_errors"]
+        assert any(e["kind"] == "worker-lost" for e in errors)
 
     @pytest.mark.slow
     def test_hung_tasks_time_out_and_retry(self):
@@ -198,9 +199,10 @@ class TestParallelRecovery:
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
-        assert engine.fault_totals["timeouts"] >= 1
-        assert engine.stage_timeouts["w"] >= 1
-        assert any(e.kind == "timeout" for e in engine.stage_errors["w"])
+        assert engine.fault_snapshot()["timeouts"] >= 1
+        stage = engine.timings_snapshot()["w"]
+        assert stage["timeouts"] >= 1
+        assert any(e["kind"] == "timeout" for e in stage["task_errors"])
 
     def test_twice_killed_pool_falls_back_inline(self):
         # rate=1.0 + max_attempt=2 kills every task's first two attempts:
@@ -213,8 +215,8 @@ class TestParallelRecovery:
         with faults.injected(plan):
             results = engine.map(_square, items, stage="w")
         assert results == [x * x for x in items]
-        assert engine.fault_totals["pool_respawns"] == 1
-        assert engine.fault_totals["tasks_lost"] >= 1
+        assert engine.fault_snapshot()["pool_respawns"] == 1
+        assert engine.fault_snapshot()["tasks_lost"] >= 1
 
     def test_inline_fallback_shares_the_attempt_budget(self):
         # The first three attempts of every task are killed: rounds 1
@@ -227,7 +229,7 @@ class TestParallelRecovery:
         with faults.injected(plan):
             with pytest.raises(TaskFailedError, match=r"after 3 attempt\(s\)"):
                 engine.map(_square, list(range(4)), stage="w")
-        totals = engine.fault_totals
+        totals = engine.fault_snapshot()
         assert totals["retries"] == totals["tasks_lost"] == 8
         assert totals["task_errors"] == 9
         assert totals["pool_respawns"] == 1
@@ -245,10 +247,10 @@ class TestParallelRecovery:
         with faults.injected(plan):
             results = engine.map(_square, items, stage="w")
         assert results == [x * x for x in items]
-        errors = engine.stage_errors["w"]
-        assert sorted(e.index for e in errors) == items
-        assert {e.kind for e in errors} == {"timeout"}
-        totals = engine.fault_totals
+        errors = engine.timings_snapshot()["w"]["task_errors"]
+        assert sorted(e["index"] for e in errors) == items
+        assert {e["kind"] for e in errors} == {"timeout"}
+        totals = engine.fault_snapshot()
         assert totals["retries"] == totals["timeouts"] == totals["task_errors"] == 4
         assert totals["tasks_lost"] == 0
         assert totals["pool_respawns"] >= 1
@@ -266,13 +268,13 @@ class TestParallelRecovery:
         with faults.injected(plan):
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
-        assert engine.fault_totals["retries"] > 0
+        assert engine.fault_snapshot()["retries"] > 0
 
         manifest = RunManifest(scale="tiny", seed=0, jobs=4)
         manifest.add_experiment("demo", 1.0, engine.timings_snapshot())
         manifest.finalize(engine)
         record = manifest.as_dict()
-        assert record["faults"]["retries"] == engine.fault_totals["retries"]
+        assert record["faults"]["retries"] == engine.fault_snapshot()["retries"]
         stage = record["experiments"]["demo"]["stages"]["w"]
         assert stage["tasks"] == len(self.ITEMS)
         assert stage["task_errors"]  # structured records made it through
@@ -283,8 +285,8 @@ class TestParallelRecovery:
         with faults.injected(plan):
             with pytest.raises(TaskFailedError, match="after 2 attempt"):
                 engine.map(_square, [0], stage="w")
-        assert engine.stage_tasks["w"] == 0  # nothing actually completed
-        assert engine.fault_totals["retries"] == 1
+        assert engine.timings_snapshot()["w"]["tasks"] == 0  # nothing completed
+        assert engine.fault_snapshot()["retries"] == 1
 
 
 class TestPipelineUnderFaults:

@@ -71,10 +71,10 @@ class TestFaults:
         manifest.finalize(ExecutionEngine(jobs=1))
         assert "faults" not in manifest.as_dict()
 
-    def test_finalize_folds_fault_totals(self):
+    def test_finalize_folds_fault_totals(self, monkeypatch):
         engine = ExecutionEngine(jobs=1)
-        engine.fault_totals["retries"] = 3
-        engine.fault_totals["timeouts"] = 1
+        totals = {**engine.fault_snapshot(), "retries": 3, "timeouts": 1}
+        monkeypatch.setattr(engine, "fault_snapshot", lambda: totals)
         manifest = _manifest()
         manifest.finalize(engine)
         out = manifest.as_dict()

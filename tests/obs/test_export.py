@@ -39,7 +39,7 @@ def _sample_profile() -> Profile:
         },
     ]
     metrics = {
-        "counters": {"engine.cache.hits": 3, "engine.cache.misses": 1},
+        "counters": {"collect.traces": 3, "sim.events_processed": 1},
         "gauges": {},
         "histograms": {},
     }
@@ -88,12 +88,7 @@ class TestSummarize:
         assert collect["count"] == 2
         assert collect["wall_s"] == 1.3
         assert collect["max_rss_kb"] == 2100
-
-    def test_stage_rollup_from_engine_map(self):
-        summary = summarize(_sample_profile())
-        assert summary["stages"] == {
-            "collect": {"wall_s": 2.0, "maps": 1, "tasks": 4}
-        }
+        assert "stages" not in summary  # the manifest's experiments block holds them
 
     def test_top_spans_sorted_and_capped(self):
         summary = summarize(_sample_profile(), top_n=2)
@@ -103,7 +98,7 @@ class TestSummarize:
 
     def test_metrics_passthrough(self):
         summary = summarize(_sample_profile())
-        assert summary["metrics"]["counters"]["engine.cache.hits"] == 3
+        assert summary["metrics"]["counters"]["collect.traces"] == 3
 
 
 class TestTimeline:

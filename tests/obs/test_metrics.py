@@ -9,8 +9,15 @@ import threading
 import pytest
 
 from repro import obs
+from repro.engine import ExecutionEngine
 from repro.obs import NOOP
 from repro.obs.export import merge_spool
+
+
+def _counted_square(x: int) -> int:
+    """Module-level engine task that counts itself."""
+    obs.counter("unit.tasks").inc()
+    return x * x
 
 
 def _metric_lines(spool):
@@ -37,10 +44,10 @@ class TestDisabled:
 
 class TestInstruments:
     def test_counter_accumulates(self, spool):
-        obs.counter("engine.cache.hits").inc()
-        obs.counter("engine.cache.hits").inc(4)
+        obs.counter("collect.traces").inc()
+        obs.counter("collect.traces").inc(4)
         snap = obs.active().snapshot()
-        assert snap["counters"]["engine.cache.hits"] == 5
+        assert snap["counters"]["collect.traces"] == 5
 
     def test_gauge_last_write_wins(self, spool):
         obs.gauge("engine.jobs").set(2)
@@ -80,6 +87,19 @@ class TestTotalsFlush:
         obs.counter("c").inc(2)
         assert obs.flush_metrics() is True
         assert [event["counters"]["c"] for event in _metric_lines(spool)] == [3, 5]
+
+    def test_serial_engine_spools_one_metrics_line(self, spool):
+        # Tasks run in this process leave their totals to disable(): a
+        # flush per task would append one full totals line per task.
+        ExecutionEngine(jobs=1).map(_counted_square, list(range(6)), stage="unit")
+        obs.disable()
+        assert [event["counters"]["unit.tasks"] for event in _metric_lines(spool)] == [6]
+
+    def test_pool_workers_flush_their_totals(self, spool):
+        results = ExecutionEngine(jobs=2).map(_counted_square, list(range(6)), stage="unit")
+        obs.disable()
+        assert results == [x * x for x in range(6)]
+        assert merge_spool(spool).metrics["counters"] == {"unit.tasks": 6}
 
     def test_merge_sums_each_process_last_line(self, tmp_path):
         def line(pid, hits, counts, total, **extra):

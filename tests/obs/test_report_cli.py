@@ -8,6 +8,10 @@ import tempfile
 import pytest
 
 from repro.cli import main
+from repro.config import SCALES, SMOKE
+from repro.engine import engine as engine_module
+from repro.engine import faults
+from repro.engine.faults import FaultPlan
 from repro.obs.export import Profile, write_profile
 from repro.obs.report import report_command
 
@@ -146,14 +150,16 @@ class TestReportCommand:
         assert "status=failed" in text
         assert "failed in table1: ValueError: boom" in text
 
-    def test_profile_only_falls_back_to_span_stages(self, tmp_path):
+    def test_profile_only_shows_spans_and_no_stages(self, tmp_path):
+        # Stage timings and cache counts live in the manifest only: a
+        # directory without one renders its spans and claims no stages.
         run_dir = _make_run_dir(tmp_path, with_manifest=False)
         code, text = report_command(str(run_dir))
         assert code == 0
-        stage_row = next(
-            line for line in text.splitlines() if "collect" in line and "2.000s" in line
-        )
-        assert stage_row.startswith("-")  # no experiment id without a manifest
+        assert "(no stage timings recorded)" in text
+        assert "per-stage breakdown:" not in text
+        assert "spans (2 events from 2 process(es)" in text
+        assert "cache:" not in text
 
     def test_manifest_only_uses_recorded_stages(self, tmp_path):
         run_dir = _make_run_dir(tmp_path, with_profile=False)
@@ -275,3 +281,29 @@ class TestProfiledRun:
         self._run()
         assert "spans (1 events from 1 process(es)" in capsys.readouterr().out
         assert sorted(scratch.iterdir()) == []
+
+    def test_each_fact_is_recorded_once(self, tmp_path, capsys, monkeypatch):
+        """Stage, cache and fault counts sit in the manifest's
+        ``experiments``, ``cache`` and ``faults`` blocks only; the
+        ``profile`` block holds spans and in-process metrics."""
+        monkeypatch.setitem(SCALES, "smoke", SMOKE.with_(n_sites=2, traces_per_site=2))
+        monkeypatch.setattr(engine_module, "BACKOFF_S", 0.0)
+        save_dir = tmp_path / "out"
+        argv = ["table2", "--scale", "smoke", "--jobs", "1", "--profile",
+                "--save-dir", str(save_dir), "--cache-dir", str(tmp_path / "cache")]
+        with faults.injected(FaultPlan(rate=0.3, modes=("raise",), seed=1)):
+            assert main(argv) == 0
+        manifest = json.loads((save_dir / "run_manifest.json").read_text())
+        stages = manifest["experiments"]["table2"]["stages"]
+        collected = stages["collect"]["tasks"]
+        assert collected > 0
+        assert manifest["cache"]["misses"] == manifest["cache"]["puts"] == collected
+        retried = sum(stage.get("retries", 0) for stage in stages.values())
+        assert manifest["faults"]["retries"] == retried > 0
+        profile = manifest["profile"]
+        assert "stages" not in profile
+        assert not [name for name in profile["metrics"]["counters"] if name.startswith("engine.")]
+        code, text = report_command(str(save_dir))
+        assert code == 0
+        assert text.count("cache: ") == 1
+        assert "engine." not in text.split("metrics:")[1]

@@ -73,6 +73,23 @@ class TestServeJsonl:
         assert responses[0]["ok"] is False and responses[0]["error"] == "bad_input"
         assert responses[1]["ok"] is True
 
+    def test_malformed_fields_answer_bad_input(self, artifact_dir, dataset, monkeypatch, capsys):
+        x, _ = dataset
+        vector = list(x[0])
+        lines = [
+            json.dumps({"id": 1, "vector": [1, 2, 3], "deadline_ms": "x"}),
+            json.dumps({"id": 2, "vector": [1, 2, 3], "model": ["x"]}),
+            '{"id": 3, "vector": %s, "deadline_ms": NaN}' % json.dumps(vector),
+            json.dumps({"id": 4, "vector": vector, "deadline_ms": True}),
+            json.dumps({"id": 5, "vector": vector}),
+        ]
+        responses = self._run(lines, artifact_dir, monkeypatch, capsys)
+        assert [r["id"] for r in responses] == [1, 2, 3, 4, 5]
+        assert [r["error"] for r in responses[:4]] == ["bad_input"] * 4
+        assert "deadline_ms" in responses[0]["detail"]
+        assert "model" in responses[1]["detail"]
+        assert responses[4]["ok"] is True
+
     def test_wrong_length_for_lstm_model_answers_not_ok(
         self, lstm_artifact_dir, dataset, monkeypatch, capsys
     ):

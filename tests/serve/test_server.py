@@ -236,6 +236,36 @@ class TestErrorPaths:
             assert server.predict(nan).error == "bad_input"
             assert server.predict(x[0], model="nope").error == "bad_input"
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"deadline_ms": "x"},
+            {"deadline_ms": float("nan")},
+            {"deadline_ms": float("inf")},
+            {"deadline_ms": True},
+            {"deadline_ms": [5]},
+            {"deadline_ms": 10**400},
+            {"model": ["x"]},
+            {"model": 3},
+        ],
+        ids=["deadline-str", "deadline-nan", "deadline-inf", "deadline-bool",
+             "deadline-list", "deadline-huge-int", "model-list", "model-int"],
+    )
+    def test_malformed_fields_are_bad_input(self, registry, dataset, fields):
+        x, _ = dataset
+        with FingerprintServer(registry) as server:
+            assert server.predict(x[0], **fields).error == "bad_input"
+            assert server.submit(x[0], **fields).result.error == "bad_input"
+            results = server.predict_many(x[:3], **fields)
+            assert [r.error for r in results] == ["bad_input"] * 3
+            assert server.predict(x[0]).ok  # the server keeps serving
+
+    def test_numeric_deadlines_still_accepted(self, registry, dataset):
+        x, _ = dataset
+        with FingerprintServer(registry) as server:
+            assert server.predict(x[0], deadline_ms=10_000).ok
+            assert server.predict(x[0], deadline_ms=np.float64(10_000.0)).ok
+
     def test_shutdown_rejects_new_requests(self, registry, dataset):
         x, _ = dataset
         server = FingerprintServer(registry)
