@@ -59,7 +59,11 @@ from repro.workload import (
 # 1.3.0: the repro.data sharded dataset store lands; traces are
 # unchanged, but the version is recorded in every store manifest as
 # build provenance, so the bump marks the new on-disk surface.
-__version__ = "1.3.0"
+# 1.4.0: each core draws from its own RNG stream, seeded by one word of
+# the caller's stream, and a collected trace draws only the attacker's
+# core; every trace differs from 1.3.0.  Dataset stores refuse to mix
+# shards of different versions.
+__version__ = "1.4.0"
 
 __all__ = [
     "CacheStats", "ExecutionEngine", "RunContext", "RunManifest", "TraceCache",

@@ -18,6 +18,11 @@ to its recorded checksum — only missing or corrupt shards are rebuilt.
 An existing shard file that predates its manifest entry (a build killed
 between the rename and the manifest update) is adopted after a
 structural validation instead of being rebuilt.
+
+A store never mixes simulator versions: every shard records the
+``repro.__version__`` that collected it, a build refuses to resume a
+store of another version, an orphan shard of another version is
+rebuilt, and only stores of one version merge.
 """
 
 from __future__ import annotations
@@ -124,9 +129,12 @@ def partition_sites(n_sites: int, shard_sites: int) -> List[Tuple[int, int]]:
 
 
 def shard_meta(config: DatasetConfig, site_start: int, site_stop: int) -> dict:
+    from repro import __version__
+
     sites = config_sites(config)[site_start:site_stop]
     return {
         "config": config.as_dict(),
+        "repro_version": __version__,
         "site_start": site_start,
         "site_stop": site_stop,
         "sites": [site.name for site in sites],
@@ -170,9 +178,12 @@ def _adopt_existing(
     """Validate an unmanifested shard file left by an interrupted build.
 
     Atomic renames mean any file present is complete; it is adopted iff
-    its metadata names exactly this config and site range and its label
-    count matches the expected row count.  Anything else is rebuilt.
+    its metadata names exactly this config, site range and simulator
+    version and its label count matches the expected row count.
+    Anything else is rebuilt.
     """
+    from repro import __version__
+
     try:
         meta = read_meta(path)
         labels = read_labels(path)
@@ -181,6 +192,7 @@ def _adopt_existing(
     expected_rows = (site_stop - site_start) * config.traces_per_site
     if (
         meta.get("config") != config.as_dict()
+        or meta.get("repro_version") != __version__
         or meta.get("site_start") != site_start
         or meta.get("site_stop") != site_stop
         or len(labels) != expected_rows
@@ -235,6 +247,12 @@ def build_dataset(
             raise DataError(
                 f"{store_dir} already holds a dataset built from a different "
                 f"config; refusing to mix generations (use a new directory)"
+            )
+        if existing.repro_version != __version__:
+            raise DataError(
+                f"{store_dir} holds traces from repro "
+                f"{existing.repro_version or '(unknown)'}, not {__version__}; "
+                f"refusing to mix simulator versions (use a new directory)"
             )
         previous = existing.shard_by_name()
 
@@ -317,15 +335,14 @@ def merge_stores(sources: Sequence, store_dir, progress=None) -> DatasetManifest
 
     Shard files are copied verbatim (checksums carry over) and renamed
     into one contiguous sequence; site ranges are offset so they stay
-    disjoint.  Sources must agree on schema, trace length and trace
-    shape (``trace_seconds``/``period_ms``/``browser``).  The merged
-    manifest's config concatenates the site counts under the first
-    source's other settings — a merged store is a *serving* artifact:
+    disjoint.  Sources must agree on schema, simulator version, trace
+    length and trace shape (``trace_seconds``/``period_ms``/``browser``),
+    and the merged store keeps their version.  The merged manifest's
+    config concatenates the site counts under the first source's other
+    settings — a merged store is a *serving* artifact:
     its rows are exactly its sources', but it is no longer rebuildable
     from its config alone (see docs/DATA.md).
     """
-    from repro import __version__
-
     if len(sources) < 2:
         raise DataError("merge needs at least two source stores")
     store_dir = Path(store_dir)
@@ -337,6 +354,12 @@ def merge_stores(sources: Sequence, store_dir, progress=None) -> DatasetManifest
             raise DataError(f"{source}: store is incomplete; finish the build first")
     first = manifests[0]
     for source, other in zip(sources[1:], manifests[1:]):
+        if other.repro_version != first.repro_version:
+            raise DataError(
+                f"{source}: built by repro {other.repro_version or '(unknown)'}, "
+                f"not {first.repro_version or '(unknown)'}; refusing to merge "
+                f"traces of different simulator versions"
+            )
         if other.trace_length != first.trace_length:
             raise DataError(
                 f"{source}: trace length {other.trace_length} != "
@@ -354,7 +377,7 @@ def merge_stores(sources: Sequence, store_dir, progress=None) -> DatasetManifest
             first.config, n_sites=sum(m.config.n_sites for m in manifests)
         ),
         trace_length=first.trace_length,
-        repro_version=__version__,
+        repro_version=first.repro_version,
         status="building",
     )
     index = 0

@@ -12,9 +12,9 @@ ways:
 * an SVG timeline — one lane block per process, spans drawn as
   depth-stacked rectangles via the existing :mod:`repro.viz.svg`
   primitives (a flame view of where the run's wall clock went);
-* a summary dict — per-span-name totals, the slowest spans, peak RSS
-  and the merged metrics — folded into the run manifest under
-  ``"profile"``.
+* a summary dict — per-span-name totals (self time included), the
+  run's wall and unattributed time, the slowest spans, peak RSS and the
+  merged metrics — folded into the run manifest under ``"profile"``.
 
 The profile holds what only profiling sees: spans and the metrics
 instrumented code counts in its own process.  Stage timings, cache
@@ -175,32 +175,71 @@ def read_profile(path: os.PathLike) -> Profile:
 # summary (run_manifest.json's "profile" block)
 
 
+def self_seconds(spans: List[dict]) -> List[float]:
+    """Each span's self time: its wall minus what its children cover.
+
+    Children are matched by ``(pid, parent_id)``, clipped to their
+    parent's interval, and overlapping children count once, so self time
+    is never negative (the rule ``perfbench/layertrace.py`` applies).
+    ``spans`` must be in start order, as :class:`Profile` keeps them.
+    """
+    children: Dict[tuple, List[dict]] = {}
+    for event in spans:
+        parent = event.get("parent_id")
+        if isinstance(parent, int):
+            children.setdefault((event["pid"], parent), []).append(event)
+    out: List[float] = []
+    for event in spans:
+        end = event["t_start"] + event["wall_s"]
+        covered = 0.0
+        reach = event["t_start"]
+        for child in children.get((event["pid"], event["span_id"]), ()):
+            low = max(child["t_start"], reach)
+            high = min(child["t_start"] + child["wall_s"], end)
+            if high > low:
+                covered += high - low
+                reach = high
+        out.append(event["wall_s"] - covered)
+    return out
+
+
 def summarize(profile: Profile, top_n: int = 5) -> dict:
     """Condense a profile into the manifest's ``"profile"`` block.
 
-    ``spans`` aggregates by span name (count / wall / CPU / max peak
-    RSS); ``top_spans`` lists the slowest individual spans.  Stage
-    timings, cache and fault counts are not repeated here: the engine
-    and cache record them once, in the manifest's ``experiments``,
-    ``cache`` and ``faults`` blocks.
+    ``spans`` aggregates by span name (count / wall / self / CPU / max
+    peak RSS); ``top_spans`` lists the slowest individual spans.
+    ``wall_s`` is the run's wall clock, the top-level spans of its first
+    process, and ``unattributed_s`` the part of it no nested span
+    covers: those top-level spans' self time.  Stage timings, cache and
+    fault counts are not repeated here: the engine and cache record them
+    once, in the manifest's ``experiments``, ``cache`` and ``faults``
+    blocks.
     """
     by_name: Dict[str, dict] = {}
     peak_rss = 0
-    for event in profile.spans:
+    wall = unattributed = 0.0
+    first_pid = profile.pids[0] if profile.spans else None
+    for event, self_s in zip(profile.spans, self_seconds(profile.spans)):
         entry = by_name.setdefault(
             event["name"],
-            {"count": 0, "wall_s": 0.0, "cpu_s": 0.0, "max_rss_kb": 0},
+            {"count": 0, "wall_s": 0.0, "self_s": 0.0, "cpu_s": 0.0, "max_rss_kb": 0},
         )
         entry["count"] += 1
         entry["wall_s"] = round(entry["wall_s"] + event["wall_s"], 6)
+        entry["self_s"] = round(entry["self_s"] + self_s, 6)
         entry["cpu_s"] = round(entry["cpu_s"] + event["cpu_s"], 6)
         entry["max_rss_kb"] = max(entry["max_rss_kb"], event["rss_peak_kb"])
         peak_rss = max(peak_rss, event["rss_peak_kb"])
+        if event["pid"] == first_pid and event.get("parent_id") is None:
+            wall += event["wall_s"]
+            unattributed += self_s
     slowest = sorted(profile.spans, key=lambda e: -e["wall_s"])[:top_n]
     return {
         "processes": len(profile.pids),
         "events": len(profile.spans),
         "peak_rss_kb": peak_rss,
+        "wall_s": round(wall, 6),
+        "unattributed_s": round(unattributed, 6),
         "spans": dict(sorted(by_name.items())),
         "top_spans": [
             {

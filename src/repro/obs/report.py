@@ -6,8 +6,11 @@ terminal breakdown.  Each fact comes from the one place it is recorded:
 * ``run_manifest.json`` — per-stage wall clock, task counts and task
   spread, fault counts and per-task errors, cache hit statistics;
 * ``profile.jsonl`` (a ``--profile`` run) — per-span-name totals (wall
-  / CPU / calls / peak RSS), the top-N slowest individual spans and the
-  metrics instrumented code counted.
+  / self / CPU / calls / peak RSS), the run's unattributed time, the
+  top-N slowest individual spans and the metrics instrumented code
+  counted.  A span's self time is its wall minus what its child spans
+  cover; the unattributed row is the self time of the run's top-level
+  spans, the part of the run's wall no nested span explains.
 
 ``biggerfish run`` writes the manifest beside every ``profile.jsonl``;
 a directory holding only the profile shows its spans and no stages.
@@ -178,6 +181,7 @@ def _span_section(summary: dict) -> List[str]:
             name,
             str(record["count"]),
             _fmt_seconds(record["wall_s"]),
+            _fmt_seconds(record["self_s"]),
             _fmt_seconds(record["cpu_s"]),
             _fmt_rss(record["max_rss_kb"]),
         ]
@@ -185,11 +189,16 @@ def _span_section(summary: dict) -> List[str]:
             summary["spans"].items(), key=lambda kv: -kv[1]["wall_s"]
         )
     ]
-    header = ["span", "count", "wall", "cpu", "peak rss"]
+    wall, unattributed = summary["wall_s"], summary["unattributed_s"]
+    share = f"{unattributed / wall:.1%}" if wall else "-"
+    rows.append(["(unattributed)", "-", "-", _fmt_seconds(unattributed), "-", "-"])
+    header = ["span", "count", "wall", "self", "cpu", "peak rss"]
     return [
         f"spans ({summary['events']} events from {summary['processes']} "
         f"process(es), peak rss {_fmt_rss(summary['peak_rss_kb'])}):",
         _format_rows(header, rows),
+        f"run wall {_fmt_seconds(wall)} (top-level spans of the first "
+        f"process), {share} of it in no nested span",
     ]
 
 

@@ -4,23 +4,27 @@ PR 5 rewrote :class:`~repro.sim.machine.InterruptSynthesizer`'s hot path
 around contiguous ``searchsorted`` owner slices, grouped latency draws
 and in-place array assembly.  This module keeps the *pre-vectorization*
 semantics alive as an executable specification:
-:class:`ReferenceInterruptSynthesizer` draws from the RNG in exactly the
-same order, with the same sizes and distribution parameters, but derives
-every index with per-burst boolean masks and assembles every time array
-with plain out-of-place arithmetic — the shapes the optimized code was
-refactored away from.
+:class:`ReferenceInterruptSynthesizer` draws from the RNG streams in
+exactly the same order, with the same sizes and distribution parameters,
+but derives every index with per-burst boolean masks and assembles every
+time array with plain out-of-place arithmetic — the shapes the optimized
+code was refactored away from.
 
 The two synthesizers must agree **bit-for-bit** on every seed: that is
 the ``sim.synthesize`` differential oracle in :mod:`repro.verify`, and it
 is what certifies that future speedups touch only the *how*, never the
-*what*.  Anything PR 5 did not restructure (timer ticks, tick work,
-background IRQs, turbo artifacts, occupancy distortion, scheduler
-contention) is intentionally shared with the base class — those paths
-are their own reference.  Core assembly stays eager here: a burst routed
-to several cores is split per core as it is drawn, and every
-:class:`~repro.sim.timeline.CoreTimeline` is built before ``synthesize``
-returns, so the oracle also compares the optimized synthesizer's routed
-shares and on-first-access assembly with eager ones.
+*what*.  Anything the vectorized rewrite left alone (compute-IPI and
+background routing, occupancy distortion, the governor, the contention
+model) is intentionally shared with the base class — those paths are
+their own reference.
+
+Per-core streams are derived here as ``SeedSequence(word).spawn(n_cores)``
+and every core is drawn, in core order, before ``synthesize`` returns:
+its own draws written out again in :meth:`_draw_core`, and its events
+cut out of the shared routing by mask.  The oracle therefore also
+compares the optimized synthesizer's one-stream-per-core derivation,
+which core draws what, its per-core cuts and its on-first-access
+drawing with eager ones.
 
 Nothing here is exported through ``repro.sim``'s public surface; the
 verify harness and its tests are the only intended consumers.
@@ -44,12 +48,16 @@ from repro.sim.machine import (
     _DEFERRED_TICK_SNAP_PROBABILITY,
     _IRQ_WORK_TICK_SNAP_PROBABILITY,
     _KIND_IRQS,
-    _TLB_FRACTION_OF_RESCHED,
+    _TICK_WORK_LOAD_FACTOR,
+    _TURBO_ARTIFACT_RATE_HZ,
     _TYPE_ORDER,
     InterruptSynthesizer,
+    _CorePart,
+    _Routed,
 )
+from repro.sim.scheduler import contention_batch
 from repro.sim.timeline import CoreTimeline
-from repro.workload.phases import KIND_PROFILES, ActivityBurst, BurstKind
+from repro.workload.phases import KIND_PROFILES, ActivityBurst
 from repro.workload.website import SiteStyle
 
 
@@ -196,16 +204,14 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
             durations[idx] = draws
         return durations
 
-    # -- generation stages --------------------------------------------
+    # -- the shared stream --------------------------------------------
 
-    def _add_device_irqs(
+    def _route_device_irqs(
         self,
-        per_core: list[list[InterruptBatch]],
         bursts: Sequence[ActivityBurst],
         style: SiteStyle,
         rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
+    ) -> list[_Routed]:
         routing = self.config.routing_policy()
         rates = np.array(
             [
@@ -217,65 +223,32 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
         )
         times, owners = self._poisson_times_batch(bursts, rates, rng)
         if not len(times):
-            return
+            return []
         targets = np.empty(len(times), dtype=np.int64)
         for i, burst in enumerate(bursts):
             mask = owners == i
             members = int(mask.sum())
             if members:
                 targets[mask] = routing.route_source(burst.source, members, rng)
-        device_types = [_KIND_IRQS[b.kind][0] for b in bursts]
-        durations = self._sample_durations_grouped(device_types, owners, rng)
-        for i, burst in enumerate(bursts):
-            mask = owners == i
-            if mask.any():
-                self._scatter(
-                    per_core,
-                    device_types[i],
-                    times[mask],
-                    durations[mask],
-                    targets[mask],
-                    burst.source,
-                )
-        self._add_deferred(
-            per_core, bursts, style, times, owners, targets, rng, tick_phases
+        device = _Routed(
+            times,
+            owners,
+            targets,
+            [_KIND_IRQS[b.kind][0] for b in bursts],
+            [b.source for b in bursts],
         )
+        deferred = self._place_deferred(bursts, style, times, owners, targets, rng)
+        return [device] if deferred is None else [device, deferred]
 
-    def _scatter(
+    def _place_deferred(
         self,
-        per_core: list[list[InterruptBatch]],
-        itype: InterruptType,
-        times: np.ndarray,
-        durations: np.ndarray,
-        targets: np.ndarray,
-        cause: str,
-    ) -> None:
-        # Split as drawn: one batch per core the burst reaches.
-        if not len(targets):
-            return
-        first = int(targets[0])
-        if bool((targets == first).all()):
-            per_core[first].append(
-                InterruptBatch(itype, times, durations, cause=cause)
-            )
-            return
-        for core in np.unique(targets):
-            mask = targets == core
-            per_core[int(core)].append(
-                InterruptBatch(itype, times[mask], durations[mask], cause=cause)
-            )
-
-    def _add_deferred(
-        self,
-        per_core: list[list[InterruptBatch]],
         bursts: Sequence[ActivityBurst],
         style: SiteStyle,
         trigger_times: np.ndarray,
         owners: np.ndarray,
         trigger_cores: np.ndarray,
         rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
+    ) -> Optional[_Routed]:
         deferred_types = [_KIND_IRQS[b.kind][1] for b in bursts]
         profiles = [KIND_PROFILES[b.kind] for b in bursts]
         coalescing = [
@@ -290,12 +263,10 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
         )
         keep = rng.random(len(trigger_times)) < keep_probability[owners]
         if not keep.any():
-            return
-        deferred_owners = owners[keep]
-        delay = rng.exponential(_DEFERRED_DELAY_MEAN_NS, int(keep.sum()))
-        times = trigger_times[keep] + delay
+            return None
+        kept = np.flatnonzero(keep)
         cores = self.softirq_placement.place(
-            trigger_cores[keep], self.config.n_cores, rng
+            trigger_cores[kept], self.config.n_cores, rng
         )
         snap_probability = np.array(
             [
@@ -305,16 +276,6 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
                 for t in deferred_types
             ]
         )
-        snap = rng.random(len(times)) < snap_probability[deferred_owners]
-        # Per-element tick snapping: scalar phase/ceil arithmetic in the
-        # same operation order as the vectorized _next_tick.
-        period_ns = SEC / self.config.os.tick_hz
-        for j in np.flatnonzero(snap):
-            phase = tick_phases[int(cores[j])]
-            times[j] = (
-                phase + np.ceil(np.maximum(times[j] - phase, 0.0) / period_ns) * period_ns
-            )
-        durations = self._sample_durations_grouped(deferred_types, deferred_owners, rng)
         load_stretch = np.array(
             [
                 1.0
@@ -323,80 +284,129 @@ class ReferenceInterruptSynthesizer(InterruptSynthesizer):
                 for t, p, b, c in zip(deferred_types, profiles, bursts, coalescing)
             ]
         )
-        durations = durations * load_stretch[deferred_owners]
-        for i, burst in enumerate(bursts):
-            mask = deferred_owners == i
-            if mask.any():
-                self._scatter(
-                    per_core,
-                    deferred_types[i],
-                    times[mask],
-                    durations[mask],
-                    cores[mask],
-                    f"{burst.source}/deferred",
-                )
+        return _Routed(
+            trigger_times[kept],
+            owners[kept],
+            cores,
+            deferred_types,
+            [f"{b.source}/deferred" for b in bursts],
+            stretch=load_stretch,
+            snap=snap_probability,
+        )
 
-    def _add_compute_ipis(
-        self,
-        per_core: list[list[InterruptBatch]],
-        bursts: Sequence[ActivityBurst],
-        style: SiteStyle,
-        rng: np.random.Generator,
-    ) -> None:
-        if not bursts:
-            return
-        profile = KIND_PROFILES[BurstKind.COMPUTE]
-        intensities = np.array([b.intensity for b in bursts])
-        rates = (
-            profile.irq_rate_hz
-            * intensities
-            * style.resched_weight
-            * _BURST_RATE_SCALE
-        )
-        resched_times, owners = self._poisson_times_batch(bursts, rates, rng)
-        if len(resched_times):
-            targets = rng.integers(0, self.config.n_cores, len(resched_times))
-            durations = self.latency_model.sample(
-                InterruptType.RESCHED_IPI, rng, len(resched_times)
+    # -- one core's own stream ----------------------------------------
+
+    def _draw_core(
+        self, part: _CorePart, stream: np.random.Generator
+    ) -> list[InterruptBatch]:
+        timeline = part.timeline
+        horizon_ns = timeline.horizon_ns
+        period_ns = SEC / self.config.os.tick_hz
+        phase = stream.uniform(0, period_ns)
+        ticks = np.arange(phase, horizon_ns, period_ns, dtype=np.float64)
+        batches = [
+            InterruptBatch(
+                InterruptType.TIMER,
+                ticks,
+                self.latency_model.sample(InterruptType.TIMER, stream, len(ticks)),
+                cause="tick",
             )
-            stretch = 1.0 + profile.duration_load_factor * intensities
-            durations = durations * stretch[owners]
-            for i, burst in enumerate(bursts):
-                mask = owners == i
-                if mask.any():
-                    self._scatter(
-                        per_core,
-                        InterruptType.RESCHED_IPI,
-                        resched_times[mask],
-                        durations[mask],
-                        targets[mask],
-                        burst.source,
-                    )
-        tlb_times, tlb_owners = self._poisson_times_batch(
-            bursts, rates * _TLB_FRACTION_OF_RESCHED, rng
-        )
-        if len(tlb_times):
-            for core in range(self.config.n_cores):
-                durations = self.latency_model.sample(
-                    InterruptType.TLB_SHOOTDOWN, rng, len(tlb_times)
+        ]
+        loads = timeline.load_at_array(ticks)
+        active = np.flatnonzero(loads > 0.02)
+        if len(active):
+            work = self.latency_model.sample(
+                InterruptType.SOFTIRQ_TIMER, stream, len(active)
+            )
+            batches.append(
+                InterruptBatch(
+                    InterruptType.SOFTIRQ_TIMER,
+                    ticks[active],
+                    work * (1.0 + _TICK_WORK_LOAD_FACTOR * loads[active]),
+                    cause="tick_work",
                 )
-                for i, burst in enumerate(bursts):
-                    mask = tlb_owners == i
-                    if mask.any():
-                        per_core[core].append(
-                            InterruptBatch(
-                                InterruptType.TLB_SHOOTDOWN,
-                                tlb_times[mask],
-                                durations[mask],
-                                cause=f"{burst.source}/tlb",
-                            )
-                        )
+            )
+        for routed in part.routed:
+            batches.extend(self._draw_routed(routed, part.core, stream, phase))
+        if self.config.turbo_boost_artifacts:
+            count = stream.poisson(_TURBO_ARTIFACT_RATE_HZ * horizon_ns / SEC)
+            if count:
+                times = np.sort(stream.uniform(0, horizon_ns, count))
+                batches.append(
+                    InterruptBatch(
+                        InterruptType.UNKNOWN,
+                        times,
+                        self.latency_model.sample(InterruptType.UNKNOWN, stream, count),
+                        cause="turbo_boost",
+                    )
+                )
+        if part.core == self.config.attacker_core and not self.config.pin_cores:
+            batches.append(
+                contention_batch(
+                    timeline,
+                    self.config.scheduler,
+                    self.config.os.contention_scale,
+                    stream,
+                )
+            )
+        batches.extend(part.extra)
+        return batches
+
+    def _draw_routed(
+        self,
+        routed: _Routed,
+        core: int,
+        stream: np.random.Generator,
+        phase: float,
+    ) -> list[InterruptBatch]:
+        # The core's events by mask (every event of a broadcast).
+        if routed.targets is None:
+            mine = np.arange(len(routed.owners))
+        else:
+            mine = np.flatnonzero(routed.targets == core)
+        if not len(mine):
+            return []
+        owners = routed.owners[mine]
+        times = routed.times[mine]
+        if routed.snap is not None:
+            delay = stream.exponential(_DEFERRED_DELAY_MEAN_NS, len(mine))
+            times = times + delay
+            snap = stream.random(len(mine)) < routed.snap[owners]
+            # Per-element tick snapping: scalar phase/ceil arithmetic in
+            # the same operation order as the vectorized _next_tick.
+            period_ns = SEC / self.config.os.tick_hz
+            for j in np.flatnonzero(snap):
+                times[j] = (
+                    phase
+                    + np.ceil(np.maximum(times[j] - phase, 0.0) / period_ns) * period_ns
+                )
+        durations = self._sample_durations_grouped(routed.types, owners, stream)
+        if routed.stretch is not None:
+            durations = durations * routed.stretch[owners]
+        batches = []
+        for i in range(len(routed.types)):
+            mask = owners == i
+            if mask.any():
+                batches.append(
+                    InterruptBatch(
+                        routed.types[i],
+                        times[mask],
+                        durations[mask],
+                        cause=routed.causes[i],
+                    )
+                )
+        return batches
 
     # -- assembly ------------------------------------------------------
 
-    def _assemble(self, per_core: list[list[InterruptBatch]]) -> list[CoreTimeline]:
-        # Every core assembled before synthesize returns, as a plain list.
-        return [self._build_core(batches) for batches in per_core]
+    def _assemble(self, parts: list[_CorePart]) -> list[CoreTimeline]:
+        # Every core drawn and assembled before synthesize returns, in
+        # core order, as a plain list; streams from SeedSequence.spawn.
+        children = np.random.SeedSequence(parts[0].entropy).spawn(len(parts))
+        return [
+            self._build_core(self._draw_core(part, np.random.default_rng(child)))
+            for part, child in zip(parts, children)
+        ]
 
     def _build_core(self, batches: list[InterruptBatch]) -> CoreTimeline:
         if self.config.vm.enabled:

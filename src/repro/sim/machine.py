@@ -17,12 +17,21 @@ configuration it generates every interrupt the machine would handle:
 The result, a :class:`MachineRun`, carries one
 :class:`~repro.sim.timeline.CoreTimeline` per core plus the DVFS
 frequency schedule and the LLC occupancy curve — everything the
-attackers and the kernel tracer observe.  Every core's interrupts are
-drawn during synthesis, but only the attacker's timeline is assembled
-there; the others are assembled the first time something reads them
-(the kernel tracer, the keystroke and analysis helpers), because trace
-collection never does.  A burst routed to several cores is likewise
-split per core only when that core is assembled.
+attackers and the kernel tracer observe.
+
+Randomness comes from two kinds of stream.  The caller's stream draws
+whatever can put work on another core: device-IRQ counts, times and
+routing, which IRQs leave deferred work and where it runs, IPI times and
+targets, TLB-shootdown times and background IRQs, then the governor and
+the occupancy distortion.  One word of it seeds a stream per core
+(``SeedSequence(word).spawn(n_cores)``), which draws what lands on that
+core alone: its tick phase, tick and tick-work durations, contention
+slices and turbo stalls, and the handler duration, deferred delay and
+tick snap of each event routed to it.  Synthesis draws only the
+attacker's core; the others are drawn and assembled the first time
+something reads them (the kernel tracer, the keystroke and analysis
+helpers), because trace collection never does.  A core's events do not
+depend on which other cores were drawn, or in what order.
 """
 
 from __future__ import annotations
@@ -89,6 +98,14 @@ _BURST_RATE_SCALE = 2.0
 #: Rate of Turbo Boost transition stalls per core when enabled.
 _TURBO_ARTIFACT_RATE_HZ = 220.0
 
+#: Unrelated background device IRQs: source, type and share of the
+#: OS's background rate.
+_BACKGROUND_SOURCES = (
+    ("system/bg-net", InterruptType.NETWORK_RX, 0.45),
+    ("system/bg-disk", InterruptType.DISK, 0.35),
+    ("system/bg-usb", InterruptType.KEYBOARD, 0.20),
+)
+
 #: Stable interrupt-type ordering for grouped duration sampling: batched
 #: generation draws one latency sample per *type* rather than per burst,
 #: and the groups must be visited in a deterministic order.
@@ -150,48 +167,71 @@ class MachineConfig:
         return replace(self, **changes)
 
 
-class _RoutedShare:
-    """One core's part of a burst routed to several cores.
+@dataclass(frozen=True)
+class _Routed:
+    """Events the shared stream routed to cores, per-core draws pending.
 
-    Every core the burst reaches holds a share of one ``(itype, times,
-    durations, targets, cause)`` record, and ``len`` is that core's event
-    count; the core's events are cut out only when it is assembled.
+    ``owners[i]`` indexes the burst (or background source) event ``i``
+    came from, whose interrupt type and cause are ``types[owner]`` and
+    ``causes[owner]``; ``owners`` is sorted.  ``targets[i]`` is the
+    event's core, or ``targets`` is None for a broadcast to every core.
+    A core cuts its events out, and draws their handler durations from
+    its own stream, only when it is assembled.  ``stretch`` scales a
+    burst's durations; deferred work (``snap`` set) also draws a delay
+    per event and joins the core's next tick with its burst's ``snap``
+    probability.
     """
 
-    __slots__ = ("record", "core", "count")
+    times: np.ndarray
+    owners: np.ndarray
+    targets: Optional[np.ndarray]
+    types: Sequence[Optional[InterruptType]]
+    causes: Sequence[str]
+    stretch: Optional[np.ndarray] = None
+    snap: Optional[np.ndarray] = None
 
-    def __init__(self, record: tuple, core: int, count: int):
-        self.record = record
-        self.core = core
-        self.count = count
 
-    def __len__(self) -> int:
-        return self.count
+@dataclass
+class _CorePart:
+    """What core ``core`` still draws from its own stream.
 
-    def batch(self) -> InterruptBatch:
-        """This core's events as a batch, in the burst's order."""
-        itype, times, durations, targets, cause = self.record
-        mine = targets == self.core
-        return InterruptBatch(itype, times[mine], durations[mine], cause=cause)
+    The stream is ``SeedSequence(entropy).spawn(n_cores)[core]``, a pure
+    function of one word of the caller's stream, so a core's events do
+    not depend on which other cores were drawn, or in what order.
+    ``routed`` is the run's shared routing, one list for every core;
+    ``extra`` are the injected batches that land here.
+    """
+
+    core: int
+    entropy: int
+    timeline: ActivityTimeline
+    routed: list[_Routed]
+    extra: list[InterruptBatch] = field(default_factory=list)
+
+    def stream(self) -> np.random.Generator:
+        """This core's generator (``spawn`` builds the same child)."""
+        return np.random.default_rng(
+            np.random.SeedSequence(self.entropy, spawn_key=(self.core,))
+        )
 
 
 class _DeferredCores(Sequence):
-    """Per-core timelines of one run, each assembled on first access.
+    """Per-core timelines of one run, each drawn and assembled on first access.
 
     Reads like the list it replaces (``len``, iteration, negative
     indices, slices as lists) and pickles as that list with every core
     assembled, so a run returned from an engine worker arrives complete.
-    A core's batches are dropped once its timeline exists; until then
-    they must not be mutated.
+    A core's part is dropped once its timeline exists; until then the
+    arrays it shares with the run must not be mutated.
     """
 
     def __init__(
         self,
-        per_core: list[list],
-        build: Callable[[list], CoreTimeline],
+        parts: list[_CorePart],
+        build: Callable[[_CorePart], CoreTimeline],
     ):
-        self._pending: list[Optional[list]] = list(per_core)
-        self._cores: list[Optional[CoreTimeline]] = [None] * len(per_core)
+        self._pending: list[Optional[_CorePart]] = list(parts)
+        self._cores: list[Optional[CoreTimeline]] = [None] * len(parts)
         self._build = build
 
     def __len__(self) -> int:
@@ -203,7 +243,7 @@ class _DeferredCores(Sequence):
         return self.assemble(range(len(self))[index])
 
     def assemble(self, i: int) -> CoreTimeline:
-        """Core ``i``'s timeline, assembled on the first call."""
+        """Core ``i``'s timeline, drawn and assembled on the first call."""
         core = self._cores[i]
         if core is None:
             core = self._cores[i] = self._build(self._pending[i])
@@ -281,9 +321,15 @@ class InterruptSynthesizer:
 
         ``rng`` is required: every interrupt the synthesizer emits must
         come from a caller-seeded stream so a trace stays a pure function
-        of ``(spec, seed)``.  ``extra_batches`` is a list of ``(core,
-        batch)`` pairs injected on top of workload-driven interrupts
-        (used by noise defenses).
+        of ``(spec, seed)``.  ``rng`` draws what can put work on another
+        core (device-IRQ arrivals and routing, deferred-work keep and
+        placement, IPI times and targets, shootdown times, background
+        IRQs), then the governor and occupancy; one word of it seeds each
+        core's own stream, which draws what lands on that core alone.
+        Only the attacker's core is drawn here; the others are drawn when
+        first read and never touch ``rng``.  ``extra_batches`` is a list
+        of ``(core, batch)`` pairs injected on top of workload-driven
+        interrupts (used by noise defenses).
         """
         style = style or SiteStyle()
         if not isinstance(rng, np.random.Generator):
@@ -294,31 +340,16 @@ class InterruptSynthesizer:
             )
         span = obs.span("sim.synthesize", horizon_ns=int(timeline.horizon_ns))
         with span:
-            per_core: list[list[InterruptBatch]] = [
-                [] for _ in range(self.config.n_cores)
+            entropy = int(rng.integers(2**63))
+            routed = self._route(timeline, style, rng)
+            parts = [
+                _CorePart(core, entropy, timeline, routed)
+                for core in range(self.config.n_cores)
             ]
-
-            tick_period_ns = SEC / self.config.os.tick_hz
-            tick_phases = rng.uniform(0, tick_period_ns, self.config.n_cores)
-            self._add_timer_ticks(per_core, timeline, rng, tick_phases)
-            self._add_burst_interrupts(per_core, timeline, style, rng, tick_phases)
-            self._add_tick_work(per_core, timeline, rng, tick_phases)
-            self._add_background(per_core, timeline.horizon_ns, rng)
-            if self.config.turbo_boost_artifacts:
-                self._add_turbo_artifacts(per_core, timeline, rng)
-            if not self.config.pin_cores:
-                batch = contention_batch(
-                    timeline, self.config.scheduler, self.config.os.contention_scale, rng
-                )
-                per_core[self.config.attacker_core].append(batch)
             for core, batch in extra_batches or ():
-                per_core[core].append(batch)
-
-            n_events = sum(len(b) for batches in per_core for b in batches)
-            obs.counter("sim.events_processed").inc(n_events)
-            span.set(events=n_events)
-
-            cores = self._assemble(per_core)
+                parts[core].extra.append(batch)
+            cores = self._assemble(parts)
+            span.set(events=len(cores[self.config.attacker_core]))
             frequency = self._governor.run(
                 timeline.load_at_array, timeline.horizon_ns, rng
             )
@@ -367,14 +398,19 @@ class InterruptSynthesizer:
         victim = np.clip(_OCCUPANCY_RESIDENCY * occupancy * gain, 0.0, 1.0)
         return victim, ambient
 
-    def _assemble(self, per_core: list[list]) -> Sequence[CoreTimeline]:
-        """The run's cores: the attacker's assembled now, the rest on first read."""
-        cores = _DeferredCores(per_core, self._build_core)
+    def _assemble(self, parts: list[_CorePart]) -> Sequence[CoreTimeline]:
+        """The run's cores: the attacker's drawn now, the rest on first read."""
+        cores = _DeferredCores(parts, self._build_part)
         cores.assemble(self.config.attacker_core)
         return cores
 
-    def _build_core(self, batches: list) -> CoreTimeline:
-        batches = [b.batch() if isinstance(b, _RoutedShare) else b for b in batches]
+    def _build_part(self, part: _CorePart) -> CoreTimeline:
+        """Draw one core's events on its own stream and assemble them."""
+        batches = self._draw_core(part, part.stream())
+        obs.counter("sim.events_processed").inc(sum(len(b) for b in batches))
+        return self._build_core(batches)
+
+    def _build_core(self, batches: list[InterruptBatch]) -> CoreTimeline:
         if self.config.vm.enabled:
             batches = [
                 InterruptBatch(
@@ -387,29 +423,36 @@ class InterruptSynthesizer:
             ]
         return CoreTimeline.from_batches(batches)
 
-    def _next_tick(
-        self, t: np.ndarray, core: np.ndarray, tick_phases: np.ndarray
-    ) -> np.ndarray:
-        """Time of the next timer tick at or after ``t`` on each core."""
-        period_ns = SEC / self.config.os.tick_hz
-        phase = tick_phases[core]
-        return phase + np.ceil(np.maximum(t - phase, 0.0) / period_ns) * period_ns
+    # -- the shared stream: what can reach several cores ----------------
 
-    def _add_timer_ticks(
+    def _route(
         self,
-        per_core: list[list[InterruptBatch]],
         timeline: ActivityTimeline,
+        style: SiteStyle,
         rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
-        period_ns = SEC / self.config.os.tick_hz
-        for core in range(self.config.n_cores):
-            phase = tick_phases[core]
-            times = np.arange(phase, timeline.horizon_ns, period_ns, dtype=np.float64)
-            durations = self.latency_model.sample(InterruptType.TIMER, rng, len(times))
-            per_core[core].append(
-                InterruptBatch(InterruptType.TIMER, times, durations, cause="tick")
-            )
+    ) -> list[_Routed]:
+        """Every workload-driven and background event that can land on more
+        than one core, with its times and cores drawn on the shared stream.
+
+        Device bursts and compute bursts are partitioned once, and their
+        arrivals, routing and deferred-work placement are drawn across
+        bursts in vectorized batches.  The list is in the order each core
+        appends its share: device IRQs, deferred work, rescheduling IPIs,
+        TLB shootdowns, background IRQs.
+        """
+        device_bursts = [
+            b
+            for b in timeline
+            if b.kind is not BurstKind.COMPUTE and _KIND_IRQS[b.kind][0] is not None
+        ]
+        routed: list[_Routed] = []
+        if device_bursts:
+            routed += self._route_device_irqs(device_bursts, style, rng)
+        routed += self._route_compute_ipis(
+            timeline.of_kind(BurstKind.COMPUTE), style, rng
+        )
+        routed += self._route_background(timeline.horizon_ns, rng)
+        return routed
 
     def _poisson_times_batch(
         self,
@@ -463,75 +506,13 @@ class InterruptSynthesizer:
             np.clip(times, starts[owners], starts[owners] + durations[owners], out=times)
         return times, owners
 
-    def _sample_durations_grouped(
+    def _route_device_irqs(
         self,
-        burst_types: Sequence[Optional[InterruptType]],
-        owners: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Handler durations for ``owners``-indexed arrivals, one latency
-        draw per distinct interrupt type (visited in enum order).
-
-        ``owners`` is sorted, so each burst occupies one contiguous slice;
-        a type's arrivals are the concatenation of its bursts' slices, and
-        one batched draw per type is split across them in order.
-        """
-        durations = np.empty(len(owners), dtype=np.float64)
-        bounds = np.searchsorted(owners, np.arange(len(burst_types) + 1))
-        slices_by_type: dict[InterruptType, list[tuple[int, int]]] = {}
-        for i, itype in enumerate(burst_types):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if itype is not None and hi > lo:
-                slices_by_type.setdefault(itype, []).append((lo, hi))
-        for itype in sorted(slices_by_type, key=_TYPE_ORDER.__getitem__):
-            slices = slices_by_type[itype]
-            draws = self.latency_model.sample(
-                itype, rng, sum(hi - lo for lo, hi in slices)
-            )
-            offset = 0
-            for lo, hi in slices:
-                durations[lo:hi] = draws[offset : offset + (hi - lo)]
-                offset += hi - lo
-        return durations
-
-    def _add_burst_interrupts(
-        self,
-        per_core: list[list[InterruptBatch]],
-        timeline: ActivityTimeline,
-        style: SiteStyle,
-        rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
-        """Workload-driven interrupts for every burst, generated batched.
-
-        Device bursts and compute bursts are partitioned once; all RNG
-        work (arrival counts and times, routing spreads, handler
-        durations, deferred-work placement) is drawn across bursts in
-        vectorized batches.  Per-burst python work shrinks to routing and
-        the final per-(burst, core) appends, which preserve each burst's
-        ``source`` for tracer attribution.
-        """
-        device_bursts = [
-            b
-            for b in timeline
-            if b.kind is not BurstKind.COMPUTE and _KIND_IRQS[b.kind][0] is not None
-        ]
-        if device_bursts:
-            self._add_device_irqs(
-                per_core, device_bursts, style, rng, tick_phases
-            )
-        self._add_compute_ipis(
-            per_core, timeline.of_kind(BurstKind.COMPUTE), style, rng
-        )
-
-    def _add_device_irqs(
-        self,
-        per_core: list[list[InterruptBatch]],
         bursts: Sequence[ActivityBurst],
         style: SiteStyle,
         rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
+    ) -> list[_Routed]:
+        """Device IRQs of every burst, and the deferred work they leave."""
         routing = self.config.routing_policy()
         rates = np.array(
             [
@@ -541,7 +522,7 @@ class InterruptSynthesizer:
         )
         times, owners = self._poisson_times_batch(bursts, rates, rng)
         if not len(times):
-            return
+            return []
         # ``owners`` is sorted by construction (np.repeat), so each
         # burst's arrivals form a contiguous slice — no boolean masks.
         bounds = np.searchsorted(owners, np.arange(len(bursts) + 1))
@@ -550,61 +531,27 @@ class InterruptSynthesizer:
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             if hi > lo:
                 targets[lo:hi] = routing.route_source(burst.source, hi - lo, rng)
-        device_types = [_KIND_IRQS[b.kind][0] for b in bursts]
-        durations = self._sample_durations_grouped(device_types, owners, rng)
-        for i, burst in enumerate(bursts):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi > lo:
-                self._scatter(
-                    per_core,
-                    device_types[i],
-                    times[lo:hi],
-                    durations[lo:hi],
-                    targets[lo:hi],
-                    burst.source,
-                )
-        self._add_deferred(
-            per_core, bursts, style, times, owners, targets, rng, tick_phases
+        device = _Routed(
+            times,
+            owners,
+            targets,
+            [_KIND_IRQS[b.kind][0] for b in bursts],
+            [b.source for b in bursts],
         )
+        deferred = self._place_deferred(bursts, style, times, owners, targets, rng)
+        return [device] if deferred is None else [device, deferred]
 
-    def _scatter(
+    def _place_deferred(
         self,
-        per_core: list[list],
-        itype: InterruptType,
-        times: np.ndarray,
-        durations: np.ndarray,
-        targets: np.ndarray,
-        cause: str,
-    ) -> None:
-        """Hand one burst's events to the cores in ``targets``.
-
-        A burst on one core (affinity and pinned routing) is appended
-        whole; a burst on several leaves each of them a
-        :class:`_RoutedShare`, so no core is split before it is read.
-        """
-        if not len(targets):
-            return
-        counts = np.bincount(targets)
-        cores = np.flatnonzero(counts).tolist()
-        if len(cores) == 1:
-            per_core[cores[0]].append(InterruptBatch(itype, times, durations, cause=cause))
-            return
-        record = (itype, times, durations, targets, cause)
-        for core in cores:
-            per_core[core].append(_RoutedShare(record, core, int(counts[core])))
-
-    def _add_deferred(
-        self,
-        per_core: list[list[InterruptBatch]],
         bursts: Sequence[ActivityBurst],
         style: SiteStyle,
         trigger_times: np.ndarray,
         owners: np.ndarray,
         trigger_cores: np.ndarray,
         rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
-        """Softirqs / IRQ work piggybacking on the device IRQs of all bursts."""
+    ) -> Optional[_Routed]:
+        """Softirqs / IRQ work piggybacking on the device IRQs of all
+        bursts: which IRQs leave work, and the core it runs on."""
         deferred_types = [_KIND_IRQS[b.kind][1] for b in bursts]
         profiles = [KIND_PROFILES[b.kind] for b in bursts]
         coalescing = np.array(
@@ -621,10 +568,7 @@ class InterruptSynthesizer:
         )
         keep = rng.random(len(trigger_times)) < keep_probability[owners]
         if not keep.any():
-            return
-        deferred_owners = owners[keep]
-        times = trigger_times[keep]
-        times += rng.exponential(_DEFERRED_DELAY_MEAN_NS, len(times))
+            return None
         cores = self.softirq_placement.place(
             trigger_cores[keep], self.config.n_cores, rng
         )
@@ -638,9 +582,6 @@ class InterruptSynthesizer:
                 for t in deferred_types
             ]
         )
-        snap = rng.random(len(times)) < snap_probability[deferred_owners]
-        times[snap] = self._next_tick(times[snap], cores[snap], tick_phases)
-        durations = self._sample_durations_grouped(deferred_types, deferred_owners, rng)
         # Heavier bursts defer more work per softirq -> longer handlers.
         # IRQ work is exempt: it only queues/kicks off the deferred
         # operation, so its own handler stays short (Fig 6).
@@ -652,30 +593,25 @@ class InterruptSynthesizer:
                 for t, p, b, c in zip(deferred_types, profiles, bursts, coalescing)
             ]
         )
-        durations *= load_stretch[deferred_owners]
-        bounds = np.searchsorted(deferred_owners, np.arange(len(bursts) + 1))
-        for i, burst in enumerate(bursts):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi > lo:
-                self._scatter(
-                    per_core,
-                    deferred_types[i],
-                    times[lo:hi],
-                    durations[lo:hi],
-                    cores[lo:hi],
-                    f"{burst.source}/deferred",
-                )
+        return _Routed(
+            trigger_times[keep],
+            owners[keep],
+            cores,
+            deferred_types,
+            [f"{b.source}/deferred" for b in bursts],
+            stretch=load_stretch,
+            snap=snap_probability,
+        )
 
-    def _add_compute_ipis(
+    def _route_compute_ipis(
         self,
-        per_core: list[list[InterruptBatch]],
         bursts: Sequence[ActivityBurst],
         style: SiteStyle,
         rng: np.random.Generator,
-    ) -> None:
+    ) -> list[_Routed]:
         """Rescheduling IPIs and TLB shootdowns for all compute bursts."""
         if not bursts:
-            return
+            return []
         profile = KIND_PROFILES[BurstKind.COMPUTE]
         intensities = np.array([b.intensity for b in bursts])
         rates = (
@@ -684,56 +620,109 @@ class InterruptSynthesizer:
             * style.resched_weight
             * _BURST_RATE_SCALE
         )
+        sources = [b.source for b in bursts]
+        routed: list[_Routed] = []
         resched_times, owners = self._poisson_times_batch(bursts, rates, rng)
         if len(resched_times):
             targets = rng.integers(0, self.config.n_cores, len(resched_times))
-            durations = self.latency_model.sample(
-                InterruptType.RESCHED_IPI, rng, len(resched_times)
+            routed.append(
+                _Routed(
+                    resched_times,
+                    owners,
+                    targets,
+                    [InterruptType.RESCHED_IPI] * len(bursts),
+                    sources,
+                    stretch=1.0 + profile.duration_load_factor * intensities,
+                )
             )
-            stretch = 1.0 + profile.duration_load_factor * intensities
-            durations *= stretch[owners]
-            bounds = np.searchsorted(owners, np.arange(len(bursts) + 1))
-            for i, burst in enumerate(bursts):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                if hi > lo:
-                    self._scatter(
-                        per_core,
-                        InterruptType.RESCHED_IPI,
-                        resched_times[lo:hi],
-                        durations[lo:hi],
-                        targets[lo:hi],
-                        burst.source,
-                    )
         # TLB shootdowns broadcast to every core.
         tlb_times, tlb_owners = self._poisson_times_batch(
             bursts, rates * _TLB_FRACTION_OF_RESCHED, rng
         )
         if len(tlb_times):
-            tlb_bounds = np.searchsorted(tlb_owners, np.arange(len(bursts) + 1))
-            for core in range(self.config.n_cores):
-                durations = self.latency_model.sample(
-                    InterruptType.TLB_SHOOTDOWN, rng, len(tlb_times)
+            routed.append(
+                _Routed(
+                    tlb_times,
+                    tlb_owners,
+                    None,
+                    [InterruptType.TLB_SHOOTDOWN] * len(bursts),
+                    [f"{source}/tlb" for source in sources],
                 )
-                for i, burst in enumerate(bursts):
-                    lo, hi = int(tlb_bounds[i]), int(tlb_bounds[i + 1])
-                    if hi > lo:
-                        per_core[core].append(
-                            InterruptBatch(
-                                InterruptType.TLB_SHOOTDOWN,
-                                tlb_times[lo:hi],
-                                durations[lo:hi],
-                                cause=f"{burst.source}/tlb",
-                            )
-                        )
+            )
+        return routed
 
-    def _add_tick_work(
+    def _route_background(
+        self, horizon_ns: int, rng: np.random.Generator
+    ) -> list[_Routed]:
+        """Unrelated device IRQs: a count, times and cores per source."""
+        routing = self.config.routing_policy()
+        times, owners, targets = [], [], []
+        for k, (source, _, share) in enumerate(_BACKGROUND_SOURCES):
+            expected = self.config.os.background_irq_hz * share * horizon_ns / SEC
+            count = rng.poisson(expected)
+            if not count:
+                continue
+            times.append(np.sort(rng.uniform(0, horizon_ns, count)))
+            targets.append(routing.route_source(source, count, rng))
+            owners.append(np.full(count, k, dtype=np.int64))
+        if not times:
+            return []
+        return [
+            _Routed(
+                np.concatenate(times),
+                np.concatenate(owners),
+                np.concatenate(targets),
+                [itype for _, itype, _ in _BACKGROUND_SOURCES],
+                [source for source, _, _ in _BACKGROUND_SOURCES],
+            )
+        ]
+
+    # -- one core's own stream ------------------------------------------
+
+    def _draw_core(
+        self, part: _CorePart, stream: np.random.Generator
+    ) -> list[InterruptBatch]:
+        """Core ``part.core``'s batches, every draw on ``stream``.
+
+        In append (and draw) order: the core's timer ticks, their softirq
+        work, its share of each routed record, its turbo stalls and, on
+        the attacker's core, scheduler contention; then injected batches.
+        """
+        timeline = part.timeline
+        period_ns = SEC / self.config.os.tick_hz
+        phase = stream.uniform(0, period_ns)
+        ticks = np.arange(phase, timeline.horizon_ns, period_ns, dtype=np.float64)
+        durations = self.latency_model.sample(InterruptType.TIMER, stream, len(ticks))
+        batches = [InterruptBatch(InterruptType.TIMER, ticks, durations, cause="tick")]
+        batches += self._tick_work(ticks, timeline, stream)
+        for routed in part.routed:
+            batches += self._draw_routed(routed, part.core, stream, phase)
+        if self.config.turbo_boost_artifacts:
+            batches += self._turbo_artifacts(timeline.horizon_ns, stream)
+        if not self.config.pin_cores and part.core == self.config.attacker_core:
+            batches.append(
+                contention_batch(
+                    timeline,
+                    self.config.scheduler,
+                    self.config.os.contention_scale,
+                    stream,
+                )
+            )
+        return batches + part.extra
+
+    def _next_tick(self, t: np.ndarray, phase: float) -> np.ndarray:
+        """Time of the next timer tick at or after ``t`` on a core whose
+        ticks start at ``phase``."""
+        period_ns = SEC / self.config.os.tick_hz
+        return phase + np.ceil(np.maximum(t - phase, 0.0) / period_ns) * period_ns
+
+    def _tick_work(
         self,
-        per_core: list[list[InterruptBatch]],
+        ticks: np.ndarray,
         timeline: ActivityTimeline,
-        rng: np.random.Generator,
-        tick_phases: np.ndarray,
-    ) -> None:
-        """Load-proportional softirq work attached to timer ticks.
+        stream: np.random.Generator,
+    ) -> list[InterruptBatch]:
+        """Load-proportional softirq work attached to one core's ticks.
 
         The kernel drains deferred timer work on every tick; under load
         this work grows, stretching the gap each tick causes on *every*
@@ -741,67 +730,103 @@ class InterruptSynthesizer:
         with the core's tick times so the work merges into the tick's
         execution gap.
         """
-        period_ns = SEC / self.config.os.tick_hz
-        for core in range(self.config.n_cores):
-            phase = tick_phases[core]
-            ticks = np.arange(phase, timeline.horizon_ns, period_ns, dtype=np.float64)
-            loads = timeline.load_at_array(ticks)
-            active = loads > 0.02
-            if not active.any():
-                continue
-            times = ticks[active]
-            durations = self.latency_model.sample(
-                InterruptType.SOFTIRQ_TIMER, rng, len(times)
+        loads = timeline.load_at_array(ticks)
+        active = loads > 0.02
+        if not active.any():
+            return []
+        times = ticks[active]
+        durations = self.latency_model.sample(
+            InterruptType.SOFTIRQ_TIMER, stream, len(times)
+        )
+        durations = durations * (1.0 + _TICK_WORK_LOAD_FACTOR * loads[active])
+        return [
+            InterruptBatch(
+                InterruptType.SOFTIRQ_TIMER, times, durations, cause="tick_work"
             )
-            durations = durations * (1.0 + _TICK_WORK_LOAD_FACTOR * loads[active])
-            per_core[core].append(
-                InterruptBatch(
-                    InterruptType.SOFTIRQ_TIMER, times, durations, cause="tick_work"
-                )
-            )
+        ]
 
-    def _add_turbo_artifacts(
+    def _draw_routed(
         self,
-        per_core: list[list[InterruptBatch]],
-        timeline: ActivityTimeline,
+        routed: _Routed,
+        core: int,
+        stream: np.random.Generator,
+        phase: float,
+    ) -> list[InterruptBatch]:
+        """Core ``core``'s share of ``routed``, one batch per burst."""
+        times, owners = routed.times, routed.owners
+        if routed.targets is not None:
+            mine = routed.targets == core
+            times, owners = times[mine], owners[mine]
+        if not len(owners):
+            return []
+        if routed.snap is not None:
+            # Deferred work is always targeted, so ``times`` is a copy.
+            times += stream.exponential(_DEFERRED_DELAY_MEAN_NS, len(times))
+            snap = stream.random(len(times)) < routed.snap[owners]
+            times[snap] = self._next_tick(times[snap], phase)
+        durations = self._sample_durations_grouped(routed.types, owners, stream)
+        if routed.stretch is not None:
+            durations *= routed.stretch[owners]
+        return [
+            InterruptBatch(
+                routed.types[owner],
+                times[lo:hi],
+                durations[lo:hi],
+                cause=routed.causes[owner],
+            )
+            for owner, lo, hi in _owner_runs(owners)
+        ]
+
+    def _sample_durations_grouped(
+        self,
+        burst_types: Sequence[Optional[InterruptType]],
+        owners: np.ndarray,
         rng: np.random.Generator,
-    ) -> None:
-        """Turbo-transition stalls on every core (footnote 4).
+    ) -> np.ndarray:
+        """Handler durations for ``owners``-indexed arrivals, one latency
+        draw per distinct interrupt type (visited in enum order).
+
+        ``owners`` is sorted, so each burst occupies one contiguous slice;
+        a type's arrivals are the concatenation of its bursts' slices, and
+        one batched draw per type is split across them in order.
+        """
+        durations = np.empty(len(owners), dtype=np.float64)
+        slices_by_type: dict[InterruptType, list[tuple[int, int]]] = {}
+        for owner, lo, hi in _owner_runs(owners):
+            itype = burst_types[owner]
+            if itype is not None:
+                slices_by_type.setdefault(itype, []).append((lo, hi))
+        for itype in sorted(slices_by_type, key=_TYPE_ORDER.__getitem__):
+            slices = slices_by_type[itype]
+            draws = self.latency_model.sample(
+                itype, rng, sum(hi - lo for lo, hi in slices)
+            )
+            offset = 0
+            for lo, hi in slices:
+                durations[lo:hi] = draws[offset : offset + (hi - lo)]
+                offset += hi - lo
+        return durations
+
+    def _turbo_artifacts(
+        self, horizon_ns: int, stream: np.random.Generator
+    ) -> list[InterruptBatch]:
+        """Turbo-transition stalls on one core (footnote 4).
 
         Frequency transitions cluster around load changes; the stalls
         are user-visible execution gaps that no kernel probe explains.
         """
-        for core in range(self.config.n_cores):
-            expected = _TURBO_ARTIFACT_RATE_HZ * timeline.horizon_ns / SEC
-            count = rng.poisson(expected)
-            if not count:
-                continue
-            times = np.sort(rng.uniform(0, timeline.horizon_ns, count))
-            durations = self.latency_model.sample(InterruptType.UNKNOWN, rng, count)
-            per_core[core].append(
-                InterruptBatch(
-                    InterruptType.UNKNOWN, times, durations, cause="turbo_boost"
-                )
-            )
+        count = stream.poisson(_TURBO_ARTIFACT_RATE_HZ * horizon_ns / SEC)
+        if not count:
+            return []
+        times = np.sort(stream.uniform(0, horizon_ns, count))
+        durations = self.latency_model.sample(InterruptType.UNKNOWN, stream, count)
+        return [
+            InterruptBatch(InterruptType.UNKNOWN, times, durations, cause="turbo_boost")
+        ]
 
-    def _add_background(
-        self,
-        per_core: list[list[InterruptBatch]],
-        horizon_ns: int,
-        rng: np.random.Generator,
-    ) -> None:
-        routing = self.config.routing_policy()
-        sources = (
-            ("system/bg-net", InterruptType.NETWORK_RX, 0.45),
-            ("system/bg-disk", InterruptType.DISK, 0.35),
-            ("system/bg-usb", InterruptType.KEYBOARD, 0.20),
-        )
-        for source, itype, share in sources:
-            expected = self.config.os.background_irq_hz * share * horizon_ns / SEC
-            count = rng.poisson(expected)
-            if not count:
-                continue
-            times = np.sort(rng.uniform(0, horizon_ns, count))
-            targets = routing.route_source(source, count, rng)
-            durations = self.latency_model.sample(itype, rng, count)
-            self._scatter(per_core, itype, times, durations, targets, source)
+
+def _owner_runs(owners: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(owner, lo, hi)`` for each run of one value in sorted ``owners``."""
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    ends = np.append(starts[1:], len(owners))
+    return list(zip(owners[starts].tolist(), starts.tolist(), ends.tolist()))

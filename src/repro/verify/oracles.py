@@ -145,16 +145,20 @@ def _run_struct(run) -> dict:
 
 
 #: The default machine; a VM machine, whose cores split routed bursts
-#: before the duration transform; and an ``irqbalance`` machine, whose
-#: pinned routing sends every device burst to one core.
+#: before the duration transform; an ``irqbalance`` machine, whose pinned
+#: routing sends every device burst to one core; a 2-core machine with
+#: the attacker on core 0, and one with turbo stalls, so that a core
+#: stream tied to a fixed core, core count or draw shows.
 _SYNTH_MACHINES = (
     MachineConfig(),
     MachineConfig(vm=SEPARATE_VMS),
     MachineConfig(irqbalance=True),
+    MachineConfig(n_cores=2, attacker_core=0),
+    MachineConfig(turbo_boost_artifacts=True),
 )
 
 
-def _synthesize_with(case: Case, synthesizer_cls) -> List[dict]:
+def _synthesize_with(case: Case, synthesizer_cls, reverse: bool = False) -> List[dict]:
     horizon = _horizon_ns(case)
     runs = []
     for config in _SYNTH_MACHINES:
@@ -167,6 +171,11 @@ def _synthesize_with(case: Case, synthesizer_cls) -> List[dict]:
                 style=site.style,
                 rng=np.random.default_rng(case.seed * 1_000_003 + site.seed),
             )
+            if reverse:
+                # Draw the deferred cores last to first: no core's
+                # events may depend on which cores were drawn before it.
+                for i in reversed(range(len(run.cores))):
+                    run.cores[i]
             runs.append(_run_struct(run))
     return runs
 
@@ -176,7 +185,7 @@ def _synthesize_reference(case: Case) -> List[dict]:
 
 
 def _synthesize_optimized(case: Case) -> List[dict]:
-    return _synthesize_with(case, InterruptSynthesizer)
+    return _synthesize_with(case, InterruptSynthesizer, reverse=True)
 
 
 # ----------------------------------------------------------------------
@@ -948,10 +957,11 @@ register(
     Oracle(
         name="sim.synthesize",
         description=(
-            "vectorized InterruptSynthesizer, routed bursts split and cores "
-            "assembled on first access, vs the retained scalar reference with "
-            "eager splits and assembly (sim/interrupts_ref.py), every core "
-            "array bit-identical, on the default, a VM and an irqbalance machine"
+            "vectorized InterruptSynthesizer, each core drawn on its own stream "
+            "and assembled on first access (read last core first), vs the "
+            "retained scalar reference drawing every core eagerly in order "
+            "(sim/interrupts_ref.py), every core array bit-identical, on the "
+            "default, a VM, an irqbalance, a 2-core and a turbo machine"
         ),
         mode="bit",
         reference=_synthesize_reference,

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.sim.events import MS, seconds_to_ns
 from repro.workload.phases import ActivityBurst, ActivityTimeline, BurstKind
 
@@ -126,54 +127,55 @@ class WebsiteProfile:
         """
         if time_stretch <= 0:
             raise ValueError(f"time_stretch must be positive, got {time_stretch}")
-        bursts: list[ActivityBurst] = []
-        session_gain = rng.lognormal(0.0, SESSION_GAIN_SIGMA)
-        for i, template in enumerate(self.templates):
-            if i > 0 and rng.random() < BURST_DROP_PROBABILITY:
-                continue
-            start = (
-                seconds_to_ns(template.start_s) * time_stretch
-                + rng.normal(0.0, LOAD_START_JITTER_NS)
-            )
-            duration = (
-                seconds_to_ns(template.duration_s)
-                * time_stretch
-                * rng.lognormal(0.0, LOAD_DURATION_SIGMA)
-            )
-            intensity = float(
-                np.clip(
-                    template.intensity
-                    * session_gain
-                    * rng.lognormal(0.0, LOAD_INTENSITY_SIGMA),
-                    0.05,
-                    1.0,
+        with obs.span("workload.generate_load", site=self.name):
+            bursts: list[ActivityBurst] = []
+            session_gain = rng.lognormal(0.0, SESSION_GAIN_SIGMA)
+            for i, template in enumerate(self.templates):
+                if i > 0 and rng.random() < BURST_DROP_PROBABILITY:
+                    continue
+                start = (
+                    seconds_to_ns(template.start_s) * time_stretch
+                    + rng.normal(0.0, LOAD_START_JITTER_NS)
                 )
-            )
-            start = float(np.clip(start, 0.0, horizon_ns - 1.0))
-            duration = float(np.clip(duration, 10 * MS, horizon_ns - start))
-            bursts.append(
-                ActivityBurst(
-                    start_ns=start,
-                    duration_ns=duration,
-                    kind=template.kind,
-                    intensity=intensity,
-                    source=template.source,
-                    ripple_hz=template.ripple_hz,
-                    duty=template.duty,
+                duration = (
+                    seconds_to_ns(template.duration_s)
+                    * time_stretch
+                    * rng.lognormal(0.0, LOAD_DURATION_SIGMA)
                 )
-            )
-        # Sporadic background activity unrelated to the signature.
-        for _ in range(rng.integers(0, 3)):
-            bursts.append(
-                ActivityBurst(
-                    start_ns=float(rng.uniform(0, horizon_ns * 0.9)),
-                    duration_ns=float(rng.uniform(30 * MS, 150 * MS)),
-                    kind=BurstKind.DISK,
-                    intensity=float(rng.uniform(0.05, 0.25)),
-                    source="background",
+                intensity = float(
+                    np.clip(
+                        template.intensity
+                        * session_gain
+                        * rng.lognormal(0.0, LOAD_INTENSITY_SIGMA),
+                        0.05,
+                        1.0,
+                    )
                 )
-            )
-        return ActivityTimeline(bursts, horizon_ns)
+                start = float(np.clip(start, 0.0, horizon_ns - 1.0))
+                duration = float(np.clip(duration, 10 * MS, horizon_ns - start))
+                bursts.append(
+                    ActivityBurst(
+                        start_ns=start,
+                        duration_ns=duration,
+                        kind=template.kind,
+                        intensity=intensity,
+                        source=template.source,
+                        ripple_hz=template.ripple_hz,
+                        duty=template.duty,
+                    )
+                )
+            # Sporadic background activity unrelated to the signature.
+            for _ in range(rng.integers(0, 3)):
+                bursts.append(
+                    ActivityBurst(
+                        start_ns=float(rng.uniform(0, horizon_ns * 0.9)),
+                        duration_ns=float(rng.uniform(30 * MS, 150 * MS)),
+                        kind=BurstKind.DISK,
+                        intensity=float(rng.uniform(0.05, 0.25)),
+                        source="background",
+                    )
+                )
+            return ActivityTimeline(bursts, horizon_ns)
 
 
 def _ripple(rng: np.random.Generator) -> tuple[float, float]:

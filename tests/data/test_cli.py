@@ -62,6 +62,16 @@ def test_config_mismatch_is_usage_error(tmp_path, capsys):
     assert "different" in capsys.readouterr().err
 
 
+def test_version_mismatch_is_usage_error(tmp_path, capsys, monkeypatch):
+    import repro
+
+    store = str(tmp_path / "store")
+    assert data_main(["build", store, *CONFIG_ARGS]) == 0
+    monkeypatch.setattr(repro, "__version__", "0.0.0-other")
+    assert data_main(["build", store, *CONFIG_ARGS]) == 2
+    assert "simulator versions" in capsys.readouterr().err
+
+
 def test_ls_on_non_store_fails(tmp_path, capsys):
     assert data_main(["ls", str(tmp_path)]) == 1
     assert "not a dataset store" in capsys.readouterr().err

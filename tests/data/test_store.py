@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import repro
+
 from repro.data import (
     DataError,
     DatasetConfig,
@@ -14,6 +16,7 @@ from repro.data import (
     merge_stores,
     verify_store,
 )
+from repro.data.format import read_meta
 from repro.data.manifest import MANIFEST_NAME
 from repro.data.writer import collector_for, config_sites, partition_sites
 
@@ -99,6 +102,28 @@ class TestResume:
         build_dataset(store_dir, CONFIG, shard_sites=2)
         assert verify_store(store_dir) == []
         assert (store_dir / "shard-0000.npz").stat().st_mtime_ns == orphan_mtime
+
+    def test_resume_rejects_another_simulator_version(self, tmp_path, monkeypatch):
+        store_dir, _ = build(tmp_path)
+        monkeypatch.setattr(repro, "__version__", "0.0.0-other")
+        with pytest.raises(DataError, match="simulator versions"):
+            build_dataset(store_dir, CONFIG, shard_sites=2)
+        assert DatasetManifest.load(store_dir).repro_version != "0.0.0-other"
+
+    def test_rebuilds_orphan_shard_of_another_version(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(repro, "__version__", "0.0.0-other")
+            donor_dir, _ = build(tmp_path, "donor")
+        store_dir = tmp_path / "interrupted"
+        store_dir.mkdir()
+        orphan = store_dir / "shard-0000.npz"
+        orphan.write_bytes((donor_dir / "shard-0000.npz").read_bytes())
+        assert read_meta(orphan)["repro_version"] == "0.0.0-other"
+        manifest = build_dataset(store_dir, CONFIG, shard_sites=2)
+        assert verify_store(store_dir) == []
+        assert manifest.repro_version == repro.__version__
+        for entry in manifest.shards:
+            assert read_meta(store_dir / entry.name)["repro_version"] == repro.__version__
 
     def test_rebuilds_corrupt_shard(self, tmp_path):
         store_dir, _ = build(tmp_path)
@@ -205,6 +230,23 @@ class TestMerge:
         build_dataset(tmp_path / "b", other)
         with pytest.raises(DataError):
             merge_stores([a_dir, tmp_path / "b"], tmp_path / "merged")
+
+    def test_merge_rejects_mixed_versions(self, tmp_path, monkeypatch):
+        a_dir, _ = build(tmp_path, "a")
+        monkeypatch.setattr(repro, "__version__", "0.0.0-other")
+        b_dir, _ = build(tmp_path, "b")
+        with pytest.raises(DataError, match="simulator versions"):
+            merge_stores([a_dir, b_dir], tmp_path / "merged")
+        assert not (tmp_path / "merged").exists()
+
+    def test_merge_keeps_the_sources_version(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(repro, "__version__", "0.0.0-other")
+            a_dir, _ = build(tmp_path, "a")
+            b_dir, _ = build(tmp_path, "b")
+        manifest = merge_stores([a_dir, b_dir], tmp_path / "merged")
+        assert manifest.repro_version == "0.0.0-other"
+        assert DatasetManifest.load(tmp_path / "merged").repro_version == "0.0.0-other"
 
     def test_merge_rejects_existing_store(self, tmp_path):
         a_dir, _ = build(tmp_path, "a")

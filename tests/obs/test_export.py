@@ -11,6 +11,7 @@ from repro.obs.export import (
     merge_spool,
     read_profile,
     render_timeline,
+    self_seconds,
     summarize,
     write_profile,
 )
@@ -89,6 +90,31 @@ class TestSummarize:
         assert collect["wall_s"] == 1.3
         assert collect["max_rss_kb"] == 2100
         assert "stages" not in summary  # the manifest's experiments block holds them
+
+    def test_self_time_clips_children_and_counts_overlaps_once(self):
+        def span(name, pid, span_id, parent_id, start, wall):
+            return {
+                "type": "span", "name": name, "pid": pid, "tid": 1,
+                "span_id": span_id, "parent_id": parent_id, "depth": 0,
+                "t_start": start, "wall_s": wall, "cpu_s": 0.0,
+                "rss_peak_kb": 0, "attrs": {},
+            }
+
+        spans = [
+            span("run", 1, 1, None, 0.0, 10.0),
+            span("child", 1, 2, 1, 1.0, 3.0),  # 1-4
+            span("child", 1, 3, 1, 3.0, 3.0),  # 3-6, overlaps 3-4
+            span("late", 1, 4, 1, 9.0, 3.0),  # 9-12, clipped to 9-10
+            span("worker", 2, 1, None, 2.0, 5.0),  # same id, other process
+            span("task", 2, 2, 1, 2.5, 1.0),
+        ]
+        assert self_seconds(spans) == [4.0, 3.0, 3.0, 3.0, 4.0, 1.0]
+        summary = summarize(Profile(spans=spans))
+        assert summary["spans"]["child"]["self_s"] == 6.0
+        assert summary["spans"]["run"]["self_s"] == 4.0
+        # The first process's top-level spans are the run's wall clock.
+        assert summary["wall_s"] == 10.0
+        assert summary["unattributed_s"] == 4.0
 
     def test_top_spans_sorted_and_capped(self):
         summary = summarize(_sample_profile(), top_n=2)

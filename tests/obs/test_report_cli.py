@@ -111,6 +111,14 @@ class TestReportCommand:
         assert "spans (2 events from 2 process(es), peak rss 2.0MB):" in lines
         span_rows = [line for line in lines if line.startswith("collect.trace")]
         assert any("0.800s" in row and "0.700s" in row for row in span_rows)
+        header = next(line for line in lines if line.startswith("span "))
+        assert header.split() == ["span", "count", "wall", "self", "cpu", "peak", "rss"]
+        (unattributed,) = [line for line in lines if line.startswith("(unattributed)")]
+        assert unattributed.split() == ["(unattributed)", "-", "-", "2.000s", "-", "-"]
+        assert (
+            "run wall 2.000s (top-level spans of the first process), "
+            "100.0% of it in no nested span"
+        ) in lines
         assert any("slowest spans" in line for line in lines)
         top_row = next(line for line in lines if "stage=collect" in line)
         assert "engine.map" in top_row and "2.000s" in top_row

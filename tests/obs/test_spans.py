@@ -111,21 +111,46 @@ class TestCollectorSpans:
         assert walk["parent_id"] == collect["span_id"]
         assert walk["attrs"] == {"periods": len(trace.counters)}
         assert by_name["sim.synthesize"]["parent_id"] == collect["span_id"]
+        load = by_name["workload.generate_load"]
+        assert load["parent_id"] == collect["span_id"]
+        assert load["attrs"] == {"site": "nytimes.com"}
+
+    def test_generate_load_span_leaves_the_stream(self, tmp_path):
+        site = profile_for("nytimes.com")
+
+        def load():
+            rng = np.random.default_rng(5)
+            timeline = site.generate_load(rng, 2 * SEC)
+            return [dataclasses.astuple(b) for b in timeline], rng.bit_generator.state
+
+        quiet = load()
+        obs.enable(tmp_path / "spool")
+        try:
+            assert load() == quiet
+        finally:
+            obs.disable()
+        (event,) = _read_events(tmp_path / "spool")
+        assert event["name"] == "workload.generate_load"
 
     @pytest.mark.parametrize("irqbalance", [False, True])
     def test_synthesize_counts_each_event_once(self, spool, irqbalance):
-        """A burst routed to several cores counts each event on the core
-        it reaches: 98 664 events in this seeded 6 s run, as when every
-        such burst was split per core during synthesis."""
+        """Each event counts once, when its core is drawn: the span counts
+        the attacker's core, drawn inside it, and reading every core adds
+        the others' events to ``sim.events_processed``."""
+        attacker_events, events = {False: (48_398, 98_110), True: (9_766, 98_118)}[
+            irqbalance
+        ]
         rng = np.random.default_rng(11)
         site = profile_for("nytimes.com")
         timeline = site.generate_load(rng, 6 * SEC)
         config = MachineConfig(os=LINUX, irqbalance=irqbalance)
         run = InterruptSynthesizer(config).synthesize(timeline, style=site.style, rng=rng)
-        assert obs.counter("sim.events_processed").value == 98_664
+        assert obs.counter("sim.events_processed").value == attacker_events
+        assert len(run.attacker_timeline.arrivals) == attacker_events
+        assert sum(len(core.arrivals) for core in run.cores) == events
+        assert obs.counter("sim.events_processed").value == events
         (span,) = [e for e in _read_events(spool) if e["name"] == "sim.synthesize"]
-        assert span["attrs"]["events"] == 98_664
-        assert sum(len(core.arrivals) for core in run.cores) == 98_664
+        assert span["attrs"]["events"] == attacker_events
 
 
 class TestWarmPathSpans:

@@ -1,16 +1,19 @@
 """Integration tests for the interrupt synthesizer."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.collector import TraceCollector
+from repro.sim import machine as sim_machine
 from repro.sim.events import SEC
 from repro.sim.interrupts import MOVABLE_TYPES, InterruptBatch, InterruptType
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.vm import BARE_METAL, SEPARATE_VMS
-from repro.workload.browser import LINUX, WINDOWS
+from repro.workload.browser import CHROME, LINUX, WINDOWS
 from repro.workload.website import profile_for
 
 HORIZON = 6 * SEC
@@ -176,10 +179,17 @@ class TestSynthesis:
 
 
 class _EagerSynthesizer(InterruptSynthesizer):
-    """Assembles every core before ``synthesize`` returns."""
+    """Draws and assembles every core before ``synthesize`` returns."""
 
-    def _assemble(self, per_core):
-        return [self._build_core(batches) for batches in per_core]
+    def _assemble(self, parts):
+        return [self._build_part(part) for part in parts]
+
+
+class _ReversedSynthesizer(InterruptSynthesizer):
+    """As ``_EagerSynthesizer``, drawing the last core first."""
+
+    def _assemble(self, parts):
+        return [self._build_part(part) for part in reversed(parts)][::-1]
 
 
 def _core_bytes(core) -> tuple:
@@ -238,20 +248,49 @@ class TestDeferredCores:
 
     @pytest.mark.parametrize("vm", [False, True])
     def test_lazy_equals_eager_bit_for_bit(self, vm):
-        config = MachineConfig(os=LINUX, vm=SEPARATE_VMS) if vm else MachineConfig(os=LINUX)
+        """Each core draws from its own stream: its arrays do not depend on
+        which cores were drawn before it, and drawing the others moves
+        neither the caller's stream nor the machine-wide arrays."""
+        shapes = (
+            {},
+            {"n_cores": 2, "attacker_core": 0},
+            {"turbo_boost_artifacts": True, "irqbalance": True, "attacker_core": 3},
+        )
 
-        def run_with(cls):
+        def run_with(cls, config):
             rng = np.random.default_rng(5)
             site = profile_for("weather.com")
             timeline = site.generate_load(rng, HORIZON)
-            return cls(config).synthesize(timeline, style=site.style, rng=rng)
+            return cls(config).synthesize(timeline, style=site.style, rng=rng), rng
 
-        lazy, eager = run_with(InterruptSynthesizer), run_with(_EagerSynthesizer)
-        # Out of order: no core's assembly may depend on another's.
-        for i in (3, 0, 2, 1):
-            assert _core_bytes(lazy.cores[i]) == _core_bytes(eager.cores[i])
-        assert lazy.frequency.ghz.tobytes() == eager.frequency.ghz.tobytes()
-        assert lazy.occupancy_ambient.tobytes() == eager.occupancy_ambient.tobytes()
+        for shape in shapes:
+            config = MachineConfig(os=LINUX, vm=SEPARATE_VMS if vm else BARE_METAL, **shape)
+            lazy, lazy_rng = run_with(InterruptSynthesizer, config)  # the attacker's core first
+            for cls in (_EagerSynthesizer, _ReversedSynthesizer):
+                eager, eager_rng = run_with(cls, config)
+                assert eager_rng.bit_generator.state == lazy_rng.bit_generator.state
+                for i in reversed(range(config.n_cores)):
+                    assert _core_bytes(lazy.cores[i]) == _core_bytes(eager.cores[i]), (shape, i)
+                assert lazy.frequency.ghz.tobytes() == eager.frequency.ghz.tobytes()
+                assert lazy.occupancy_ambient.tobytes() == eager.occupancy_ambient.tobytes()
+
+    def test_core_stream_is_the_spawned_child(self):
+        part = sim_machine._CorePart(2, 12345, timeline=None, routed=[])
+        child = np.random.SeedSequence(12345).spawn(4)[2]
+        want = np.random.default_rng(child).random(8)
+        assert part.stream().random(8).tobytes() == want.tobytes()
+
+    def test_collected_trace_ignores_other_cores(self, monkeypatch):
+        browser = dataclasses.replace(CHROME, trace_seconds=2.0)
+        sites = [profile_for("amazon.com"), profile_for("weather.com")]
+
+        def collect():
+            batch = TraceCollector(MachineConfig(), browser, seed=4).collect(sites, 2)
+            return [trace.counters.tobytes() for trace in batch]
+
+        lazy = collect()
+        monkeypatch.setattr(InterruptSynthesizer, "_assemble", _ReversedSynthesizer._assemble)
+        assert collect() == lazy
 
     def test_pickled_run_arrives_with_every_core_built(self, build_calls):
         run = simulate()
@@ -264,8 +303,8 @@ class TestDeferredCores:
 
     @pytest.mark.parametrize("vm", [False, True])
     def test_pickled_run_equals_eager_splits_and_assembly(self, vm):
-        """Routed shares resolve on unpickling exactly as the reference
-        synthesizer's per-core splits, VM transform included."""
+        """Cores drawn on unpickling equal the reference synthesizer's
+        eager per-core draws and splits, VM transform included."""
         config = MachineConfig(os=LINUX, vm=SEPARATE_VMS if vm else BARE_METAL)
         restored = pickle.loads(pickle.dumps(simulate(config)))
         eager = simulate(config, synthesizer_cls=ReferenceInterruptSynthesizer)

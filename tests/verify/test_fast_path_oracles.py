@@ -2,11 +2,14 @@
 
 Each pass on the real code, and each fails when the fast path it covers
 is broken in one place: a flipped byte of the jittered timer's ε table, a
-table read at a negative bucket, or a batch array changed after
-``synthesize`` returned but before its core was assembled.
+table read at a negative bucket, or a routed array changed after
+``synthesize`` returned but before a core that shares it was drawn.
 """
 
+import numpy as np
+
 import repro.verify.oracles  # noqa: F401 - registers the oracles
+from repro.sim import machine as sim_machine
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer
 from repro.timers import quantized
@@ -55,25 +58,48 @@ class TestSynthesizeOracle:
     def test_passes(self):
         assert get_oracle("sim.synthesize").run_case(SMALL) is None
 
-    def test_batch_mutated_after_synthesize_fails(self, monkeypatch):
-        """Core 0 is assembled after ``synthesize`` returns, from batches
-        it still holds: one changed arrival must show in that core."""
-        tick_times = []
-        add_ticks = InterruptSynthesizer._add_timer_ticks
+    def test_optimized_side_draws_cores_last_first(self, monkeypatch):
+        drawn = []
+        assemble = sim_machine._DeferredCores.assemble
 
-        def keeping_core0_ticks(self, per_core, *args):
-            add_ticks(self, per_core, *args)
-            tick_times.append(per_core[0][-1].times)
+        def recording(self, i):
+            if self._cores[i] is None:
+                drawn.append(i)
+            return assemble(self, i)
+
+        monkeypatch.setattr(sim_machine._DeferredCores, "assemble", recording)
+        repro.verify.oracles._synthesize_optimized(Case(seed=0, sites=1, traces=1, horizon_ms=50.0))
+        # Four 4-core machines with the attacker on core 1, and a 2-core one
+        # with the attacker on core 0 (the fourth of the five).
+        assert drawn == [1, 3, 2, 0] * 3 + [0, 1] + [1, 3, 2, 0]
+
+    def test_batch_mutated_after_synthesize_fails(self, monkeypatch):
+        """Core 0 is drawn after ``synthesize`` returns, from routed arrays
+        it shares with the run: one changed arrival must show in that core."""
+        routed_per_run = []
+        route = InterruptSynthesizer._route
+
+        def keeping_routed(self, *args):
+            routed_per_run.append(route(self, *args))
+            return routed_per_run[-1]
 
         synthesize = InterruptSynthesizer.synthesize
 
         def mutating(self, *args, **kwargs):
             run = synthesize(self, *args, **kwargs)
             if not isinstance(self, ReferenceInterruptSynthesizer):
-                tick_times[-1][0] += 1.0
+                for routed in routed_per_run[-1]:
+                    on_core0 = (
+                        np.arange(len(routed.times))
+                        if routed.targets is None
+                        else np.flatnonzero(routed.targets == 0)
+                    )
+                    if len(on_core0):
+                        routed.times[on_core0[0]] += 1.0
+                        break
             return run
 
-        monkeypatch.setattr(InterruptSynthesizer, "_add_timer_ticks", keeping_core0_ticks)
+        monkeypatch.setattr(InterruptSynthesizer, "_route", keeping_routed)
         monkeypatch.setattr(InterruptSynthesizer, "synthesize", mutating)
         failure = get_oracle("sim.synthesize").run_case(SMALL)
         assert failure is not None
