@@ -18,6 +18,7 @@ from repro import InterruptSynthesizer, InterruptType, MachineConfig, profile_fo
 from repro.core.analysis import analyze_run
 from repro.experiments.base import sparkline
 from repro.sim.events import MS, US, seconds_to_ns
+from repro.tracing.attribution import attribute_every_core
 from repro.tracing.ebpf import KprobeTracer
 from repro.tracing.histograms import FIG6_TYPES, gap_length_histograms
 
@@ -52,7 +53,7 @@ def main() -> None:
     print(f"  peak {fraction.max() * 100:.1f}%   {sparkline(fraction, width=60)}")
 
     print("\ngap-length distributions (Fig 6, all cores):")
-    histograms = gap_length_histograms([run], core=-1)
+    histograms = gap_length_histograms(attribute_every_core([run]))
     for itype in FIG6_TYPES:
         hist = histograms[itype]
         if not hist.n_samples:

@@ -21,6 +21,7 @@ from repro.experiments.fig5 import simulate_load
 from repro.sim.events import US, seconds_to_ns
 from repro.sim.interrupts import InterruptType
 from repro.sim.machine import MachineConfig
+from repro.tracing.attribution import attribute_every_core
 from repro.tracing.histograms import (
     FIG6_TYPES,
     GapLengthHistogram,
@@ -112,15 +113,12 @@ def run(ctx) -> Fig6Result:
         for k in range(loads_per_site)
     ]
     runs = ctx.engine.map(simulate_load, tasks, stage="simulate")
-    # Trace every core so all interrupt types (incl. network RX, which
-    # is bound to its source's affinity core) are observed.
-    histograms = gap_length_histograms(runs, core=-1)
-    coincidence = type_coincidence(
-        runs, InterruptType.IRQ_WORK, InterruptType.TIMER, core=-1
-    )
+    reports = attribute_every_core(runs)
     return Fig6Result(
-        histograms=histograms,
+        histograms=gap_length_histograms(reports),
         n_loads=len(runs),
         n_sites=n_sites,
-        irq_work_timer_coincidence=coincidence,
+        irq_work_timer_coincidence=type_coincidence(
+            reports, InterruptType.IRQ_WORK, InterruptType.TIMER
+        ),
     )

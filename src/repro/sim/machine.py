@@ -764,7 +764,8 @@ class InterruptSynthesizer:
             times += stream.exponential(_DEFERRED_DELAY_MEAN_NS, len(times))
             snap = stream.random(len(times)) < routed.snap[owners]
             times[snap] = self._next_tick(times[snap], phase)
-        durations = self._sample_durations_grouped(routed.types, owners, stream)
+        runs = _owner_runs(owners)
+        durations = self._sample_durations_grouped(routed.types, runs, len(owners), stream)
         if routed.stretch is not None:
             durations *= routed.stretch[owners]
         return [
@@ -774,25 +775,26 @@ class InterruptSynthesizer:
                 durations[lo:hi],
                 cause=routed.causes[owner],
             )
-            for owner, lo, hi in _owner_runs(owners)
+            for owner, lo, hi in runs
         ]
 
     def _sample_durations_grouped(
         self,
         burst_types: Sequence[Optional[InterruptType]],
-        owners: np.ndarray,
+        runs: list[tuple[int, int, int]],
+        n: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Handler durations for ``owners``-indexed arrivals, one latency
-        draw per distinct interrupt type (visited in enum order).
+        """Handler durations for ``n`` arrivals whose bursts occupy the
+        ``(owner, lo, hi)`` slices ``runs``, one latency draw per distinct
+        interrupt type (visited in enum order).
 
-        ``owners`` is sorted, so each burst occupies one contiguous slice;
-        a type's arrivals are the concatenation of its bursts' slices, and
+        A type's arrivals are the concatenation of its bursts' slices, and
         one batched draw per type is split across them in order.
         """
-        durations = np.empty(len(owners), dtype=np.float64)
+        durations = np.empty(n, dtype=np.float64)
         slices_by_type: dict[InterruptType, list[tuple[int, int]]] = {}
-        for owner, lo, hi in _owner_runs(owners):
+        for owner, lo, hi in runs:
             itype = burst_types[owner]
             if itype is not None:
                 slices_by_type.setdefault(itype, []).append((lo, hi))
@@ -826,7 +828,8 @@ class InterruptSynthesizer:
 
 
 def _owner_runs(owners: np.ndarray) -> list[tuple[int, int, int]]:
-    """``(owner, lo, hi)`` for each run of one value in sorted ``owners``."""
-    starts = np.flatnonzero(np.diff(owners, prepend=-1))
-    ends = np.append(starts[1:], len(owners))
-    return list(zip(owners[starts].tolist(), starts.tolist(), ends.tolist()))
+    """``(owner, lo, hi)`` for each run of one value in sorted, non-empty
+    ``owners``."""
+    cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+    starts = [0] + cuts
+    return list(zip(owners[starts].tolist(), starts, cuts + [len(owners)]))

@@ -2,8 +2,8 @@
 
 from repro.tracing.attribution import (
     DEFAULT_GAP_THRESHOLD_NS,
-    AttributedGap,
     AttributionReport,
+    attribute_every_core,
     attribute_gaps,
 )
 from repro.tracing.ebpf import KprobeTracer, TracerConfig
@@ -16,7 +16,7 @@ from repro.tracing.histograms import (
 )
 
 __all__ = [
-    "DEFAULT_GAP_THRESHOLD_NS", "AttributedGap", "AttributionReport",
+    "DEFAULT_GAP_THRESHOLD_NS", "AttributionReport", "attribute_every_core",
     "attribute_gaps", "KprobeTracer", "TracerConfig", "FIG6_TYPES",
     "GapLengthHistogram", "gap_length_histograms", "interrupt_time_series",
     "type_coincidence",

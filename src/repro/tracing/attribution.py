@@ -13,64 +13,63 @@ interrupts** — reproduced here by
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.sim.interrupts import InterruptType
+from repro.sim.machine import MachineRun
 from repro.tracing.ebpf import KprobeTracer
 
 #: The paper's gap-length threshold for the >99 % claim.
 DEFAULT_GAP_THRESHOLD_NS = 100.0
 
-
-@dataclass
-class AttributedGap:
-    """One attacker-observed gap with its kernel-side explanation."""
-
-    start_ns: float
-    end_ns: float
-    interrupt_types: tuple[InterruptType, ...]
-    causes: tuple[str, ...]
-
-    @property
-    def length_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
-    @property
-    def attributed(self) -> bool:
-        return bool(self.interrupt_types)
+#: Column of each interrupt type in :attr:`AttributionReport.types`; the
+#: order of ``InterruptType``, which ``CoreTimeline.type_codes`` index.
+_COLUMN = {itype: i for i, itype in enumerate(InterruptType)}
 
 
 @dataclass
 class AttributionReport:
-    """Summary of an attribution pass over one trace's gaps."""
+    """The above-threshold gaps of one traced core and what caused them.
 
-    gaps: list[AttributedGap]
+    ``types[g, c]`` is true when a tracer-visible record of the
+    ``c``-th ``InterruptType`` was merged into gap ``g``.
+    """
+
+    gap_starts: np.ndarray
+    gap_ends: np.ndarray
+    types: np.ndarray
     threshold_ns: float
 
     @property
     def n_gaps(self) -> int:
-        return len(self.gaps)
+        return len(self.gap_starts)
+
+    @property
+    def lengths_ns(self) -> np.ndarray:
+        return self.gap_ends - self.gap_starts
 
     @property
     def n_attributed(self) -> int:
-        return sum(1 for g in self.gaps if g.attributed)
+        return int(self.types.any(axis=1).sum())
 
     @property
     def attributed_fraction(self) -> float:
         """Fraction of above-threshold gaps explained by interrupts."""
-        if not self.gaps:
+        if not self.n_gaps:
             return 1.0
         return self.n_attributed / self.n_gaps
 
+    def has_type(self, itype: InterruptType) -> np.ndarray:
+        """Per gap: does a record of ``itype`` take part in it?"""
+        return self.types[:, _COLUMN[itype]]
+
     def type_counter(self) -> Counter:
         """How often each interrupt type participates in a gap."""
-        counter: Counter = Counter()
-        for gap in self.gaps:
-            counter.update(gap.interrupt_types)
-        return counter
+        counts = self.types.sum(axis=0)
+        return Counter({t: int(n) for t, n in zip(InterruptType, counts) if n})
 
     def gap_lengths_for_type(self, itype: InterruptType) -> np.ndarray:
         """Observed lengths of gaps involving ``itype`` (Fig 6's x-axis).
@@ -80,47 +79,38 @@ class AttributionReport:
         IRQ-work spike lines up with the timer-interrupt spike (IRQ work
         piggybacks on timer ticks).
         """
-        return np.array(
-            [g.length_ns for g in self.gaps if itype in g.interrupt_types]
-        )
+        return self.lengths_ns[self.has_type(itype)]
 
 
 def attribute_gaps(
     tracer: KprobeTracer,
     threshold_ns: float = DEFAULT_GAP_THRESHOLD_NS,
-    max_gaps: Optional[int] = None,
 ) -> AttributionReport:
-    """Match every above-threshold gap to overlapping interrupt records."""
+    """Match every above-threshold gap to the visible records merged into it."""
     if threshold_ns < 0:
         raise ValueError(f"threshold cannot be negative: {threshold_ns}")
     timeline = tracer.timeline
     gaps = timeline.gaps
-    lengths = gaps.durations()
-    selected = np.flatnonzero(lengths > threshold_ns)
-    if max_gaps is not None:
-        selected = selected[:max_gaps]
-    visible = set(int(i) for i in tracer.visible_indices())
-    all_types = list(InterruptType)
-    attributed: list[AttributedGap] = []
-    for gap_idx in selected:
-        record_indices = [
-            int(r) for r in timeline.records_in_gap(int(gap_idx)) if int(r) in visible
-        ]
-        itypes = tuple(
-            sorted(
-                {all_types[int(timeline.type_codes[r])] for r in record_indices},
-                key=lambda t: t.value,
-            )
-        )
-        causes = tuple(
-            sorted({timeline.cause_names[int(timeline.cause_codes[r])] for r in record_indices})
-        )
-        attributed.append(
-            AttributedGap(
-                start_ns=float(gaps.gap_starts[gap_idx]),
-                end_ns=float(gaps.gap_ends[gap_idx]),
-                interrupt_types=itypes,
-                causes=causes,
-            )
-        )
-    return AttributionReport(gaps=attributed, threshold_ns=threshold_ns)
+    visible = tracer.visible_indices()
+    types = np.zeros((len(gaps), len(_COLUMN)), dtype=bool)
+    types[timeline.record_gap_index[visible], timeline.type_codes[visible]] = True
+    selected = gaps.durations() > threshold_ns
+    return AttributionReport(
+        gap_starts=gaps.gap_starts[selected],
+        gap_ends=gaps.gap_ends[selected],
+        types=types[selected],
+        threshold_ns=threshold_ns,
+    )
+
+
+def attribute_every_core(runs: Sequence[MachineRun]) -> list[AttributionReport]:
+    """One report per core of each run, runs in order and cores in order.
+
+    Fig 6 traces every core so that all interrupt types are observed,
+    including network receive, which is bound to its source's core.
+    """
+    return [
+        attribute_gaps(KprobeTracer(run, core=core))
+        for run in runs
+        for core in range(len(run.cores))
+    ]

@@ -12,14 +12,15 @@ configured to observe only a subset of interrupt types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.interrupts import InterruptType
 from repro.sim.machine import MachineRun
-from repro.sim.timeline import CoreTimeline, InterruptRecord
+from repro.sim.timeline import CoreTimeline, GapTimeline, InterruptRecord
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,8 @@ class KprobeTracer:
             raise ValueError(f"core {self.core_index} out of range")
         self.config = TracerConfig() if config is None else config
         self._timeline: CoreTimeline = run.cores[self.core_index]
-        all_types = list(InterruptType)
-        visible = np.array(
-            [self.config.can_trace(all_types[int(c)]) for c in self._timeline.type_codes],
-            dtype=bool,
-        )
-        self._visible_mask = visible
+        traceable = np.array([self.config.can_trace(t) for t in InterruptType], dtype=bool)
+        self._visible_mask = traceable[self._timeline.type_codes]
 
     @property
     def timeline(self) -> CoreTimeline:
@@ -72,8 +69,7 @@ class KprobeTracer:
 
     def log(self) -> list[InterruptRecord]:
         """Materialized interrupt log, in time order."""
-        records = self._timeline.records()
-        return [records[int(i)] for i in self.visible_indices()]
+        return list(itertools.compress(self._timeline.records(), self._visible_mask))
 
     def handler_windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays ``(starts, ends, type_codes)`` of visible handler windows."""
@@ -113,12 +109,7 @@ class KprobeTracer:
             starts, ends = starts[wanted], ends[wanted]
         horizon = self.run.timeline.horizon_ns
         edges = np.arange(0, horizon + window_ns, window_ns, dtype=np.float64)
-        busy = np.zeros(len(edges) - 1)
-        if len(starts):
-            # Distribute each handler window across the bins it overlaps.
-            first_bin = np.searchsorted(edges, starts, side="right") - 1
-            last_bin = np.searchsorted(edges, ends, side="right") - 1
-            for s, e, b0, b1 in zip(starts, ends, first_bin, last_bin):
-                for b in range(max(b0, 0), min(b1, len(busy) - 1) + 1):
-                    busy[b] += min(e, edges[b + 1]) - max(s, edges[b])
-        return edges[:-1], busy / window_ns
+        # Serialized handler windows are disjoint and sorted, so the
+        # handler time before each edge is a stolen-time prefix sum.
+        handled = GapTimeline._trusted(starts, ends).stolen_before(edges)
+        return edges[:-1], np.diff(handled) / window_ns

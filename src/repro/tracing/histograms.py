@@ -10,7 +10,7 @@ import numpy as np
 from repro.sim.events import MS, US
 from repro.sim.interrupts import InterruptType
 from repro.sim.machine import MachineRun
-from repro.tracing.attribution import attribute_gaps
+from repro.tracing.attribution import AttributionReport
 from repro.tracing.ebpf import KprobeTracer
 
 #: Fig 6's interrupt types, in the paper's plotting order.
@@ -46,19 +46,10 @@ class GapLengthHistogram:
         return float(self.samples.min()) if len(self.samples) else float("nan")
 
 
-def _tracers_for(run: MachineRun, core: Optional[int]) -> list[KprobeTracer]:
-    """One tracer per requested core; ``core="all"``-style None-with-sentinel
-    is expressed by passing ``core=-1``: trace every core of the machine."""
-    if core == -1:
-        return [KprobeTracer(run, core=c) for c in range(len(run.cores))]
-    return [KprobeTracer(run, core=core)]
-
-
 def type_coincidence(
-    runs: Sequence[MachineRun],
+    reports: Sequence[AttributionReport],
     subject: InterruptType,
     companion: InterruptType,
-    core: Optional[int] = None,
 ) -> float:
     """Fraction of ``subject``-involving gaps that also contain ``companion``.
 
@@ -66,46 +57,36 @@ def type_coincidence(
     on its own, and thus is typically run while processing a timer
     interrupt" — so most IRQ-work gaps also contain a timer record.
     """
-    hits = 0
-    total = 0
-    for run in runs:
-        for tracer in _tracers_for(run, core):
-            report = attribute_gaps(tracer)
-            for gap in report.gaps:
-                if subject in gap.interrupt_types:
-                    total += 1
-                    if companion in gap.interrupt_types:
-                        hits += 1
+    hits = total = 0
+    for report in reports:
+        with_subject = report.has_type(subject)
+        total += int(with_subject.sum())
+        hits += int((with_subject & report.has_type(companion)).sum())
     return hits / total if total else float("nan")
 
 
 def gap_length_histograms(
-    runs: Sequence[MachineRun],
-    core: Optional[int] = None,
+    reports: Sequence[AttributionReport],
     types: Sequence[InterruptType] = FIG6_TYPES,
     bin_width_ns: float = 0.25 * US,
     max_ns: float = 12 * US,
 ) -> Dict[InterruptType, GapLengthHistogram]:
     """Per-type distributions of attacker-observed gap lengths (Fig 6).
 
-    ``runs`` plays the role of the paper's "50 page loads spanning 10
-    websites".  Gap lengths — not handler times — are histogrammed, so
-    piggybacking types (IRQ work, softirqs) inherit their host timer
-    tick's latency in the plot, exactly as the paper describes.
+    ``reports`` hold the traced cores of the paper's "50 page loads
+    spanning 10 websites"
+    (:func:`~repro.tracing.attribution.attribute_every_core`).  Gap lengths —
+    not handler times — are histogrammed, so piggybacking types (IRQ
+    work, softirqs) inherit their host timer tick's latency in the plot,
+    exactly as the paper describes.
     """
     if bin_width_ns <= 0 or max_ns <= bin_width_ns:
         raise ValueError("invalid histogram binning")
     edges = np.arange(0, max_ns + bin_width_ns, bin_width_ns)
-    per_type: Dict[InterruptType, list[np.ndarray]] = {t: [] for t in types}
-    for run in runs:
-        for tracer in _tracers_for(run, core):
-            report = attribute_gaps(tracer)
-            for itype in types:
-                per_type[itype].append(report.gap_lengths_for_type(itype))
     result: Dict[InterruptType, GapLengthHistogram] = {}
     for itype in types:
-        samples = (
-            np.concatenate(per_type[itype]) if per_type[itype] else np.empty(0)
+        samples = np.concatenate(
+            [np.empty(0)] + [report.gap_lengths_for_type(itype) for report in reports]
         )
         counts, _ = np.histogram(samples, bins=edges)
         result[itype] = GapLengthHistogram(

@@ -4,45 +4,49 @@ Every optimized path the repo has accumulated is paired here with its
 reference semantics over seeded :class:`~repro.verify.oracle.Case`
 inputs:
 
-====================== ========== =================================================
-oracle                 mode       certifies
-====================== ========== =================================================
-``sim.synthesize``     bit        vectorized interrupt synthesis with routed
-                                  bursts split, and cores assembled, on first
-                                  access == retained scalar reference with
-                                  eager splits and assembly
-                                  (``sim/interrupts_ref.py``), on the default,
-                                  a VM and an ``irqbalance`` machine
-``engine.parallel``    bit        2-worker engine collection == serial collection
-``engine.trace_cache`` bit        a cache round-trip returns the stored trace
-``serve.batched``      bit        micro-batched server probs == direct
-                                  ``predict_proba`` over the same vectors
-``ml.artifact``        bit        save→load→predict == in-memory predict
-``sim.gap_timeline``   invariant  serialization identity, trusted-vs-validated
-                                  gap construction, stolen-time query algebra
-``timers.crossing``    invariant  monotone reads + first_crossing contract for
-                                  quantized / jittered / randomized timers
-``timers.jitter``      bit        jittered timer reading ε from its table ==
-                                  hashing ε on every read, across table growth
-                                  and fallback edges
-``data.roundtrip``     bit        sharded store build -> streaming read-back ==
-                                  the same collection held in memory
-``collect.walk``       bit        two-phase period walk == retained per-period
-                                  loop (``core/walk_ref.py``) for every timer
-                                  kind, both attackers, noise off and on, and
-                                  jittered timers at Δ = 33 333.3 ns and
-                                  Δ = 7 ms > P; plus unfloored ``count_many``
-                                  == per-period ``count``
-``ml.network``         bit        paper CNN+LSTM trained a few Adam steps with the
-                                  shipped conv/pool/ReLU kernels and Adam ==
-                                  the retained ones (``ml/layers_ref.py``), plus
-                                  layer probes on ties, NaN, ±inf and strides
-``ml.linear``          bit        softmax regression trained in place on one
-                                  ``(W; b)`` block == the retained out-of-place
-                                  loop (``ml/layers_ref.py``): ``W``, ``b`` and
-                                  ``predict_proba``, with and without L2, on
-                                  saturating logits and on one row
-====================== ========== =================================================
+======================== ========== =================================================
+oracle                   mode       certifies
+======================== ========== =================================================
+``sim.synthesize``       bit        vectorized interrupt synthesis with routed
+                                    bursts split, and cores assembled, on first
+                                    access == retained scalar reference with
+                                    eager splits and assembly
+                                    (``sim/interrupts_ref.py``), on the default,
+                                    a VM and an ``irqbalance`` machine
+``engine.parallel``      bit        2-worker engine collection == serial collection
+``engine.trace_cache``   bit        a cache round-trip returns the stored trace
+``serve.batched``        bit        micro-batched server probs == direct
+                                    ``predict_proba`` over the same vectors
+``ml.artifact``          bit        save→load→predict == in-memory predict
+``sim.gap_timeline``     invariant  serialization identity, trusted-vs-validated
+                                    gap construction, stolen-time query algebra
+``tracing.attribution``  invariant  one array pass per traced core == a record
+                                    scan per gap (types, bounds, per-type
+                                    lengths); handler-time shares == a
+                                    per-window loop (allclose)
+``timers.crossing``      invariant  monotone reads + first_crossing contract for
+                                    quantized / jittered / randomized timers
+``timers.jitter``        bit        jittered timer reading ε from its table ==
+                                    hashing ε on every read, across table growth
+                                    and fallback edges
+``data.roundtrip``       bit        sharded store build -> streaming read-back ==
+                                    the same collection held in memory
+``collect.walk``         bit        two-phase period walk == retained per-period
+                                    loop (``core/walk_ref.py``) for every timer
+                                    kind, both attackers, noise off and on, and
+                                    jittered timers at Δ = 33 333.3 ns and
+                                    Δ = 7 ms > P; plus unfloored ``count_many``
+                                    == per-period ``count``
+``ml.network``           bit        paper CNN+LSTM trained a few Adam steps with the
+                                    shipped conv/pool/ReLU kernels and Adam ==
+                                    the retained ones (``ml/layers_ref.py``), plus
+                                    layer probes on ties, NaN, ±inf and strides
+``ml.linear``            bit        softmax regression trained in place on one
+                                    ``(W; b)`` block == the retained out-of-place
+                                    loop (``ml/layers_ref.py``): ``W``, ``b`` and
+                                    ``predict_proba``, with and without L2, on
+                                    saturating logits and on one row
+======================== ========== =================================================
 
 All callables derive every RNG stream from the case alone, so a failing
 ``(oracle, case)`` pair reproduces from its one-line repro command.
@@ -70,6 +74,7 @@ from repro.ml.models import FeatureFingerprinter, build_paper_network
 from repro.ml.optim import Adam
 from repro.sim.events import MS, SEC
 from repro.sim.frequency import FrequencyConfig
+from repro.sim.interrupts import InterruptType
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
@@ -89,6 +94,8 @@ from repro.timers.spec import (
     TimerKind,
     TimerSpec,
 )
+from repro.tracing.attribution import attribute_gaps
+from repro.tracing.ebpf import KprobeTracer, TracerConfig
 from repro.verify.oracle import Case, Oracle, register
 from repro.workload.browser import CHROME
 from repro.workload.catalog import closed_world
@@ -430,6 +437,118 @@ def _check_gap_timeline(case: Case) -> Optional[str]:
         return "records_in_gap does not partition the record set"
     if np.any(np.diff(core.record_gap_index) < 0):
         return "record_gap_index is not nondecreasing"
+    return None
+
+
+# ----------------------------------------------------------------------
+# tracing.attribution — one array pass vs a record scan per gap
+# ----------------------------------------------------------------------
+
+#: The default machine, and an ``irqbalance`` one whose device bursts
+#: all go to one core.
+_ATTRIBUTION_MACHINES = (
+    ("default", MachineConfig()),
+    ("irqbalance", MachineConfig(irqbalance=True)),
+)
+_ATTRIBUTION_TRACERS = (
+    ("full", TracerConfig()),
+    ("timer-only", TracerConfig(traceable_types=frozenset({InterruptType.TIMER}))),
+)
+_ATTRIBUTION_THRESHOLDS_NS = (100.0, 1_000.0)
+#: Fig 5's window, and one short enough that many handlers cross an edge.
+_ATTRIBUTION_WINDOWS_NS = (100 * MS, 0.1 * MS)
+
+
+def _visible_by_record(tracer: KprobeTracer) -> np.ndarray:
+    all_types = list(InterruptType)
+    timeline = tracer.timeline
+    return np.array(
+        [tracer.config.can_trace(all_types[int(c)]) for c in timeline.type_codes], dtype=bool
+    )
+
+
+def _gaps_by_scan(tracer: KprobeTracer, threshold_ns: float) -> list:
+    """``(start, end, type codes)`` of each above-threshold gap, scanning
+    every record of the core for each gap."""
+    timeline = tracer.timeline
+    gaps = timeline.gaps
+    visible = _visible_by_record(tracer)
+    result = []
+    for g in np.flatnonzero(gaps.durations() > threshold_ns):
+        records = timeline.records_in_gap(int(g))
+        codes = sorted({int(timeline.type_codes[r]) for r in records if visible[r]})
+        result.append((float(gaps.gap_starts[g]), float(gaps.gap_ends[g]), codes))
+    return result
+
+
+def _fraction_by_window(tracer: KprobeTracer, window_ns: float) -> np.ndarray:
+    """Handler-time share per window, adding each handler window to every
+    bin it overlaps."""
+    timeline = tracer.timeline
+    visible = _visible_by_record(tracer)
+    starts, ends = timeline.starts[visible], timeline.ends[visible]
+    horizon = tracer.run.timeline.horizon_ns
+    edges = np.arange(0, horizon + window_ns, window_ns, dtype=np.float64)
+    busy = np.zeros(len(edges) - 1)
+    first_bin = np.searchsorted(edges, starts, side="right") - 1
+    last_bin = np.searchsorted(edges, ends, side="right") - 1
+    for s, e, b0, b1 in zip(starts, ends, first_bin, last_bin):
+        for b in range(max(b0, 0), min(b1, len(busy) - 1) + 1):
+            busy[b] += min(e, edges[b + 1]) - max(s, edges[b])
+    return busy / window_ns
+
+
+def _attribution_mismatch(report, expected: list) -> Optional[str]:
+    if report.n_gaps != len(expected):
+        return f"{report.n_gaps} gaps attributed, {len(expected)} by the record scan"
+    for g, (start, end, codes) in enumerate(expected):
+        span = (float(report.gap_starts[g]), float(report.gap_ends[g]))
+        if span != (start, end):
+            return f"gap {g} spans {span}, the record scan's gap {(start, end)}"
+        got = np.flatnonzero(report.types[g]).tolist()
+        if got != codes:
+            return f"gap {g} has types {got}, the record scan finds {codes}"
+    for code, itype in enumerate(InterruptType):
+        lengths = np.array([end - start for start, end, codes in expected if code in codes])
+        if not np.array_equal(report.gap_lengths_for_type(itype), lengths):
+            return f"gap_lengths_for_type({itype.value}) differs from the record scan"
+    return None
+
+
+def _check_attribution(case: Case) -> Optional[str]:
+    site = _case_sites(case)[0]
+    timeline = site.generate_load(
+        np.random.default_rng(case.seed * 7_919 + site.seed), _horizon_ns(case)
+    )
+    for machine_name, machine in _ATTRIBUTION_MACHINES:
+        run = InterruptSynthesizer(machine).synthesize(
+            timeline,
+            style=site.style,
+            rng=np.random.default_rng(case.seed * 1_000_003 + site.seed),
+        )
+        for core, (tracer_name, config) in itertools.product(
+            range(len(run.cores)), _ATTRIBUTION_TRACERS
+        ):
+            tracer = KprobeTracer(run, core=core, config=config)
+            where = f"{machine_name} machine, core {core}, {tracer_name} tracer"
+            for threshold_ns in _ATTRIBUTION_THRESHOLDS_NS:
+                failure = _attribution_mismatch(
+                    attribute_gaps(tracer, threshold_ns), _gaps_by_scan(tracer, threshold_ns)
+                )
+                if failure:
+                    return f"{where}, threshold {threshold_ns:g} ns: {failure}"
+            for window_ns in _ATTRIBUTION_WINDOWS_NS:
+                _, fraction = tracer.handler_time_fraction(window_ns)
+                expected = _fraction_by_window(tracer, window_ns)
+                # Both add up handler time below the horizon, in another
+                # order: allow 64 ulps of the horizon per window.
+                atol = 64 * np.finfo(np.float64).eps * _horizon_ns(case) / window_ns
+                if not np.allclose(fraction, expected, rtol=0.0, atol=atol):
+                    worst = int(np.argmax(np.abs(fraction - expected)))
+                    return (
+                        f"{where}: handler_time_fraction({window_ns:g}) window {worst} "
+                        f"is {fraction[worst]!r}, the per-window loop gives {expected[worst]!r}"
+                    )
     return None
 
 
@@ -1024,6 +1143,22 @@ register(
         ),
         mode="invariant",
         check=_check_gap_timeline,
+    )
+)
+
+register(
+    Oracle(
+        name="tracing.attribution",
+        description=(
+            "one array pass attributing each traced core's gaps vs a record scan "
+            "per gap (records_in_gap): every gap's bounds and interrupt types and "
+            "gap_lengths_for_type, on every core of a default and an irqbalance "
+            "run, full and timer-only tracers, thresholds 100 ns and 1 us; plus "
+            "handler_time_fraction vs a per-window loop (allclose: the float "
+            "operations run in another order)"
+        ),
+        mode="invariant",
+        check=_check_attribution,
     )
 )
 

@@ -89,6 +89,7 @@ class TestRegistry:
             "sim.synthesize",
             "timers.crossing",
             "timers.jitter",
+            "tracing.attribution",
         } <= set(names)
         assert names == sorted(names)
 
