@@ -14,7 +14,7 @@ import pytest
 from repro.config import SMOKE
 from repro.engine import RunContext, TraceCache
 from repro.experiments import runner  # noqa: F401  (populates the registry)
-from repro.experiments.base import all_claims, run_experiment
+from repro.experiments.base import all_claims, get_experiment
 from repro.workload.browser import CHROME, LINUX, MACOS, SAFARI, TOR_BROWSER
 
 #: Experiment id -> (archive name, scale overrides, run extras).  Table 1
@@ -52,7 +52,7 @@ def smoke_result(results_dir):
             archive_name, overrides, extras = SMOKE_RUNS[experiment_id]
             scale = SMOKE.with_(**overrides)
             ctx = RunContext.default(scale=scale, seed=0, cache=TraceCache())
-            result = run_experiment(experiment_id, ctx, **extras)
+            result = get_experiment(experiment_id).run(ctx, **extras)
             path = results_dir / f"{archive_name}.txt"
             path.write_text(result.format_table() + "\n")
             done[experiment_id] = (result, scale)

@@ -50,7 +50,7 @@ def _run(jobs: int, cache: TraceCache | None, scale=SMOKE, clock=time.perf_count
     engine = ExecutionEngine(jobs=jobs, cache=cache)
     ctx = RunContext(scale=scale, seed=0, engine=engine)
     started = clock()
-    result = get_experiment("table2")(ctx)
+    result = get_experiment("table2").run(ctx)
     return clock() - started, result.format_table(), engine
 
 

@@ -11,7 +11,7 @@ Run:  python examples/defense_evaluation.py
 
 from repro import CHROME, SMOKE, FingerprintingPipeline, MachineConfig
 from repro.defenses.interrupt_noise import PAGE_LOAD_OVERHEAD, interrupt_noise_hooks
-from repro.defenses.timer_defense import randomized_defense
+from repro.timers.spec import RANDOMIZED_DEFENSE_TIMER
 
 SCALE = SMOKE.with_(traces_per_site=8)
 
@@ -31,8 +31,7 @@ def main() -> None:
         f"({SCALE.n_sites} sites, base rate {base_rate:.1f}%):"
     )
     evaluate("no defense (Chrome jittered)")
-    defense = randomized_defense()
-    evaluate(f"randomized timer ({defense.name})", timer=defense.spec)
+    evaluate("randomized timer (Δ=1ms)", timer=RANDOMIZED_DEFENSE_TIMER)
     evaluate("spurious-interrupt noise", noise=interrupt_noise_hooks())
     print(
         f"\ninterrupt-noise cost: page loads slow down by "

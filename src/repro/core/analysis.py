@@ -16,24 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.machine import MachineRun
+from repro.sim.timeline import GapTimeline
 from repro.tracing.attribution import AttributionReport, attribute_gaps
 from repro.tracing.ebpf import KprobeTracer
 
 #: Cost of one poll iteration (read clock, compare, store) — the
 #: attacker cannot observe gaps shorter than this.
 POLL_ITERATION_NS = 60.0
-
-
-@dataclass(frozen=True)
-class ObservedGap:
-    """One jump in the monotonic clock as seen from user space."""
-
-    start_ns: float
-    length_ns: float
-
-    @property
-    def end_ns(self) -> float:
-        return self.start_ns + self.length_ns
 
 
 class ClockPollingAttacker:
@@ -45,23 +34,19 @@ class ClockPollingAttacker:
         self.threshold_ns = float(threshold_ns)
         self.core = core
 
-    def observe(self, run: MachineRun) -> list[ObservedGap]:
+    def observe(self, run: MachineRun) -> GapTimeline:
         """All clock jumps above the threshold during the run."""
         core = run.config.attacker_core if self.core is None else self.core
         gaps = run.cores[core].gaps
-        observed = []
-        for start, end in zip(gaps.gap_starts, gaps.gap_ends):
-            length = float(end - start)
-            if length > max(self.threshold_ns, POLL_ITERATION_NS):
-                observed.append(ObservedGap(start_ns=float(start), length_ns=length))
-        return observed
+        kept = gaps.durations() > max(self.threshold_ns, POLL_ITERATION_NS)
+        return GapTimeline._trusted(gaps.gap_starts[kept], gaps.gap_ends[kept])
 
 
 @dataclass
 class LeakageAnalysis:
     """Joint user/kernel view of one run's execution gaps."""
 
-    observed_gaps: list[ObservedGap]
+    observed_gaps: GapTimeline
     attribution: AttributionReport
     stolen_fraction: float
 

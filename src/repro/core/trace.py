@@ -11,7 +11,7 @@ works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,17 +107,6 @@ def average_traces(traces: Sequence[Trace]) -> np.ndarray:
         raise ValueError("cannot average zero traces")
     vectors = np.stack([t.normalized() for t in traces])
     return vectors.mean(axis=0)
-
-
-def trace_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation between two averaged trace vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
-    if a.std() == 0 or b.std() == 0:
-        raise ValueError("correlation undefined for constant traces")
-    return float(np.corrcoef(a, b)[0, 1])
 
 
 def stack_dataset(traces: Iterable[Trace]) -> tuple[np.ndarray, list[str]]:

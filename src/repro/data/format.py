@@ -30,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import obs
-
 #: Member names inside each shard archive.
 X_MEMBER = "x.npy"
 LABELS_MEMBER = "labels.npy"
@@ -161,10 +159,9 @@ def open_x_mmap(path) -> np.ndarray:
     rows in on demand, nothing is decompressed or copied up front.  The
     returned array is **read-only** and aliases the file.
 
-    Falls back to an ordinary (copying) load — counted on the
-    ``data.mmap_fallbacks`` metric — when the member is compressed or
-    oddly laid out, so schema-compatible shards from foreign writers
-    still read correctly, just not zero-copy.
+    :func:`write_shard` always stores ``x.npy`` uncompressed and in C
+    order; a member that is compressed or Fortran-ordered is not one of
+    its shards and raises :class:`ShardFormatError`.
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -176,8 +173,9 @@ def open_x_mmap(path) -> np.ndarray:
                     f"{path}: missing archive member {X_MEMBER!r}"
                 ) from None
             if info.compress_type != zipfile.ZIP_STORED:
-                obs.counter("data.mmap_fallbacks").inc()
-                return np.load(io.BytesIO(archive.read(X_MEMBER)), allow_pickle=False)
+                raise ShardFormatError(
+                    f"{path}: {X_MEMBER} is compressed; shards store it uncompressed"
+                )
             # The central directory's name/extra lengths can differ from
             # the local header's, so re-read them at the member itself.
             handle.seek(info.header_offset)
@@ -195,9 +193,9 @@ def open_x_mmap(path) -> np.ndarray:
                 raise ShardFormatError(f"{path}: bad npy header: {exc}") from None
             array_offset = handle.tell()
     if fortran_order:
-        obs.counter("data.mmap_fallbacks").inc()
-        with _open_archive(path) as archive:
-            return np.load(io.BytesIO(archive.read(X_MEMBER)), allow_pickle=False)
+        raise ShardFormatError(
+            f"{path}: {X_MEMBER} is in Fortran order; shards store it in C order"
+        )
     if int(np.prod(shape)) == 0:
         return np.empty(shape, dtype=dtype)
     return np.memmap(path, dtype=dtype, mode="r", offset=array_offset, shape=shape)

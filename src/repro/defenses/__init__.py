@@ -1,4 +1,9 @@
-"""Countermeasures: timer defenses, interrupt noise, cache-sweep noise."""
+"""Countermeasures: interrupt noise and cache-sweep noise.
+
+The timer defenses of Table 4 (Tor's 100 ms quantizer and the paper's
+randomized timer) are timer specs: ``repro.timers.spec.TOR_TIMER`` and
+``RANDOMIZED_DEFENSE_TIMER``.
+"""
 
 from repro.defenses.cache_noise import CacheSweepNoise, cache_noise_hooks
 from repro.defenses.interrupt_noise import (
@@ -6,10 +11,8 @@ from repro.defenses.interrupt_noise import (
     SpuriousInterruptInjector,
     interrupt_noise_hooks,
 )
-from repro.defenses.timer_defense import TimerDefense, quantized_defense, randomized_defense
 
 __all__ = [
     "CacheSweepNoise", "cache_noise_hooks", "PAGE_LOAD_OVERHEAD",
-    "SpuriousInterruptInjector", "interrupt_noise_hooks", "TimerDefense",
-    "quantized_defense", "randomized_defense",
+    "SpuriousInterruptInjector", "interrupt_noise_hooks",
 ]

@@ -20,9 +20,9 @@ provides the two pieces that fix both:
   version), so warm re-runs skip simulation entirely.
 
 :class:`RunContext` bundles scale, seed, engine and cache into the
-single argument the redesigned :class:`~repro.experiments.base.Experiment`
-protocol receives; :class:`RunManifest` records per-stage timings and
-cache statistics as the JSON artifact written next to rendered tables.
+single argument every registered experiment's ``run`` receives;
+:class:`RunManifest` records per-stage timings and cache statistics as
+the JSON artifact written next to rendered tables.
 """
 
 from repro.engine.cache import (

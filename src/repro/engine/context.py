@@ -18,7 +18,7 @@ from repro.engine.engine import ExecutionEngine
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything an :class:`~repro.experiments.base.Experiment` needs."""
+    """Everything an experiment's ``run(ctx, **extras)`` needs."""
 
     scale: Scale = DEFAULT
     seed: int = 0

@@ -2,28 +2,21 @@
 
 from repro.experiments.base import (
     Claim,
-    Experiment,
-    ExperimentHandle,
     ExperimentResult,
     ExperimentSpec,
-    FunctionExperiment,
     all_claims,
     all_specs,
     base_rate,
     format_rows,
     get_experiment,
-    get_spec,
     list_experiments,
     register,
-    run_experiment,
     sparkline,
     suggest_experiment,
 )
 
 __all__ = [
-    "Claim", "Experiment", "ExperimentHandle", "ExperimentResult",
-    "ExperimentSpec", "FunctionExperiment", "all_claims", "all_specs",
-    "base_rate", "format_rows", "get_experiment", "get_spec",
-    "list_experiments", "register", "run_experiment", "sparkline",
-    "suggest_experiment",
+    "Claim", "ExperimentResult", "ExperimentSpec", "all_claims", "all_specs",
+    "base_rate", "format_rows", "get_experiment", "list_experiments",
+    "register", "sparkline", "suggest_experiment",
 ]

@@ -1,12 +1,12 @@
 """Experiment infrastructure: results, formatting, registry.
 
-Every paper table and figure has a module in this package implementing
-the :class:`Experiment` protocol: an :class:`ExperimentSpec` (id, paper
-reference, description) plus ``run(ctx: RunContext) -> ExperimentResult``,
+Every paper table and figure has a module in this package that registers
+a ``run(ctx: RunContext, **extras) -> ExperimentResult`` function under
+an :class:`ExperimentSpec` (id, paper reference, description, claims),
 where the context carries scale, seed, engine handle and trace cache.
 Results know how to print themselves as the rows/series the paper
-reports.  The registry powers the ``biggerfish`` CLI, the benchmark
-harness and ``tools/generate_experiments.py``.
+reports.  The registry powers the ``biggerfish`` CLI, the claims gate
+and ``tools/generate_experiments.py``.
 
 Modules register a context-style run function, with the paper's shape
 claims about its result, via::
@@ -14,22 +14,18 @@ claims about its result, via::
     @register("table1", paper_ref="Table 1", description="...", claims=CLAIMS)
     def run(ctx: RunContext, **extras) -> Table1Result: ...
 
-The decorator wraps it in a :class:`FunctionExperiment` and binds the
-module-level ``run`` name to an :class:`ExperimentHandle`.  Experiments
-take exactly one :class:`~repro.engine.context.RunContext`; the
-pre-engine ``run(scale=, seed=)`` convention was removed after its
-one-release deprecation window (build a context with
-``RunContext.default(scale=..., seed=...)`` instead).
+The decorator records the spec, with the function as its ``run``, and
+returns the function unchanged, so ``table1.run(ctx)`` and
+``get_experiment("table1").run(ctx)`` are the same call.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.config import Scale
-from repro.engine.context import RunContext
 
 
 class ExperimentResult(abc.ABC):
@@ -96,80 +92,23 @@ class Claim:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Identity of one experiment: id, paper reference, one-liner, claims."""
+    """One experiment: id, paper reference, one-liner, claims, run function.
+
+    ``spec.run(ctx, **extras)`` produces the experiment's result under a
+    :class:`~repro.engine.context.RunContext`.
+    """
 
     id: str
     paper_ref: str = ""
     description: str = ""
     claims: tuple[Claim, ...] = field(default=(), compare=False, repr=False)
+    run: Optional[Callable[..., ExperimentResult]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
-class Experiment(abc.ABC):
-    """One paper table/figure: a spec plus a context-style run method."""
-
-    spec: ExperimentSpec
-
-    @abc.abstractmethod
-    def run(self, ctx: RunContext, **extras) -> ExperimentResult:
-        """Produce the experiment's result under the given context."""
-
-
-class FunctionExperiment(Experiment):
-    """Adapts a ``run(ctx, **extras)`` function to the protocol."""
-
-    def __init__(self, spec: ExperimentSpec, fn: Callable[..., ExperimentResult]):
-        self.spec = spec
-        self._fn = fn
-
-    def run(self, ctx: RunContext, **extras) -> ExperimentResult:
-        return self._fn(ctx, **extras)
-
-    def __repr__(self) -> str:
-        return f"FunctionExperiment({self.spec.id!r})"
-
-
-class ExperimentHandle:
-    """Callable handle over an :class:`Experiment`.
-
-    ``handle(ctx, **extras)`` / ``handle.run(ctx, **extras)`` — one
-    :class:`RunContext` in, one :class:`ExperimentResult` out.  Passing
-    a :class:`~repro.config.Scale` (or ``scale=`` / ``seed=`` keywords)
-    raises ``TypeError``: the legacy convention was removed; build a
-    context with ``RunContext.default(scale=..., seed=...)``.
-    """
-
-    def __init__(self, experiment: Experiment):
-        self.experiment = experiment
-
-    @property
-    def spec(self) -> ExperimentSpec:
-        return self.experiment.spec
-
-    def run(self, ctx: RunContext, **extras) -> ExperimentResult:
-        return self.experiment.run(ctx, **extras)
-
-    def __call__(self, *args, **extras) -> ExperimentResult:
-        ctx = extras.pop("ctx", None)
-        if args:
-            if ctx is not None:
-                raise TypeError("pass the RunContext positionally or as ctx=, not both")
-            ctx, args = args[0], args[1:]
-        if args:
-            raise TypeError(f"unexpected positional arguments: {args!r}")
-        if not isinstance(ctx, RunContext):
-            raise TypeError(
-                f"{self.spec.id} takes a RunContext, got {type(ctx).__name__}; "
-                "the legacy run(scale=, seed=) convention was removed — use "
-                "RunContext.default(scale=..., seed=...)"
-            )
-        return self.experiment.run(ctx, **extras)
-
-    def __repr__(self) -> str:
-        return f"ExperimentHandle({self.spec.id!r})"
-
-
-#: Registered experiments: id -> handle.
-_REGISTRY: Dict[str, ExperimentHandle] = {}
+#: Registered experiments: id -> spec.
+_REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
 def register(
@@ -180,12 +119,11 @@ def register(
 ):
     """Decorator registering a ``run(ctx, **extras)`` experiment function.
 
-    Returns an :class:`ExperimentHandle`, so the module-level ``run``
-    name stays callable (``module.run(ctx, **extras)``).  Claim ids are
-    unique across the registry.
+    Returns the function itself, so the module-level ``run`` name stays
+    the experiment.  Claim ids are unique across the registry.
     """
 
-    def wrap(fn: Callable[..., ExperimentResult]) -> ExperimentHandle:
+    def wrap(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
         if experiment_id in _REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
         ids = [claim.id for claim in claims] + [claim.id for _, claim in all_claims()]
@@ -194,22 +132,19 @@ def register(
             raise ValueError(f"duplicate claim ids {duplicates}")
         doc = (fn.__doc__ or "").strip()
         summary = description or (doc.splitlines()[0] if doc else "")
-        spec = ExperimentSpec(
+        _REGISTRY[experiment_id] = ExperimentSpec(
             id=experiment_id, paper_ref=paper_ref, description=summary,
-            claims=tuple(claims),
+            claims=tuple(claims), run=fn,
         )
-        handle = ExperimentHandle(FunctionExperiment(spec, fn))
-        _REGISTRY[experiment_id] = handle
-        return handle
+        return fn
 
     return wrap
 
 
-def get_experiment(experiment_id: str) -> ExperimentHandle:
+def get_experiment(experiment_id: str) -> ExperimentSpec:
     """Look up a registered experiment by id (e.g. ``"table1"``).
 
-    The returned handle is called with a single
-    :class:`~repro.engine.context.RunContext`.
+    Run it with ``get_experiment(id).run(ctx, **extras)``.
     """
     try:
         return _REGISTRY[experiment_id]
@@ -217,18 +152,6 @@ def get_experiment(experiment_id: str) -> ExperimentHandle:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
         ) from None
-
-
-def get_spec(experiment_id: str) -> ExperimentSpec:
-    """The :class:`ExperimentSpec` of a registered experiment."""
-    return get_experiment(experiment_id).spec
-
-
-def run_experiment(
-    experiment_id: str, ctx: RunContext, **extras
-) -> ExperimentResult:
-    """Run a registered experiment under a context (the new entry point)."""
-    return get_experiment(experiment_id).run(ctx, **extras)
 
 
 def suggest_experiment(experiment_id: str, n: int = 3) -> list[str]:
@@ -245,7 +168,7 @@ def list_experiments() -> list[str]:
 
 def all_specs() -> list[ExperimentSpec]:
     """Specs of every registered experiment, sorted by id."""
-    return [_REGISTRY[experiment_id].spec for experiment_id in sorted(_REGISTRY)]
+    return [_REGISTRY[experiment_id] for experiment_id in sorted(_REGISTRY)]
 
 
 def all_claims() -> list[tuple[str, Claim]]:

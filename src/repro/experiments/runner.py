@@ -237,12 +237,12 @@ def _run_command(args: argparse.Namespace) -> int:
     exit_code = 0
     try:
         for experiment_id in wanted:
-            run = get_experiment(experiment_id)
+            spec = get_experiment(experiment_id)
             engine.reset_timings()
             started = time.time()
             try:
                 with obs.span("experiment." + experiment_id, scale=scale.name):
-                    result = run(ctx)
+                    result = spec.run(ctx)
             except Exception as error:
                 # A crashed run still leaves a diagnosable partial
                 # manifest (status="failed") and its profile artifacts.

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from repro.core.attacker import LoopCountingAttacker
 from repro.core.pipeline import FingerprintingPipeline
-from repro.defenses.timer_defense import quantized_defense, randomized_defense
 from repro.experiments.base import Claim, ExperimentResult, base_rate, format_rows, register
 from repro.ml.crossval import CrossValResult
 from repro.sim.machine import MachineConfig
-from repro.timers.spec import CHROME_TIMER, TimerSpec
+from repro.timers.spec import CHROME_TIMER, RANDOMIZED_DEFENSE_TIMER, TOR_TIMER, TimerSpec
 from repro.workload.browser import CHROME, LINUX
 
 
@@ -108,19 +107,15 @@ CLAIMS = (
 )
 def run(ctx) -> Table4Result:
     """Evaluate each timer configuration of Table 4."""
-    quantized = quantized_defense(resolution_ms=100.0)
-    randomized = randomized_defense()
     period = ctx.scale.period_ms
     rows = [
         Table4Row("Jittered", 0.1, period, _evaluate(CHROME_TIMER, period, ctx)),
-        Table4Row(
-            "Quantized", 100.0, period, _evaluate(quantized.spec, period, ctx)
-        ),
+        Table4Row("Quantized", 100.0, period, _evaluate(TOR_TIMER, period, ctx)),
     ]
     for p_ms in (period, 100.0, 500.0):
         rows.append(
             Table4Row(
-                "Randomized", 1.0, p_ms, _evaluate(randomized.spec, p_ms, ctx)
+                "Randomized", 1.0, p_ms, _evaluate(RANDOMIZED_DEFENSE_TIMER, p_ms, ctx)
             )
         )
     return Table4Result(rows=rows, base_rate=1.0 / ctx.scale.n_sites)

@@ -16,9 +16,8 @@ and answers JSON-Lines requests on stdin — one object per line, e.g.
 ``{"id": 7, "vector": [24871, ...], "deadline_ms": 50}`` — with one
 JSON result per line on stdout.  It answers one line before reading the
 next, so each request is a batch of its own; each answer reports its
-queue wait and model time (``wait_ms``, ``compute_ms``).  Batch size and
-queue limits honor ``BIGGERFISH_SERVE_MAX_BATCH`` /
-``BIGGERFISH_SERVE_QUEUE`` (flags override).
+queue wait and model time (``wait_ms``, ``compute_ms``).  The server
+runs at its defaults: batches of up to 32 requests, a queue of 256.
 
 ``predict`` is the evaluation loop in one command: collect fresh
 evaluation traces (disjoint trace indices from training), classify them
@@ -47,17 +46,6 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_server_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-batch", type=int, default=None,
-        help="largest micro-batch (default: BIGGERFISH_SERVE_MAX_BATCH or 32)",
-    )
-    parser.add_argument(
-        "--queue", type=int, default=None,
-        help="bounded queue size (default: BIGGERFISH_SERVE_QUEUE or 256)",
-    )
-
-
 def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
     """Register ``train``, ``serve`` and ``predict`` on the ``biggerfish`` parser."""
     train = sub.add_parser("train", help="train + save a model artifact")
@@ -81,7 +69,6 @@ def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
         "--artifact", action="append", required=True, metavar="NAME=DIR|DIR",
         help="artifact to load (repeatable; bare DIR is named 'default')",
     )
-    _add_server_args(serve)
     serve.add_argument(
         "--probs", action="store_true",
         help="include the full probability row in each result",
@@ -97,7 +84,6 @@ def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
         "--deadline-ms", type=float, default=None,
         help="per-request deadline forwarded to the server",
     )
-    _add_server_args(predict)
     predict.add_argument(
         "--check-direct", action="store_true",
         help="fail unless batched probabilities equal direct predict_proba",
@@ -184,7 +170,7 @@ def _train(args: argparse.Namespace) -> int:
 def _parse_artifacts(specs: list[str]):
     from repro.serve.registry import ModelRegistry
 
-    registry = ModelRegistry(capacity=max(4, len(specs)))
+    registry = ModelRegistry()
     for spec in specs:
         name, _, path = spec.partition("=")
         if not path:
@@ -197,13 +183,8 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.serve.server import FingerprintServer
 
     registry = _parse_artifacts(args.artifact)
-    server = FingerprintServer(
-        registry,
-        max_batch=args.max_batch,
-        max_queue=args.queue,
-    )
     served = 0
-    with server:
+    with FingerprintServer(registry) as server:
         print(
             f"serving {registry.names()} (max_batch={server.max_batch}, "
             f"queue={server.max_queue})",
@@ -271,12 +252,7 @@ def _predict(args: argparse.Namespace) -> int:
     ).stacked()
     registry = ModelRegistry()
     registry.add("default", args.artifact)
-    server = FingerprintServer(
-        registry,
-        max_batch=args.max_batch,
-        max_queue=args.queue,
-    )
-    with server:
+    with FingerprintServer(registry) as server:
         results = server.predict_many(list(x), deadline_ms=args.deadline_ms)
     failed = [r for r in results if not r.ok]
     if failed:

@@ -1,21 +1,18 @@
-"""Warm LRU registry of loaded model artifacts.
+"""Registry of model artifacts, each loaded on first use.
 
-The server keeps a bounded number of fingerprinters in memory.  Models
-are registered by name against an artifact directory and loaded lazily
-on first use; once the registry is full, the least-recently-used model
-is evicted and will be re-loaded from disk on its next request.  All
+Models are registered by name against an artifact directory: the
+manifest is validated at registration, the weights are loaded on the
+model's first request and kept for the registry's lifetime.  All
 operations are thread-safe — the batching worker and CLI threads share
 one registry.
 
 Registry traffic is visible through :mod:`repro.obs`:
-``serve.registry.hits`` / ``serve.registry.misses`` (loads) /
-``serve.registry.evictions``.
+``serve.registry.hits`` and ``serve.registry.misses`` (loads).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -23,13 +20,10 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.ml.artifact import ArtifactError, ArtifactInfo, load_artifact, load_info
 
-#: Default number of warm models.
-DEFAULT_CAPACITY = 4
-
 
 @dataclass(frozen=True)
 class LoadedModel:
-    """A warm model plus the artifact metadata it was loaded with."""
+    """A loaded model plus the artifact metadata it was loaded with."""
 
     name: str
     model: object
@@ -41,14 +35,11 @@ class LoadedModel:
 
 
 class ModelRegistry:
-    """Name -> artifact mapping with a warm LRU cache of loaded models."""
+    """Name -> artifact mapping; each model is loaded once, on first use."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._paths: Dict[str, Path] = {}
-        self._warm: "OrderedDict[str, LoadedModel]" = OrderedDict()
+        self._loaded: Dict[str, LoadedModel] = {}
         self._lock = threading.Lock()
 
     def add(self, name: str, artifact_path) -> ArtifactInfo:
@@ -68,23 +59,17 @@ class ModelRegistry:
         with self._lock:
             return sorted(self._paths)
 
-    def warm_names(self) -> List[str]:
-        """Models currently resident, least recently used first."""
-        with self._lock:
-            return list(self._warm)
-
     def get(self, name: str) -> LoadedModel:
-        """The named model, loading (and possibly evicting) as needed."""
+        """The named model, loading it on its first request."""
         with self._lock:
             if name not in self._paths:
                 raise KeyError(
                     f"unknown model {name!r}; registered: {sorted(self._paths)}"
                 )
-            warm = self._warm.get(name)
-            if warm is not None:
-                self._warm.move_to_end(name)
+            loaded = self._loaded.get(name)
+            if loaded is not None:
                 obs.counter("serve.registry.hits").inc()
-                return warm
+                return loaded
             path = self._paths[name]
         # Load outside the lock: artifact IO can be slow and other
         # models' requests should not stall behind it.
@@ -92,17 +77,11 @@ class ModelRegistry:
         with obs.span("serve.registry.load", model=name):
             model = load_artifact(path)
             info = load_info(path)
-        loaded = LoadedModel(name=name, model=model, info=info)
         with self._lock:
-            raced = self._warm.get(name)
-            if raced is not None:  # another thread loaded it first
-                self._warm.move_to_end(name)
-                return raced
-            self._warm[name] = loaded
-            while len(self._warm) > self.capacity:
-                self._warm.popitem(last=False)
-                obs.counter("serve.registry.evictions").inc()
-        return loaded
+            # Another thread may have loaded it first; keep that one.
+            return self._loaded.setdefault(
+                name, LoadedModel(name=name, model=model, info=info)
+            )
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
@@ -114,7 +93,6 @@ class ModelRegistry:
 
 
 __all__ = [
-    "DEFAULT_CAPACITY",
     "ArtifactError",
     "LoadedModel",
     "ModelRegistry",

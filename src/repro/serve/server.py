@@ -33,9 +33,7 @@ Operational behavior:
   ``serve.latency_ms``), and every batch runs under a ``serve.batch``
   span.
 
-Defaults come from ``BIGGERFISH_SERVE_MAX_BATCH`` and
-``BIGGERFISH_SERVE_QUEUE`` when the corresponding constructor arguments
-are omitted.
+``max_batch`` defaults to 32 requests and ``max_queue`` to 256.
 """
 
 from __future__ import annotations
@@ -52,14 +50,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.config import read_setting
 from repro.serve.registry import LoadedModel, ModelRegistry
 
 #: Every way a request can fail, as stable machine-readable codes.
 ERROR_CODES = ("overloaded", "deadline", "model_error", "bad_input", "shutdown")
-
-MAX_BATCH_ENV_VAR = "BIGGERFISH_SERVE_MAX_BATCH"
-QUEUE_ENV_VAR = "BIGGERFISH_SERVE_QUEUE"
 
 
 @dataclass(frozen=True)
@@ -122,15 +116,12 @@ class FingerprintServer:
         registry: ModelRegistry,
         *,
         default_model: Optional[str] = None,
-        max_batch: Optional[int] = None,
-        max_queue: Optional[int] = None,
+        max_batch: int = 32,
+        max_queue: int = 256,
     ):
-        max_batch = read_setting(
-            max_batch, MAX_BATCH_ENV_VAR, 32, name="max_batch", minimum=1
-        )
-        max_queue = read_setting(
-            max_queue, QUEUE_ENV_VAR, 256, name="max_queue", minimum=1
-        )
+        for name, value in (("max_batch", max_batch), ("max_queue", max_queue)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         names = registry.names()
         if default_model is None:
             if len(names) == 1:
@@ -446,8 +437,6 @@ class FingerprintServer:
 
 __all__ = [
     "ERROR_CODES",
-    "MAX_BATCH_ENV_VAR",
-    "QUEUE_ENV_VAR",
     "FingerprintServer",
     "PredictResult",
 ]

@@ -22,7 +22,7 @@ from repro.sim.routing import (
     SpreadRouting,
 )
 from repro.sim.scheduler import SchedulerConfig
-from repro.sim.timeline import CoreTimeline, GapTimeline, InterruptRecord, serialize_handlers
+from repro.sim.timeline import CoreTimeline, GapTimeline, serialize_handlers
 from repro.sim.vm import BARE_METAL, SEPARATE_VMS, VmConfig
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "is_movable", "InterruptSynthesizer", "MachineConfig", "MachineRun",
     "AffinitySourceRouting", "PinnedRouting", "RoutingPolicy",
     "SoftirqPlacement", "SpreadRouting", "SchedulerConfig", "CoreTimeline",
-    "GapTimeline", "InterruptRecord", "serialize_handlers", "BARE_METAL",
+    "GapTimeline", "serialize_handlers", "BARE_METAL",
     "SEPARATE_VMS", "VmConfig",
 ]

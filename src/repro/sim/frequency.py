@@ -86,10 +86,11 @@ class FrequencyTrace:
 class TurboGovernor:
     """Produces the attacker core's frequency schedule under system load.
 
-    ``load_at(t_ns) -> [0, 1]`` supplies instantaneous system load; the
-    governor samples it every interval, adds estimation noise, and maps
-    load to a turbo bin: ``f = max − droop · span · load``, rounded to
-    the bin grid.
+    ``load_at(t_ns) -> [0, 1]`` supplies instantaneous system load over
+    an array of times (``ActivityTimeline.load_at_array``); the governor
+    samples it every interval, adds estimation noise, and maps load to a
+    turbo bin: ``f = max − droop · span · load``, rounded to the bin
+    grid.
     """
 
     def __init__(self, config: FrequencyConfig):
@@ -107,21 +108,6 @@ class TurboGovernor:
         binned = np.round(raw / cfg.bin_ghz) * cfg.bin_ghz
         return np.clip(binned, cfg.min_ghz, cfg.max_ghz)
 
-    def _sample_loads(self, load_at, starts: np.ndarray) -> np.ndarray:
-        """Evaluate ``load_at`` over ``starts``, vectorized when possible.
-
-        ``load_at`` may be an array-aware callable (e.g.
-        ``ActivityTimeline.load_at_array``) or a plain scalar function;
-        scalar-only callables fall back to a per-sample loop.
-        """
-        try:
-            loads = np.asarray(load_at(starts), dtype=np.float64)
-        except (TypeError, ValueError):
-            loads = None
-        if loads is not None and loads.shape == starts.shape:
-            return loads
-        return np.array([float(load_at(float(t))) for t in starts])
-
     def run(self, load_at, horizon_ns: int, rng: np.random.Generator) -> FrequencyTrace:
         """Produce the frequency schedule for ``[0, horizon_ns)``."""
         if horizon_ns <= 0:
@@ -129,7 +115,11 @@ class TurboGovernor:
         if not self.config.scaling_enabled:
             return FrequencyTrace(np.array([0.0]), np.array([self.config.pinned_ghz]))
         starts = np.arange(0, horizon_ns, self.config.governor_interval_ns, dtype=np.float64)
-        loads = self._sample_loads(load_at, starts)
+        loads = np.asarray(load_at(starts), dtype=np.float64)
+        if loads.shape != starts.shape:
+            raise ValueError(
+                f"load_at returned shape {loads.shape} for {len(starts)} sample times"
+            )
         loads = np.clip(loads + rng.normal(0.0, self.config.load_noise, len(starts)), 0.0, 1.0)
         return FrequencyTrace(starts, self.ghz_for_loads(loads))
 

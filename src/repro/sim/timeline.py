@@ -18,8 +18,6 @@ few milliseconds to process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.sim.interrupts import InterruptBatch, InterruptType, merge_batches
@@ -28,22 +26,6 @@ from repro.sim.interrupts import InterruptBatch, InterruptType, merge_batches
 #: user loop iteration is ~200 ns, so a shorter window of returned control
 #: is not observable as separate execution.
 GAP_MERGE_EPSILON_NS = 200.0
-
-
-@dataclass(frozen=True)
-class InterruptRecord:
-    """One handled interrupt, as the kernel tracer would log it."""
-
-    arrival_ns: float
-    start_ns: float
-    end_ns: float
-    itype: InterruptType
-    cause: str
-
-    @property
-    def handler_ns(self) -> float:
-        """Time spent in the handler itself."""
-        return self.end_ns - self.start_ns
 
 
 def serialize_handlers(
@@ -224,20 +206,6 @@ class CoreTimeline:
         """Interrupt types of each record, in order."""
         all_types = list(InterruptType)
         return [all_types[int(c)] for c in self.type_codes]
-
-    def records(self) -> list[InterruptRecord]:
-        """Materialize per-record objects (tracer/report path only)."""
-        all_types = list(InterruptType)
-        return [
-            InterruptRecord(
-                arrival_ns=float(self.arrivals[i]),
-                start_ns=float(self.starts[i]),
-                end_ns=float(self.ends[i]),
-                itype=all_types[int(self.type_codes[i])],
-                cause=self.cause_names[int(self.cause_codes[i])],
-            )
-            for i in range(len(self))
-        ]
 
     def records_in_gap(self, gap_idx: int) -> np.ndarray:
         """Indices of records merged into gap ``gap_idx``."""

@@ -101,8 +101,3 @@ def welch_t_test(a, b) -> TTestResult:
     xr, yr = x / scale, y / scale
     dof = (xr + yr) ** 2 / (xr**2 / (na - 1) + yr**2 / (nb - 1))
     return TTestResult(float(statistic), _t_sf(abs(statistic), dof), float(dof))
-
-
-def compare_fold_accuracies(ours, theirs, alpha: float = 0.05) -> TTestResult:
-    """Paper-style comparison of two classifiers' per-fold accuracies."""
-    return students_t_test(ours, theirs)

@@ -5,14 +5,14 @@ timestamp and root cause of every interrupt arriving at a chosen core,
 against the same ``CLOCK_MONOTONIC`` the user-space attacker polls.  Our
 :class:`KprobeTracer` plays that role against the simulated machine: it
 reads a core's :class:`~repro.sim.timeline.CoreTimeline` and exposes the
-interrupt log, subject to the same limitation the paper faced — Linux
+handler windows it logs as arrays, subject to the same limitation the
+paper faced — Linux
 restricts which kernel functions can be traced, so a tracer can be
 configured to observe only a subset of interrupt types.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.sim.interrupts import InterruptType
 from repro.sim.machine import MachineRun
-from repro.sim.timeline import CoreTimeline, GapTimeline, InterruptRecord
+from repro.sim.timeline import CoreTimeline, GapTimeline
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class KprobeTracer:
     def visible_indices(self) -> np.ndarray:
         """Record indices the tracer can observe."""
         return np.flatnonzero(self._visible_mask)
-
-    def log(self) -> list[InterruptRecord]:
-        """Materialized interrupt log, in time order."""
-        return list(itertools.compress(self._timeline.records(), self._visible_mask))
 
     def handler_windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays ``(starts, ends, type_codes)`` of visible handler windows."""

@@ -1,5 +1,6 @@
 """Tests for the attacker-side gap analysis (§5.2 user-space view)."""
 
+import numpy as np
 import pytest
 
 from repro.core.analysis import ClockPollingAttacker, analyze_run
@@ -10,7 +11,10 @@ class TestClockPollingAttacker:
         attacker = ClockPollingAttacker(threshold_ns=100.0)
         gaps = attacker.observe(nytimes_run)
         assert len(gaps) > 100
-        assert all(g.length_ns > 100.0 for g in gaps)
+        assert (gaps.durations() > 100.0).all()
+        # Every merged gap above the threshold, and only those.
+        merged = nytimes_run.attacker_timeline.gaps
+        assert len(gaps) == int((merged.durations() > 100.0).sum())
 
     def test_higher_threshold_fewer_gaps(self, nytimes_run):
         low = ClockPollingAttacker(threshold_ns=100.0).observe(nytimes_run)
@@ -18,8 +22,12 @@ class TestClockPollingAttacker:
         assert len(high) < len(low)
 
     def test_gap_end(self, nytimes_run):
-        gap = ClockPollingAttacker().observe(nytimes_run)[0]
-        assert gap.end_ns == gap.start_ns + gap.length_ns
+        gaps = ClockPollingAttacker().observe(nytimes_run)
+        merged = nytimes_run.attacker_timeline.gaps
+        # Observed gaps are merged gaps, bounds and all.
+        index = np.searchsorted(merged.gap_starts, gaps.gap_starts)
+        np.testing.assert_array_equal(merged.gap_starts[index], gaps.gap_starts)
+        np.testing.assert_array_equal(merged.gap_ends[index], gaps.gap_ends)
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from repro.core.trace import (
     _forward_fill,
     average_traces,
     stack_dataset,
-    trace_correlation,
 )
 from repro.sim.events import MS
 
@@ -118,22 +117,6 @@ class TestAveragingAndCorrelation:
     def test_average_empty_rejected(self):
         with pytest.raises(ValueError):
             average_traces([])
-
-    def test_correlation_perfect(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert trace_correlation(x, 2 * x) == pytest.approx(1.0)
-
-    def test_correlation_negative(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert trace_correlation(x, -x) == pytest.approx(-1.0)
-
-    def test_correlation_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_correlation(np.ones(3), np.ones(4))
-
-    def test_correlation_constant_rejected(self):
-        with pytest.raises(ValueError):
-            trace_correlation(np.ones(3), np.arange(3.0))
 
 
 class TestStackDataset:

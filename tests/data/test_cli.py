@@ -5,6 +5,8 @@ import pytest
 from repro.cli import main
 from repro.data import DatasetConfig, ShardedDataset, build_dataset
 
+from tests.data import FOREIGN_X_LAYOUTS, rewrite_store_x
+
 CONFIG_ARGS = ["--sites", "3", "--traces", "2", "--trace-seconds", "0.4"]
 
 
@@ -45,6 +47,17 @@ def test_verify_fails_on_corruption(tmp_path, capsys):
     shard.write_bytes(bytes(blob))
     assert data_main(["verify", str(store)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("layout", FOREIGN_X_LAYOUTS)
+def test_verify_reports_foreign_x_layout(tmp_path, capsys, layout):
+    store = tmp_path / "store"
+    assert data_main(["build", str(store), *CONFIG_ARGS]) == 0
+    capsys.readouterr()
+    rewrite_store_x(store, layout)
+    assert data_main(["verify", str(store)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  shard-0000.npz: unreadable" in out and "x.npy" in out
 
 
 def test_merge_command(tmp_path, capsys):

@@ -17,6 +17,8 @@ from repro.data.format import (
     write_shard,
 )
 
+from tests.data import FOREIGN_X_LAYOUTS, rewrite_x
+
 
 def make_shard(path, n_rows=6, length=10, seed=0):
     rng = np.random.default_rng(seed)
@@ -81,18 +83,15 @@ class TestMmap:
             assert archive.getinfo(LABELS_MEMBER).compress_type == zipfile.ZIP_DEFLATED
             assert archive.getinfo(META_MEMBER).compress_type == zipfile.ZIP_DEFLATED
 
-    def test_fallback_on_compressed_x(self, tmp_path):
-        # A schema-compatible shard from a foreign writer that compressed
-        # x.npy must still read, just without the zero-copy path.
-        path = tmp_path / "foreign.npz"
-        rng = np.random.default_rng(1)
-        x = rng.random((3, 5))
-        np.savez_compressed(
-            path, **{X_MEMBER[:-4]: x}
-        )  # np.savez appends .npy to member names
-        loaded = open_x_mmap(path)
-        assert not isinstance(loaded, np.memmap)
-        np.testing.assert_array_equal(loaded, x)
+    @pytest.mark.parametrize("layout", FOREIGN_X_LAYOUTS)
+    def test_foreign_x_layout_refused(self, tmp_path, layout):
+        # Only write_shard writes shards, and it stores x.npy uncompressed
+        # in C order; any other layout is a malformed shard.
+        path = tmp_path / "shard.npz"
+        make_shard(path)
+        rewrite_x(path, layout)
+        with pytest.raises(ShardFormatError, match=X_MEMBER):
+            open_x_mmap(path)
 
     def test_missing_member(self, tmp_path):
         path = tmp_path / "hollow.npz"

@@ -16,9 +16,11 @@ from repro.data import (
     merge_stores,
     verify_store,
 )
-from repro.data.format import read_meta
+from repro.data.format import X_MEMBER, ShardFormatError, read_meta
 from repro.data.manifest import MANIFEST_NAME
 from repro.data.writer import collector_for, config_sites, partition_sites
+
+from tests.data import FOREIGN_X_LAYOUTS, rewrite_store_x
 
 CONFIG = DatasetConfig(n_sites=4, traces_per_site=2, trace_seconds=0.4)
 
@@ -153,12 +155,12 @@ class TestReader:
         with pytest.raises(IndexError):
             store.rows([8])
 
-    def test_to_trace_dataset(self, tmp_path, reference):
+    @pytest.mark.parametrize("layout", FOREIGN_X_LAYOUTS)
+    def test_foreign_x_layout_refused(self, tmp_path, layout):
         store_dir, _ = build(tmp_path)
-        dataset = ShardedDataset(store_dir).to_trace_dataset()
-        np.testing.assert_array_equal(dataset.x, reference[0])
-        assert dataset.labels == reference[1]
-        assert dataset.metadata["config"] == CONFIG.as_dict()
+        rewrite_store_x(store_dir, layout)
+        with pytest.raises(ShardFormatError, match=X_MEMBER):
+            ShardedDataset(store_dir).shard_x(0)
 
     def test_refuses_incomplete_store(self, tmp_path):
         store_dir, _ = build(tmp_path)

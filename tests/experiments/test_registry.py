@@ -7,13 +7,11 @@ from repro.engine import RunContext
 from repro.experiments import runner  # noqa: F401  (populates the registry)
 from repro.experiments.base import (
     Claim,
-    ExperimentHandle,
     ExperimentSpec,
     all_claims,
     all_specs,
     format_rows,
     get_experiment,
-    get_spec,
     list_experiments,
     register,
     sparkline,
@@ -39,7 +37,7 @@ class TestRegistry:
             register("fig3")(lambda ctx: None)
 
     def test_specs_have_paper_refs(self):
-        spec = get_spec("table1")
+        spec = get_experiment("table1")
         assert spec == ExperimentSpec(
             id="table1", paper_ref=spec.paper_ref, description=spec.description
         )
@@ -63,46 +61,26 @@ class TestClaims:
     @pytest.mark.parametrize("reuse", ["registered", "twice"])
     def test_duplicate_claim_id_rejected(self, reuse):
         claim = Claim("fig7.monotone-copy", "copy", lambda result, scale: True)
-        claims = [get_spec("fig7").claims[0]] if reuse == "registered" else [claim, claim]
+        claims = [get_experiment("fig7").claims[0]] if reuse == "registered" else [claim, claim]
         with pytest.raises(ValueError, match="duplicate claim ids"):
             register(f"claims-{reuse}", claims=claims)(lambda ctx: None)
         assert f"claims-{reuse}" not in list_experiments()
 
 
 class TestExperimentHandle:
-    """Handles take exactly one RunContext; the legacy shim is gone."""
+    """``get_experiment`` hands back the spec; its ``run`` is the module's function."""
 
-    def test_handles_are_registered(self):
-        assert isinstance(get_experiment("fig7"), ExperimentHandle)
+    def test_spec_runs_the_module_function(self):
+        from repro.experiments import fig7
+
+        assert get_experiment("fig7").run is fig7.run
 
     def test_context_call(self):
         ctx = RunContext(scale=TINY, seed=2)
-        assert "Figure 7" in get_experiment("fig7")(ctx).format_table()
-
-    def test_context_keyword_call(self):
-        ctx = RunContext(scale=TINY, seed=2)
-        assert "Figure 7" in get_experiment("fig7")(ctx=ctx).format_table()
-
-    def test_legacy_positional_scale_rejected(self):
-        with pytest.raises(TypeError, match="RunContext"):
-            get_experiment("fig7")(TINY, seed=2)
-
-    def test_missing_context_rejected(self):
-        with pytest.raises(TypeError, match="RunContext"):
-            get_experiment("fig7")()
-
-    def test_context_and_ctx_keyword_conflict(self):
-        ctx = RunContext(scale=TINY, seed=2)
-        with pytest.raises(TypeError, match="not both"):
-            get_experiment("fig7")(ctx, ctx=ctx)
-
-    def test_extra_positionals_rejected(self):
-        ctx = RunContext(scale=TINY, seed=2)
-        with pytest.raises(TypeError, match="unexpected positional"):
-            get_experiment("fig7")(ctx, TINY)
+        assert "Figure 7" in get_experiment("fig7").run(ctx).format_table()
 
     def test_extras_forwarded(self):
-        result = get_experiment("fig7")(RunContext(scale=TINY, seed=2), window_ms=50.0)
+        result = get_experiment("fig7").run(RunContext(scale=TINY, seed=2), window_ms=50.0)
         assert result.window_ms == 50.0
 
 

@@ -1,20 +1,28 @@
-"""Tests for the warm LRU model registry."""
+"""Tests for the model registry."""
+
+import shutil
 
 import pytest
 
-from repro.ml.artifact import ArtifactError
+from repro.ml.artifact import WEIGHTS_NPZ, ArtifactError
 from repro.serve.registry import ModelRegistry
 
 from tests.serve.conftest import CLASSES
 
 
 class TestRegistry:
-    def test_lazy_load_and_metadata(self, registry):
-        assert registry.warm_names() == []
+    def test_lazy_load_and_metadata(self, registry, artifact_dir, tmp_path):
         loaded = registry.get("default")
-        assert registry.warm_names() == ["default"]
         assert loaded.classes == tuple(CLASSES)
         assert loaded.info.backend == "feature"
+        # Registration reads the manifest only: weights that go missing
+        # after it fail the first request, not the add.
+        hollow = tmp_path / "hollow"
+        shutil.copytree(artifact_dir, hollow)
+        registry.add("hollow", hollow)
+        (hollow / WEIGHTS_NPZ).unlink()
+        with pytest.raises(ArtifactError):
+            registry.get("hollow")
 
     def test_add_validates_manifest(self, tmp_path):
         registry = ModelRegistry()
@@ -35,22 +43,5 @@ class TestRegistry:
         assert "other" not in registry
         assert registry.names() == ["default"]
 
-    def test_lru_eviction(self, artifact_dir):
-        registry = ModelRegistry(capacity=2)
-        for name in ("a", "b", "c"):
-            registry.add(name, artifact_dir)
-        registry.get("a")
-        registry.get("b")
-        registry.get("a")  # refresh a: now b is the LRU
-        registry.get("c")  # evicts b
-        assert registry.warm_names() == ["a", "c"]
-        # b re-loads transparently on next use, evicting a.
-        assert registry.get("b").name == "b"
-        assert registry.warm_names() == ["c", "b"]
-
     def test_get_returns_same_instance_while_warm(self, registry):
         assert registry.get("default") is registry.get("default")
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ModelRegistry(capacity=0)

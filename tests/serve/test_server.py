@@ -13,8 +13,6 @@ from repro.ml.artifact import load_artifact
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     ERROR_CODES,
-    MAX_BATCH_ENV_VAR,
-    QUEUE_ENV_VAR,
     FingerprintServer,
     _Pending,
 )
@@ -339,27 +337,14 @@ class TestErrorPaths:
 
 
 class TestConfiguration:
-    def test_env_var_defaults(self, registry, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "7")
-        monkeypatch.setenv(QUEUE_ENV_VAR, "99")
+    def test_default_limits(self, registry):
         server = FingerprintServer(registry)
-        assert server.max_batch == 7
-        assert server.max_queue == 99
-
-    def test_explicit_args_override_env(self, registry, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "7")
-        server = FingerprintServer(registry, max_batch=3)
-        assert server.max_batch == 3
-
-    def test_bad_env_value_raises(self, registry, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=MAX_BATCH_ENV_VAR):
-            FingerprintServer(registry)
+        assert (server.max_batch, server.max_queue) == (32, 256)
 
     def test_invalid_limits_rejected(self, registry):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_batch must be >= 1"):
             FingerprintServer(registry, max_batch=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_queue must be >= 1"):
             FingerprintServer(registry, max_queue=0)
 
     def test_empty_registry_rejected(self):

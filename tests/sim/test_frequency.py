@@ -72,9 +72,13 @@ class TestTurboGovernor:
 
     def test_run_tracks_load_curve(self, rng):
         config = FrequencyConfig(load_noise=0.0)
-        load_at = lambda t: 1.0 if t > 0.5 * SEC else 0.0
+        load_at = lambda t: np.where(t > 0.5 * SEC, 1.0, 0.0)
         trace = TurboGovernor(config).run(load_at, SEC, rng)
         assert trace.ghz_at(0.1 * SEC) > trace.ghz_at(0.9 * SEC)
+
+    def test_run_rejects_scalar_load_function(self, rng):
+        with pytest.raises(ValueError, match="shape"):
+            TurboGovernor(FrequencyConfig()).run(lambda t: 0.5, SEC, rng)
 
     def test_run_rejects_bad_horizon(self, rng):
         with pytest.raises(ValueError):

@@ -212,11 +212,11 @@ class TestCoreTimeline:
 
     def test_records_materialization(self):
         core = self.build([0.0, 3.0], [10.0, 4.0], itype=InterruptType.DISK)
-        records = core.records()
-        assert len(records) == 2
-        assert records[1].start_ns == pytest.approx(10.0)  # queued behind first
-        assert records[1].handler_ns == pytest.approx(4.0)
-        assert records[1].itype is InterruptType.DISK
+        assert len(core) == 2
+        assert core.arrivals[1] == pytest.approx(3.0)
+        assert core.starts[1] == pytest.approx(10.0)  # queued behind first
+        assert core.ends[1] - core.starts[1] == pytest.approx(4.0)
+        assert core.itypes() == [InterruptType.DISK, InterruptType.DISK]
 
     def test_mixed_batches_sorted(self):
         tick = InterruptBatch(InterruptType.TIMER, [100.0], [5.0])

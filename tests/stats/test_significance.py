@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.stats.significance import (
-    compare_fold_accuracies,
     students_t_test,
     welch_t_test,
 )
@@ -105,7 +104,7 @@ class TestBehaviour:
         rng = np.random.default_rng(1)
         ours = rng.normal(0.966, 0.008, 10)
         theirs = rng.normal(0.914, 0.012, 10)
-        result = compare_fold_accuracies(ours, theirs)
+        result = students_t_test(ours, theirs)
         assert result.p_value < 0.0001
 
     def test_zero_variance_distinct_means(self):

@@ -26,12 +26,16 @@ class TestKprobeTracer:
         config = TracerConfig(traceable_types=frozenset({InterruptType.TIMER}))
         tracer = KprobeTracer(nytimes_run, config=config)
         assert 0 < len(tracer) < len(nytimes_run.attacker_timeline)
-        assert all(r.itype is InterruptType.TIMER for r in tracer.log())
+        _, _, codes = tracer.handler_windows()
+        assert len(codes) == len(tracer)
+        assert (codes == list(InterruptType).index(InterruptType.TIMER)).all()
 
     def test_log_in_time_order(self, nytimes_run):
-        log = KprobeTracer(nytimes_run).log()
-        arrivals = [r.arrival_ns for r in log]
-        assert arrivals == sorted(arrivals)
+        tracer = KprobeTracer(nytimes_run)
+        starts, ends, _ = tracer.handler_windows()
+        arrivals = tracer.timeline.arrivals[tracer.visible_indices()]
+        assert (np.diff(arrivals) >= 0).all()
+        assert (np.diff(starts) >= 0).all() and (np.diff(ends) >= 0).all()
 
     def test_handler_time_by_type_sums_to_total(self, nytimes_run):
         tracer = KprobeTracer(nytimes_run)
