@@ -12,7 +12,7 @@ cross-validated evaluation for both of the paper's setups:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro import obs
 from repro.config import DEFAULT, Scale
 from repro.core.attacker import Attacker, LoopCountingAttacker
 from repro.core.collector import NoiseHooks, TraceCollector
-from repro.ml.crossval import CrossValResult, cross_validate, stratified_kfold
+from repro.ml.crossval import CrossValResult, cross_validate, fold_probabilities
 from repro.ml.encoding import LabelEncoder
 from repro.ml.metrics import open_world_metrics
 from repro.ml.models import make_fingerprinter
@@ -195,86 +195,37 @@ class FingerprintingPipeline:
         all_labels = list(labels) + list(open_labels)
         encoder = LabelEncoder()
         y = encoder.fit_transform(all_labels)
-        non_sensitive_class = encoder.transform([NON_SENSITIVE_LABEL])[0]
-        make_classifier = _BackendFactory(self.scale.backend, self.seed)
-        tasks = [
-            (
-                make_classifier,
-                fold,
-                x,
-                y,
-                encoder.n_classes,
-                train_idx,
-                test_idx,
-                int(non_sensitive_class),
-            )
-            for fold, (train_idx, test_idx) in enumerate(
-                stratified_kfold(y, self.scale.n_folds, self.seed)
-            )
-        ]
-        if self.engine is not None:
-            outcomes = self.engine.map(_open_world_fold_task, tasks, stage="train")
-        else:
-            outcomes = [_open_world_fold_task(task) for task in tasks]
-        fold_sensitive: list[float] = []
-        fold_non_sensitive: list[float] = []
-        fold_combined: list[float] = []
-        fold_false_accusation: list[float] = []
-        fold_missed: list[float] = []
-        for combined, sensitive, non_sensitive, false_accusation, missed in outcomes:
-            fold_combined.append(combined)
-            if sensitive is not None:
-                fold_sensitive.append(sensitive)
-            if non_sensitive is not None:
-                fold_non_sensitive.append(non_sensitive)
-            if false_accusation is not None:
-                fold_false_accusation.append(false_accusation)
-                fold_missed.append(missed)
+        non_sensitive = int(encoder.transform([NON_SENSITIVE_LABEL])[0])
+        correct, sensitive, errors = [], [], []
+        for truth, probs in fold_probabilities(
+            _BackendFactory(self.scale.backend, self.seed),
+            x,
+            y,
+            encoder.n_classes,
+            self.scale.n_folds,
+            self.seed,
+            self.engine,
+        ):
+            predicted = probs.argmax(axis=1)
+            is_sensitive = truth != non_sensitive
+            correct.append(predicted == truth)
+            sensitive.append(is_sensitive)
+            # Folds that hold both kinds of visit decompose the errors.
+            if is_sensitive.any() and not is_sensitive.all():
+                errors.append(open_world_metrics(truth, predicted, non_sensitive))
         return OpenWorldResult(
-            sensitive=MeanStd.of(fold_sensitive),
-            non_sensitive=MeanStd.of(fold_non_sensitive),
-            combined=MeanStd.of(fold_combined),
+            sensitive=_fold_accuracy(correct, sensitive),
+            non_sensitive=_fold_accuracy(correct, [~rows for rows in sensitive]),
+            combined=MeanStd.of([float(hits.mean()) for hits in correct]),
             false_accusation_rate=(
-                MeanStd.of(fold_false_accusation) if fold_false_accusation else None
+                MeanStd.of([e.false_accusation_rate for e in errors]) if errors else None
             ),
             missed_sensitive_rate=(
-                MeanStd.of(fold_missed) if fold_missed else None
+                MeanStd.of([e.missed_sensitive_rate for e in errors]) if errors else None
             ),
         )
 
 
-def _open_world_fold_task(
-    task: tuple,
-) -> tuple[float, Optional[float], Optional[float], Optional[float], Optional[float]]:
-    """One open-world CV fold; module-level so it pickles to workers.
-
-    Returns ``(combined, sensitive, non_sensitive, false_accusation,
-    missed)`` with None where the fold lacks the relevant class mix.
-    """
-    (
-        make_classifier,
-        fold,
-        x,
-        y,
-        n_classes,
-        train_idx,
-        test_idx,
-        non_sensitive_class,
-    ) = task
-    classifier = make_classifier(fold)
-    classifier.fit(x[train_idx], y[train_idx], n_classes)
-    predictions = classifier.predict_proba(x[test_idx]).argmax(axis=1)
-    truth = y[test_idx]
-    correct = predictions == truth
-    sensitive_mask = truth != non_sensitive_class
-    combined = float(correct.mean())
-    sensitive = float(correct[sensitive_mask].mean()) if sensitive_mask.any() else None
-    non_sensitive = (
-        float(correct[~sensitive_mask].mean()) if (~sensitive_mask).any() else None
-    )
-    false_accusation = missed = None
-    if sensitive_mask.any() and (~sensitive_mask).any():
-        errors = open_world_metrics(truth, predictions, non_sensitive_class)
-        false_accusation = errors.false_accusation_rate
-        missed = errors.missed_sensitive_rate
-    return combined, sensitive, non_sensitive, false_accusation, missed
+def _fold_accuracy(correct: list, rows: list) -> MeanStd:
+    """Accuracy over each fold's ``rows``, skipping folds that hold none."""
+    return MeanStd.of([float(hits[r].mean()) for hits, r in zip(correct, rows) if r.any()])

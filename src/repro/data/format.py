@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.jsondoc import write_atomic
+
 #: Member names inside each shard archive.
 X_MEMBER = "x.npy"
 LABELS_MEMBER = "labels.npy"
@@ -67,8 +69,7 @@ def write_shard(path, x: np.ndarray, labels, meta: dict) -> ShardInfo:
 
     ``x`` must be a 2-D float64 matrix with one label per row.  The
     archive is assembled in memory so the checksum covers exactly the
-    bytes on disk; callers that need atomicity write to a temp name and
-    rename.
+    bytes on disk, and written with :func:`~repro.jsondoc.write_atomic`.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -88,7 +89,7 @@ def write_shard(path, x: np.ndarray, labels, meta: dict) -> ShardInfo:
         meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
         _write_member(archive, META_MEMBER, meta_bytes, zipfile.ZIP_DEFLATED)
     blob = buffer.getvalue()
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
     return ShardInfo(
         n_rows=len(x), n_bytes=len(blob), sha256=hashlib.sha256(blob).hexdigest()
     )

@@ -28,7 +28,6 @@ rebuilt, and only stores of one version merge.
 from __future__ import annotations
 
 import dataclasses
-import os
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,6 +47,7 @@ from repro.data.manifest import (
     DatasetManifest,
     ShardEntry,
 )
+from repro.jsondoc import write_atomic
 
 #: Environment variable overriding the default sites-per-shard.
 SHARD_SITES_ENV_VAR = "BIGGERFISH_DATA_SHARD_SITES"
@@ -155,10 +155,9 @@ def _build_shard_task(task: tuple) -> Tuple[ShardEntry, int]:
     sites = config_sites(config)[site_start:site_stop]
     with obs.span("data.shard", shard=name, sites=len(sites)):
         x, labels = collector.collect(sites, config.traces_per_site).stacked()
-        path = Path(store_dir) / name
-        tmp = path.with_name(f".{name}.tmp-{os.getpid()}")
-        info = write_shard(tmp, x, labels, shard_meta(config, site_start, site_stop))
-        os.replace(tmp, path)
+        info = write_shard(
+            Path(store_dir) / name, x, labels, shard_meta(config, site_start, site_stop)
+        )
     obs.counter("data.shards_written").inc()
     obs.counter("data.rows_written").inc(info.n_rows)
     entry = ShardEntry(
@@ -392,9 +391,7 @@ def merge_stores(sources: Sequence, store_dir, progress=None) -> DatasetManifest
                         f"{source_path}: checksum mismatch; run "
                         f"'biggerfish data verify {source}' and rebuild"
                     )
-                tmp = store_dir / f".{name}.tmp-{os.getpid()}"
-                tmp.write_bytes(source_path.read_bytes())
-                os.replace(tmp, store_dir / name)
+                write_atomic(store_dir / name, source_path.read_bytes())
                 merged.shards.append(
                     ShardEntry(
                         name=name,

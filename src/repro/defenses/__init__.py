@@ -5,7 +5,7 @@ randomized timer) are timer specs: ``repro.timers.spec.TOR_TIMER`` and
 ``RANDOMIZED_DEFENSE_TIMER``.
 """
 
-from repro.defenses.cache_noise import CacheSweepNoise, cache_noise_hooks
+from repro.defenses.cache_noise import CacheSweepNoise
 from repro.defenses.interrupt_noise import (
     PAGE_LOAD_OVERHEAD,
     SpuriousInterruptInjector,
@@ -13,6 +13,6 @@ from repro.defenses.interrupt_noise import (
 )
 
 __all__ = [
-    "CacheSweepNoise", "cache_noise_hooks", "PAGE_LOAD_OVERHEAD",
+    "CacheSweepNoise", "PAGE_LOAD_OVERHEAD",
     "SpuriousInterruptInjector", "interrupt_noise_hooks",
 ]

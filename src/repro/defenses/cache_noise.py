@@ -50,8 +50,3 @@ class CacheSweepNoise:
             extra_timelines=(sweeping,),
             occupancy_floor=self.occupancy_floor,
         )
-
-
-def cache_noise_hooks(horizon_ns: int) -> NoiseHooks:
-    """Default cache-sweep noise hooks for a trace of ``horizon_ns``."""
-    return CacheSweepNoise().hooks(horizon_ns)

@@ -38,7 +38,6 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -47,6 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.config import read_setting
+from repro.jsondoc import write_atomic
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV_VAR = "BIGGERFISH_CACHE_DIR"
@@ -278,7 +278,7 @@ class TraceCache:
 
     def _entries(self) -> list[pathlib.Path]:
         """Finished entries, schema-1 leftovers included; ``put``'s
-        in-flight ``.tmp-*`` files are not."""
+        in-flight ``.``-prefixed temp files are not."""
         if not self.path.exists():
             return []
         return sorted(
@@ -338,23 +338,13 @@ class TraceCache:
             old_size = 0
             with contextlib.suppress(OSError):
                 old_size = entry.stat().st_size
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".tmp-", suffix=ENTRY_SUFFIX, dir=entry.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_name, entry)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
+            write_atomic(entry, data)
             written = len(data)
             self.stats.puts += 1
             self.stats.bytes_written += written
             if self._size_bytes is None:
                 # First put through a cold handle: the directory scan runs
-                # after os.replace put the entry in place, so it already
+                # after the rename put the entry in place, so it already
                 # counts the new bytes — adding `written` on top would
                 # double-count every fresh entry and trigger premature
                 # eviction.

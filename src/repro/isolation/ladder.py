@@ -16,7 +16,6 @@ mechanisms of the previous one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from repro.sim.machine import MachineConfig
 from repro.sim.vm import SEPARATE_VMS
@@ -46,8 +45,3 @@ def isolation_ladder(base: MachineConfig | None = None) -> list[IsolationStep]:
         IsolationStep("+ Remove IRQ interrupts", irqbalanced),
         IsolationStep("+ Run in separate VMs", vms),
     ]
-
-
-def iter_ladder(base: MachineConfig | None = None) -> Iterator[IsolationStep]:
-    """Iterate the ladder lazily."""
-    return iter(isolation_ladder(base))

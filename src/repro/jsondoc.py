@@ -6,36 +6,47 @@ a store's ``dataset.json``, a model's ``artifact.json`` and
 and read back by :func:`read_json`, so they share one on-disk format
 (two-space indent, sorted keys, trailing newline), one crash-safety rule
 and one set of load errors.  Each loader keeps its own field checks on
-top.
+top.  The same rule, :func:`write_atomic`, writes the project's other
+files: trace-cache entries, store shards and model weights.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import secrets
 from pathlib import Path
 from typing import Any, Type
 
 
-def write_json(path, document: Any) -> Path:
-    """Write ``document`` to ``path`` atomically and return the path.
+def write_atomic(path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` atomically and return the path.
 
-    The JSON is written to a temp file beside the target and renamed
-    over it, so readers see the old file or the new one, never a torn
-    one; on any failure the temp file is removed and the previous file
-    is left as it was.
+    The bytes go to a unique temp file beside the target, named with a
+    leading ``.`` so scans for finished files skip it, which is then
+    renamed over the target: readers see the old file or the new one,
+    never a torn one.  On any failure the temp file is removed and the
+    previous file is left as it was.  Nothing is fsynced: the rename
+    makes the write atomic, not durable.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    handle = open(tmp, "xb")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        with handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_json(path, document: Any) -> Path:
+    """Write ``document`` to ``path`` with :func:`write_atomic` and return
+    the path."""
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return write_atomic(path, text.encode("utf-8"))
 
 
 def read_json(

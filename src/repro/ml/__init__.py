@@ -14,14 +14,7 @@ from repro.ml.layers import Conv1D, Dense, Dropout, Flatten, Layer, MaxPool1D, R
 from repro.ml.linear import SoftmaxRegression
 from repro.ml.losses import SoftmaxCrossEntropy, softmax
 from repro.ml.lstm import LSTM
-from repro.ml.metrics import (
-    ClassMetrics,
-    OpenWorldMetrics,
-    confusion_matrix,
-    macro_f1,
-    open_world_metrics,
-    per_class_metrics,
-)
+from repro.ml.metrics import OpenWorldMetrics, open_world_metrics
 from repro.ml.models import (
     FeatureFingerprinter,
     Fingerprinter,
@@ -38,8 +31,7 @@ __all__ = [
     "save_artifact",
     "CrossValResult", "cross_validate", "stratified_kfold", "LabelEncoder",
     "FeatureExtractor", "Standardizer", "mean_pool", "Conv1D", "Dense",
-    "ClassMetrics", "OpenWorldMetrics", "confusion_matrix", "macro_f1",
-    "open_world_metrics", "per_class_metrics",
+    "OpenWorldMetrics", "open_world_metrics",
     "Dropout", "Flatten", "Layer", "MaxPool1D", "ReLU", "SoftmaxRegression",
     "SoftmaxCrossEntropy", "softmax", "LSTM", "FeatureFingerprinter",
     "Fingerprinter", "LstmFingerprinter", "build_paper_network",

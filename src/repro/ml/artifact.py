@@ -26,6 +26,7 @@ array; corrupted or future-schema artifacts are rejected with
 
 from __future__ import annotations
 
+import io
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.jsondoc import read_json, write_json
+from repro.jsondoc import read_json, write_atomic, write_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ml.models import Fingerprinter
@@ -261,9 +262,12 @@ def save_artifact(
     document = asdict(info)
     document["classes"] = list(info.classes) if info.classes is not None else None
     document["weights"] = sorted(arrays)
+    # Weights first, so a failed weights write leaves the previous
+    # artifact as it was rather than new metadata over old weights.
+    weights = io.BytesIO()
+    np.savez(weights, **arrays)
+    write_atomic(path / WEIGHTS_NPZ, weights.getvalue())
     write_json(path / ARTIFACT_JSON, document)
-    with open(path / WEIGHTS_NPZ, "wb") as handle:
-        np.savez(handle, **arrays)
     return path
 
 

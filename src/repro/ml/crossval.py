@@ -9,7 +9,7 @@ Reported accuracy is the mean over folds, with its standard deviation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -61,21 +61,49 @@ class CrossValResult:
         return MeanStd.of(self.fold_top5)
 
 
-def _fold_task(task: tuple) -> tuple[float, float]:
-    """Train/evaluate one fold; module-level so it pickles to workers.
+def _fold_task(task: tuple) -> np.ndarray:
+    """Fit one fold and return its held-out probabilities; module-level
+    so it pickles to workers.
 
     Each fold's classifier is seeded by ``make_classifier(fold)`` from
     the fold number alone, so fold results are independent of scheduling
     order — parallel CV is bit-identical to serial CV.
     """
-    make_classifier, fold, x, y, n_classes, train_idx, test_idx, top_k = task
+    make_classifier, fold, x, y, n_classes, train_idx, test_idx = task
     classifier = make_classifier(fold)
     classifier.fit(x[train_idx], y[train_idx], n_classes)
-    probs = classifier.predict_proba(x[test_idx])
-    predictions = probs.argmax(axis=1)
-    top1 = float((predictions == y[test_idx]).mean())
-    top5 = top_k_accuracy(probs, y[test_idx], min(top_k, n_classes))
-    return top1, top5
+    return classifier.predict_proba(x[test_idx])
+
+
+def fold_probabilities(
+    make_classifier: Callable[[int], Fingerprinter],
+    x: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    n_folds: int,
+    seed: int,
+    engine,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stratified k-fold CV's held-out ``(labels, probabilities)`` per fold.
+
+    ``make_classifier(fold)`` builds a fresh model for each fold.
+    ``engine`` is an :class:`~repro.engine.engine.ExecutionEngine` or
+    None; with one, folds train concurrently under its ``train`` stage
+    (``make_classifier`` must then be picklable — a dataclass or
+    module-level callable, not a lambda).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    folds = list(stratified_kfold(y, n_folds, seed))
+    tasks = [
+        (make_classifier, fold, x, y, n_classes, train_idx, test_idx)
+        for fold, (train_idx, test_idx) in enumerate(folds)
+    ]
+    if engine is not None:
+        probabilities = engine.map(_fold_task, tasks, stage="train")
+    else:
+        probabilities = [_fold_task(task) for task in tasks]
+    return [(y[test_idx], probs) for (_, test_idx), probs in zip(folds, probabilities)]
 
 
 def cross_validate(
@@ -88,23 +116,12 @@ def cross_validate(
     top_k: int = 5,
     engine=None,
 ) -> CrossValResult:
-    """Run k-fold CV; ``make_classifier(fold)`` builds a fresh model.
-
-    With an :class:`~repro.engine.engine.ExecutionEngine`, folds train
-    concurrently (``make_classifier`` must then be picklable — a
-    dataclass or module-level callable, not a lambda).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    tasks = [
-        (make_classifier, fold, x, y, n_classes, train_idx, test_idx, top_k)
-        for fold, (train_idx, test_idx) in enumerate(stratified_kfold(y, n_folds, seed))
-    ]
-    if engine is not None:
-        outcomes = engine.map(_fold_task, tasks, stage="train")
-    else:
-        outcomes = [_fold_task(task) for task in tasks]
+    """Run k-fold CV (:func:`fold_probabilities`) and score each fold's
+    top-1 and top-``top_k`` accuracy."""
+    folds = fold_probabilities(make_classifier, x, y, n_classes, n_folds, seed, engine)
     return CrossValResult(
-        fold_top1=[top1 for top1, _ in outcomes],
-        fold_top5=[top5 for _, top5 in outcomes],
+        fold_top1=[float((probs.argmax(axis=1) == truth).mean()) for truth, probs in folds],
+        fold_top5=[
+            top_k_accuracy(probs, truth, min(top_k, n_classes)) for truth, probs in folds
+        ],
     )

@@ -1,10 +1,10 @@
-"""Classification metrics beyond plain accuracy.
+"""Open-world error decomposition beyond plain accuracy.
 
 The paper reports top-1/top-5 accuracy and, for the open world, separate
-sensitive/non-sensitive accuracies.  For deeper analysis (and for the
-open-world deployment question "how often does the attacker falsely
-accuse a site?") this module adds confusion matrices and per-class
-precision/recall/F1.
+sensitive/non-sensitive accuracies.  For the open-world deployment
+question "how often does the attacker falsely accuse a site?" this
+module splits the errors into false accusations and missed sensitive
+visits.
 """
 
 from __future__ import annotations
@@ -12,66 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
-    """Counts[i, j] = traces of class i predicted as class j."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must align")
-    if len(y_true) and (
-        min(y_true.min(), y_pred.min()) < 0
-        or max(y_true.max(), y_pred.max()) >= n_classes
-    ):
-        raise ValueError("labels outside [0, n_classes)")
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    """Precision/recall/F1 for one class."""
-
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-def per_class_metrics(matrix: np.ndarray) -> list[ClassMetrics]:
-    """Per-class metrics from a confusion matrix."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("confusion matrix must be square")
-    result = []
-    for cls in range(len(matrix)):
-        true_positive = matrix[cls, cls]
-        predicted = matrix[:, cls].sum()
-        actual = matrix[cls, :].sum()
-        precision = true_positive / predicted if predicted else 0.0
-        recall = true_positive / actual if actual else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        result.append(
-            ClassMetrics(
-                precision=float(precision),
-                recall=float(recall),
-                f1=float(f1),
-                support=int(actual),
-            )
-        )
-    return result
-
-
-def macro_f1(matrix: np.ndarray) -> float:
-    """Unweighted mean F1 over classes."""
-    metrics = per_class_metrics(matrix)
-    return float(np.mean([m.f1 for m in metrics])) if metrics else 0.0
 
 
 @dataclass(frozen=True)

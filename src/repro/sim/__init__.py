@@ -11,7 +11,6 @@ from repro.sim.interrupts import (
     InterruptBatch,
     InterruptType,
     LatencySpec,
-    is_movable,
 )
 from repro.sim.machine import InterruptSynthesizer, MachineConfig, MachineRun
 from repro.sim.routing import (
@@ -19,7 +18,6 @@ from repro.sim.routing import (
     PinnedRouting,
     RoutingPolicy,
     SoftirqPlacement,
-    SpreadRouting,
 )
 from repro.sim.scheduler import SchedulerConfig
 from repro.sim.timeline import CoreTimeline, GapTimeline, serialize_handlers
@@ -30,9 +28,9 @@ __all__ = [
     "FrequencyConfig", "FrequencyTrace", "IterationRateModel", "TurboGovernor",
     "DEFAULT_LATENCIES", "MOVABLE_TYPES", "NON_MOVABLE_TYPES", "PIGGYBACK_TYPES",
     "HandlerLatencyModel", "InterruptBatch", "InterruptType", "LatencySpec",
-    "is_movable", "InterruptSynthesizer", "MachineConfig", "MachineRun",
+    "InterruptSynthesizer", "MachineConfig", "MachineRun",
     "AffinitySourceRouting", "PinnedRouting", "RoutingPolicy",
-    "SoftirqPlacement", "SpreadRouting", "SchedulerConfig", "CoreTimeline",
+    "SoftirqPlacement", "SchedulerConfig", "CoreTimeline",
     "GapTimeline", "serialize_handlers", "BARE_METAL",
     "SEPARATE_VMS", "VmConfig",
 ]

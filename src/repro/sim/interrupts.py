@@ -83,11 +83,6 @@ PIGGYBACK_TYPES = frozenset(
 )
 
 
-def is_movable(itype: InterruptType) -> bool:
-    """True for device IRQs that ``irqbalance`` can pin away (paper §5.1)."""
-    return itype in MOVABLE_TYPES
-
-
 @dataclass(frozen=True)
 class LatencySpec:
     """Lognormal handler-latency parameters for one interrupt type.

@@ -51,13 +51,6 @@ class AffinitySourceRouting(RoutingPolicy):
         return np.full(count, self.core_for(source), dtype=np.int64)
 
 
-class SpreadRouting(RoutingPolicy):
-    """Distribute interrupts uniformly across all cores."""
-
-    def route_source(self, source: str, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.n_cores, size=count)
-
-
 class PinnedRouting(RoutingPolicy):
     """``irqbalance``-style: every movable IRQ goes to one housekeeping core."""
 

@@ -136,12 +136,6 @@ class GapTimeline:
         idx = self.gap_index_at(t)
         return float(self.gap_ends[idx]) if idx >= 0 else float(t)
 
-    def gaps_overlapping(self, t0: float, t1: float) -> np.ndarray:
-        """Indices of gaps intersecting ``[t0, t1)``."""
-        lo = int(np.searchsorted(self.gap_ends, t0, side="right"))
-        hi = int(np.searchsorted(self.gap_starts, t1, side="left"))
-        return np.arange(lo, hi)
-
 
 class CoreTimeline:
     """Full interrupt history of one core: records plus merged gaps."""

@@ -115,19 +115,3 @@ class PreciseTimer(BrowserTimer):
             raise ValueError(f"elapsed must be non-negative, got {elapsed_ns}")
         return float(t0_real_ns + elapsed_ns)
 
-
-class MonotonicQueryMixin:
-    """Guards stateful timers against out-of-order queries."""
-
-    def __init__(self) -> None:
-        self._last_query_ns = float("-inf")
-
-    def _check_monotonic(self, t_real_ns: float) -> None:
-        if t_real_ns < self._last_query_ns:
-            raise ValueError(
-                f"timer queried backwards: {t_real_ns} after {self._last_query_ns}"
-            )
-        self._last_query_ns = float(t_real_ns)
-
-    def _reset_monotonic(self) -> None:
-        self._last_query_ns = float("-inf")

@@ -7,6 +7,11 @@ Chrome additionally adds deterministic jitter:
 ``T_secure = floor(T_real / Δ) · Δ + ε`` with ``ε ∈ {0, Δ}`` computed
 from a hash of the quantization bucket so the output stays monotonic.
 Chrome's Δ is 0.1 ms.
+
+Both are one timer that reads ε from a per-timer table:
+:class:`QuantizedTimer` fills it with zeros and :class:`JitteredTimer`
+with the hash, so every quantized browser timer walks the same fused
+boundary loop.
 """
 
 from __future__ import annotations
@@ -24,51 +29,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BUCKET_MIX = 0x9E3779B97F4A7C15
 _SEED_MIX = 0xBF58476D1CE4E5B9
 _FINAL_MIX = 0x94D049BB133111EB
-#: Buckets in a jittered timer's first ε-table chunk; each later chunk
-#: doubles the table.
+#: Buckets in a timer's first ε-table chunk; each later chunk doubles
+#: the table.
 _TABLE_FIRST_CHUNK = 1 << 12
 #: The table stops growing here (2 MiB, 210 s at Δ = 0.1 ms); buckets
-#: past it, and negative buckets, are hashed per call.
+#: past it, and negative buckets, get ε per call.
 _TABLE_MAX_BUCKETS = _TABLE_FIRST_CHUNK << 9
-
-
-class QuantizedTimer(BrowserTimer):
-    """Floor-quantized timer with resolution ``delta_ns``.
-
-    >>> timer = QuantizedTimer(delta_ns=100.0)
-    >>> timer.read(250.0)
-    200.0
-    >>> timer.read(299.9)
-    200.0
-    >>> timer.first_crossing(250.0, 150.0)  # needs two bucket boundaries
-    400.0
-    >>> timer.first_crossing(250.0, 0.0)
-    250.0
-    """
-
-    def __init__(self, delta_ns: float):
-        if delta_ns <= 0:
-            raise ValueError(f"resolution must be positive, got {delta_ns}")
-        self.delta_ns = float(delta_ns)
-
-    def read(self, t_real_ns: float) -> float:
-        return math.floor(t_real_ns / self.delta_ns) * self.delta_ns
-
-    def first_crossing(self, t0_real_ns: float, elapsed_ns: float) -> float:
-        if elapsed_ns < 0:
-            raise ValueError(f"elapsed must be non-negative, got {elapsed_ns}")
-        if elapsed_ns == 0:
-            return float(t0_real_ns)
-        bucket0 = math.floor(t0_real_ns / self.delta_ns)
-        # Observed time advances only on bucket boundaries; we need the
-        # bucket whose value is >= read(t0) + elapsed.
-        buckets_needed = math.ceil(elapsed_ns / self.delta_ns)
-        crossing = (bucket0 + buckets_needed) * self.delta_ns
-        # Floating-point guard: bucket boundaries computed by
-        # multiplication can floor into the previous bucket.
-        if self.read(crossing) - self.read(t0_real_ns) < elapsed_ns:
-            crossing = (bucket0 + buckets_needed + 1) * self.delta_ns
-        return crossing
 
 
 def _jitter_bit(bucket: int, seed: int) -> int:
@@ -97,48 +63,53 @@ def _jitter_bits(start: int, stop: int, seed: int) -> np.ndarray:
     return (x & np.uint64(1)).astype(np.uint8)
 
 
-class JitteredTimer(BrowserTimer):
-    """Chrome-style quantized timer with hash-derived jitter.
+class QuantizedTimer(BrowserTimer):
+    """Quantized timer: ``read(t) = bucket(t) · Δ + ε(bucket(t)) · Δ``.
 
-    ``read(t) = bucket(t) · Δ + ε(bucket(t)) · Δ`` with ε ∈ {0, 1}.  The
-    deviation from real time is guaranteed to be < 2Δ, and the output is
-    non-decreasing because consecutive buckets differ by Δ while ε can
-    change by at most Δ.
+    ε is a pure function of the bucket, so each timer keeps a byte table
+    of it for buckets ``0 .. n - 1``, filled in bulk by
+    :meth:`_epsilon_bits` and doubled whenever a read lands past its
+    end; :meth:`_epsilon_bit` serves the buckets the table does not
+    cover.  The attacker walk's boundary pass (:meth:`period_boundaries`)
+    reads that table inline.  Here ε ≡ 0, which is plain floor
+    quantization; :class:`JitteredTimer` fills the table from a hash.
 
-    ε is a pure function of (bucket, seed), so each timer keeps a byte
-    table of it for buckets ``0 .. n - 1``, filled in bulk and doubled
-    whenever a read lands past its end; :func:`_jitter_bit` serves the
-    buckets the table does not cover.  The attacker walk's boundary pass
-    (:meth:`period_boundaries`) reads that table inline.
-
-    >>> timer = JitteredTimer(delta_ns=100.0, seed=1)
-    >>> all(timer.read(t) - t < 2 * 100.0 for t in range(0, 2000, 7))
-    True
-    >>> reads = [timer.read(float(t)) for t in range(0, 2000, 7)]
-    >>> reads == sorted(reads)  # jitter never breaks monotonicity
-    True
-    >>> crossing = timer.first_crossing(0.0, 500.0)
-    >>> timer.read(crossing) - timer.read(0.0) >= 500.0
-    True
+    >>> timer = QuantizedTimer(delta_ns=100.0)
+    >>> timer.read(250.0)
+    200.0
+    >>> timer.read(299.9)
+    200.0
+    >>> timer.first_crossing(250.0, 150.0)  # needs two bucket boundaries
+    400.0
+    >>> timer.first_crossing(250.0, 0.0)
+    250.0
     """
 
-    def __init__(self, delta_ns: float, seed: int = 0):
+    def __init__(self, delta_ns: float):
         if delta_ns <= 0:
             raise ValueError(f"resolution must be positive, got {delta_ns}")
         self.delta_ns = float(delta_ns)
-        self.seed = int(seed)
         self._table = bytearray()
+
+    def _epsilon_bits(self, start: int, stop: int) -> bytes:
+        """ε of every bucket in ``[start, stop)``, ``0 <= start``, a byte each."""
+        return bytes(stop - start)
+
+    def _epsilon_bit(self, bucket: int) -> int:
+        """ε of a bucket the table does not cover (negative or past its cap)."""
+        return 0
 
     def _epsilon_ns(self, bucket: int) -> float:
         if not 0 <= bucket < _TABLE_MAX_BUCKETS:
-            return _jitter_bit(bucket, self.seed) * self.delta_ns
+            return self._epsilon_bit(bucket) * self.delta_ns
         table = self._table
         while len(table) <= bucket:
             # One doubling at a time: small chunks fill faster than one
             # large one.
             size = len(table)
-            stop = min(2 * size or _TABLE_FIRST_CHUNK, _TABLE_MAX_BUCKETS)
-            table += _jitter_bits(size, stop, self.seed).tobytes()
+            table += self._epsilon_bits(
+                size, min(2 * size or _TABLE_FIRST_CHUNK, _TABLE_MAX_BUCKETS)
+            )
         return table[bucket] * self.delta_ns
 
     def read(self, t_real_ns: float) -> float:
@@ -162,7 +133,7 @@ class JitteredTimer(BrowserTimer):
             # is consistent with what the attacker actually observes.
             if self.read(crossing) - base >= elapsed_ns:
                 return max(crossing, float(t0_real_ns))
-        raise AssertionError("jittered crossing must occur within k_base + 3 buckets")
+        raise AssertionError("quantized crossing must occur within k_base + 3 buckets")
 
     def period_boundaries(
         self, gap_starts, gap_ends, horizon_ns: float, period_ns: float
@@ -200,7 +171,7 @@ class JitteredTimer(BrowserTimer):
             return super().period_boundaries(gap_starts, gap_ends, horizon_ns, period_ns)
         table = self._table
         if len(table) <= last_bucket:
-            table += _jitter_bits(len(table), last_bucket + 1, self.seed).tobytes()
+            table += self._epsilon_bits(len(table), last_bucket + 1)
         candidates = range(max(k_base - 1, 1), k_base + 4)
         # ε · Δ by table value: 0 · Δ is 0.0 and 1 · Δ is Δ, exactly.
         epsilon = (0.0, delta)
@@ -229,7 +200,7 @@ class JitteredTimer(BrowserTimer):
                 if b * delta + epsilon[table[b]] - value >= period_ns:
                     break
             else:
-                raise AssertionError("jittered crossing must occur within k_base + 3 buckets")
+                raise AssertionError("quantized crossing must occur within k_base + 3 buckets")
             if crossing < t:
                 crossing = t
             # Resume at the next instant the attacker executes.  Crossings
@@ -248,3 +219,35 @@ class JitteredTimer(BrowserTimer):
                 f"trace exceeded {timers_base._MAX_PERIODS} periods; timer never advances"
             )
         return np.array(begins), np.array(ends), np.array(observed)
+
+
+class JitteredTimer(QuantizedTimer):
+    """Chrome-style quantized timer with hash-derived jitter.
+
+    ``read(t) = bucket(t) · Δ + ε(bucket(t)) · Δ`` with ε ∈ {0, 1} a pure
+    function of (bucket, seed): :func:`_jitter_bits` fills the ε table
+    and :func:`_jitter_bit` serves the buckets it does not cover.  The
+    deviation from real time is guaranteed to be < 2Δ, and the output is
+    non-decreasing because consecutive buckets differ by Δ while ε can
+    change by at most Δ.
+
+    >>> timer = JitteredTimer(delta_ns=100.0, seed=1)
+    >>> all(timer.read(t) - t < 2 * 100.0 for t in range(0, 2000, 7))
+    True
+    >>> reads = [timer.read(float(t)) for t in range(0, 2000, 7)]
+    >>> reads == sorted(reads)  # jitter never breaks monotonicity
+    True
+    >>> crossing = timer.first_crossing(0.0, 500.0)
+    >>> timer.read(crossing) - timer.read(0.0) >= 500.0
+    True
+    """
+
+    def __init__(self, delta_ns: float, seed: int = 0):
+        super().__init__(delta_ns)
+        self.seed = int(seed)
+
+    def _epsilon_bits(self, start: int, stop: int) -> bytes:
+        return _jitter_bits(start, stop, self.seed).tobytes()
+
+    def _epsilon_bit(self, bucket: int) -> int:
+        return _jitter_bit(bucket, self.seed)

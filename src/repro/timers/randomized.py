@@ -19,13 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.events import MS
-from repro.timers.base import BrowserTimer, MonotonicQueryMixin
+from repro.timers.base import BrowserTimer
 
 #: Safety valve for first_crossing walks; generously above threshold/Δ.
 _MAX_UPDATE_STEPS = 1_000_000
 
 
-class RandomizedTimer(MonotonicQueryMixin, BrowserTimer):
+class RandomizedTimer(BrowserTimer):
     """Stateful randomized timer; queries must be monotone in real time."""
 
     def __init__(
@@ -36,7 +36,6 @@ class RandomizedTimer(MonotonicQueryMixin, BrowserTimer):
         threshold_ns: float = 100 * MS,
         seed: int = 0,
     ):
-        super().__init__()
         if delta_ns <= 0:
             raise ValueError(f"resolution must be positive, got {delta_ns}")
         if alpha_range[0] > alpha_range[1] or alpha_range[0] < 0:
@@ -54,7 +53,7 @@ class RandomizedTimer(MonotonicQueryMixin, BrowserTimer):
 
     def reset(self) -> None:
         """Restart the update process from time zero."""
-        self._reset_monotonic()
+        self._last_query_ns = float("-inf")
         self._rng = np.random.default_rng(self.seed)
         self._next_update_ns = self.delta_ns
         self._secure_ns = 0.0
@@ -76,7 +75,11 @@ class RandomizedTimer(MonotonicQueryMixin, BrowserTimer):
             self._secure_ns = t_real_ns + beta * self.delta_ns
 
     def read(self, t_real_ns: float) -> float:
-        self._check_monotonic(t_real_ns)
+        if t_real_ns < self._last_query_ns:
+            raise ValueError(
+                f"timer queried backwards: {t_real_ns} after {self._last_query_ns}"
+            )
+        self._last_query_ns = float(t_real_ns)
         self._apply_updates_until(t_real_ns)
         return self._secure_ns
 

@@ -230,16 +230,6 @@ class Plot:
             )
         return self
 
-    def hline(self, y: float, color: str = "#888", dashed: bool = True) -> "Plot":
-        """Horizontal reference line."""
-        (py,) = self.y.scale(np.array([y]), self._plot_bottom, self._plot_top)
-        dash = ' stroke-dasharray="4,3"' if dashed else ""
-        self._body.append(
-            f'<line x1="{_fmt(self._plot_left)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(self._plot_right)}" y2="{_fmt(py)}" stroke="{color}"{dash}/>'
-        )
-        return self
-
     def text(self, x: float, y: float, content: str, size: int = 10,
              color: str = "#333") -> "Plot":
         """Annotation at data coordinates."""

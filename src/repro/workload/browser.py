@@ -12,7 +12,7 @@ activity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.sim.events import seconds_to_ns
 from repro.timers.spec import (
@@ -49,10 +49,6 @@ class Browser:
     @property
     def horizon_ns(self) -> int:
         return seconds_to_ns(self.trace_seconds)
-
-    def with_timer(self, timer: TimerSpec) -> "Browser":
-        """Copy of this browser with a replacement timer (defense eval)."""
-        return replace(self, timer=timer)
 
 
 CHROME = Browser(name="Chrome 92", timer=CHROME_TIMER, measurement_noise=0.004)

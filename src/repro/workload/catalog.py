@@ -8,7 +8,7 @@ further unique sites, each visited exactly once, labeled "non-sensitive"
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.workload.website import WebsiteProfile, profile_for
 
@@ -86,8 +86,3 @@ def open_world(n_sites: int, seed_offset: int = 1_000_000) -> List[WebsiteProfil
         WebsiteProfile(f"openworld-{k}.example", seed=seed_offset + k)
         for k in range(n_sites)
     ]
-
-
-def site_labels(profiles: Iterable[WebsiteProfile]) -> List[str]:
-    """Class labels for a list of profiles."""
-    return [p.name for p in profiles]

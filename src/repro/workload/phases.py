@@ -116,10 +116,6 @@ class ActivityBurst:
     def end_ns(self) -> float:
         return self.start_ns + self.duration_ns
 
-    def overlap_ns(self, t0: float, t1: float) -> float:
-        """Length of this burst's intersection with ``[t0, t1)``."""
-        return max(0.0, min(self.end_ns, t1) - max(self.start_ns, t0))
-
 
 class ActivityTimeline:
     """All bursts of one victim run, with load and occupancy queries."""
@@ -180,11 +176,6 @@ class ActivityTimeline:
         starts, ends, weights = self._load_support()
         active = (t[..., None] >= starts) & (t[..., None] < ends)
         return np.minimum(active @ weights, 1.0)
-
-    def load_curve(self, step_ns: int = 10 * MS) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled ``(times, loads)`` over the horizon."""
-        times = np.arange(0, self.horizon_ns, step_ns, dtype=np.float64)
-        return times, self.load_at_array(times)
 
     def occupancy_curve(
         self,

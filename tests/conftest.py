@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,25 @@ TINY = Scale(
 @pytest.fixture(scope="session")
 def tiny_scale() -> Scale:
     return TINY
+
+
+@pytest.fixture
+def fail_rename(monkeypatch):
+    """``fail_rename(name)`` makes every rename onto a file called
+    ``name`` raise ``OSError``; renames onto other files go through."""
+    replace = os.replace
+
+    def arm(name: str) -> None:
+        def failing(src, dst, *args, **kwargs):
+            if Path(dst).name == name:
+                raise OSError(f"injected: cannot rename onto {name}")
+            return replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", failing)
+
+    return arm
+
+
+def temp_files(directory) -> list[str]:
+    """Names of the ``.``-prefixed files an atomic write leaves behind."""
+    return sorted(p.name for p in Path(directory).iterdir() if p.name.startswith("."))

@@ -20,6 +20,7 @@ from repro.data.format import X_MEMBER, ShardFormatError, read_meta
 from repro.data.manifest import MANIFEST_NAME
 from repro.data.writer import collector_for, config_sites, partition_sites
 
+from tests.conftest import temp_files
 from tests.data import FOREIGN_X_LAYOUTS, rewrite_store_x
 
 CONFIG = DatasetConfig(n_sites=4, traces_per_site=2, trace_seconds=0.4)
@@ -136,6 +137,19 @@ class TestResume:
         assert verify_store(store_dir) == []
 
 
+    def test_failed_shard_write_keeps_previous_file_and_leaves_no_temp(
+        self, tmp_path, fail_rename
+    ):
+        store_dir, _ = build(tmp_path)
+        path = store_dir / "shard-0000.npz"
+        path.write_bytes(b"corrupt")
+        fail_rename(path.name)
+        with pytest.raises(OSError, match="injected"):
+            build_dataset(store_dir, CONFIG, shard_sites=2)
+        assert path.read_bytes() == b"corrupt"
+        assert temp_files(store_dir) == []
+
+
 class TestReader:
     def test_labels_and_classes_are_lazy_and_complete(self, tmp_path, reference):
         store_dir, _ = build(tmp_path)
@@ -249,6 +263,21 @@ class TestMerge:
         manifest = merge_stores([a_dir, b_dir], tmp_path / "merged")
         assert manifest.repro_version == "0.0.0-other"
         assert DatasetManifest.load(tmp_path / "merged").repro_version == "0.0.0-other"
+
+    def test_failed_shard_copy_keeps_previous_file_and_leaves_no_temp(
+        self, tmp_path, fail_rename
+    ):
+        a_dir, _ = build(tmp_path, "a")
+        b_dir, _ = build(tmp_path, "b")
+        merged_dir = tmp_path / "merged"
+        merged_dir.mkdir()
+        previous = merged_dir / "shard-0000.npz"
+        previous.write_bytes(b"previous")
+        fail_rename(previous.name)
+        with pytest.raises(OSError, match="injected"):
+            merge_stores([a_dir, b_dir], merged_dir)
+        assert previous.read_bytes() == b"previous"
+        assert temp_files(merged_dir) == []
 
     def test_merge_rejects_existing_store(self, tmp_path):
         a_dir, _ = build(tmp_path, "a")

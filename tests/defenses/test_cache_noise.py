@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.defenses.cache_noise import CacheSweepNoise, cache_noise_hooks
+from repro.defenses.cache_noise import CacheSweepNoise
 from repro.sim.events import SEC
 from repro.workload.phases import BurstKind
 
@@ -37,7 +37,3 @@ class TestCacheSweepNoise:
             CacheSweepNoise(occupancy_floor=1.5)
         with pytest.raises(ValueError):
             CacheSweepNoise(cpu_intensity=0.0)
-
-    def test_default_hooks_helper(self):
-        hooks = cache_noise_hooks(HORIZON)
-        assert hooks.occupancy_floor == CacheSweepNoise().occupancy_floor

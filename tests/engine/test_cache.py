@@ -26,6 +26,7 @@ from repro.engine.cache import (
 from repro.sim.machine import MachineConfig
 from repro.workload.browser import CHROME, FIREFOX, LINUX
 from repro.workload.website import profile_for
+from tests.conftest import temp_files
 
 
 @dataclasses.dataclass
@@ -200,6 +201,21 @@ class TestTraceCacheRoundTrip:
         assert loaded.attacker == trace.attacker
         assert loaded.spec == trace.spec
         assert cache.stats.hits == 1 and cache.stats.puts == 1
+
+    def test_failed_put_keeps_previous_entry_and_leaves_no_temp(
+        self, cache, collector, fail_rename
+    ):
+        site = profile_for("nytimes.com")
+        key = collector._cache_key(site, 0, None)
+        cache.put(key, collector._collect_uncached(site, 0, None))
+        entry = cache._entry_path(key)
+        before = entry.read_bytes()
+        fail_rename(entry.name)
+        with pytest.raises(OSError, match="injected"):
+            cache.put(key, collector._collect_uncached(site, 1, None))
+        assert entry.read_bytes() == before
+        assert temp_files(entry.parent) == []
+        assert cache.stats.puts == 1
 
     def test_second_dataset_collection_skips_simulation(self, cache, monkeypatch):
         sites = [profile_for("nytimes.com"), profile_for("amazon.com")]

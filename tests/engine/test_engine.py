@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,8 +232,8 @@ class TestRunContext:
 class TestParallelDeterminism:
     """Same seed -> bit-identical results, regardless of worker count."""
 
-    def _evaluate(self, jobs: int):
-        pipeline = FingerprintingPipeline(
+    def _pipeline(self, jobs: int) -> FingerprintingPipeline:
+        return FingerprintingPipeline(
             MachineConfig(os=LINUX),
             CHROME,
             attacker=LoopCountingAttacker(),
@@ -239,13 +241,19 @@ class TestParallelDeterminism:
             seed=11,
             engine=ExecutionEngine(jobs=jobs),
         )
-        return pipeline.run_closed_world()
 
     def test_closed_world_bit_identical(self):
-        serial = self._evaluate(jobs=1)
-        parallel = self._evaluate(jobs=2)
+        serial = self._pipeline(jobs=1).run_closed_world()
+        parallel = self._pipeline(jobs=2).run_closed_world()
         assert serial.fold_top1 == parallel.fold_top1
         assert serial.fold_top5 == parallel.fold_top5
+
+    def test_open_world_bit_identical(self):
+        serial = self._pipeline(jobs=1).run_open_world()
+        parallel = self._pipeline(jobs=2).run_open_world()
+        for field in dataclasses.fields(serial):
+            assert getattr(parallel, field.name) == getattr(serial, field.name), field.name
+        assert serial.false_accusation_rate is not None
 
     def test_collect_traces_bit_identical(self):
         from repro.core.collector import TraceCollector

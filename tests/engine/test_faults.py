@@ -13,6 +13,7 @@ testing nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -317,3 +318,27 @@ class TestPipelineUnderFaults:
         for a, b in zip(clean, faulty):
             np.testing.assert_array_equal(a.counters, b.counters)
             np.testing.assert_array_equal(a.observed_starts, b.observed_starts)
+
+    @pytest.mark.slow
+    def test_open_world_survives_injection(self):
+        """Both open-world stages under raise, hang and kill faults equal
+        a clean serial run field by field; the plan hits both folds."""
+        from repro.core.pipeline import FingerprintingPipeline
+        from repro.sim.machine import MachineConfig
+        from repro.workload.browser import CHROME, LINUX
+        from tests.conftest import TINY
+
+        def open_world(engine):
+            return FingerprintingPipeline(
+                MachineConfig(os=LINUX), CHROME, scale=TINY, seed=11, engine=engine
+            ).run_open_world()
+
+        clean = open_world(ExecutionEngine(jobs=1))
+        plan = FaultPlan(rate=0.2, modes=("raise", "hang", "kill"), seed=113, hang_s=1.2)
+        assert set(_injected_indices(plan, "train", TINY.n_folds)) == {"hang", "kill"}
+        engine = ExecutionEngine(jobs=2, task_timeout=0.5)
+        with faults.injected(plan):
+            faulty = open_world(engine)
+        assert engine.timings_snapshot()["train"]["task_errors"]
+        for field in dataclasses.fields(clean):
+            assert getattr(faulty, field.name) == getattr(clean, field.name), field.name

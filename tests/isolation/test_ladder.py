@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isolation.ladder import isolation_ladder, iter_ladder
+from repro.isolation.ladder import isolation_ladder
 from repro.sim.machine import MachineConfig
 
 
@@ -39,6 +39,3 @@ class TestLadder:
         base = MachineConfig(n_cores=8)
         steps = isolation_ladder(base)
         assert all(s.machine.n_cores == 8 for s in steps)
-
-    def test_iter_ladder(self):
-        assert [s.name for s in iter_ladder()] == [s.name for s in isolation_ladder()]

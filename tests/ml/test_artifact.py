@@ -15,6 +15,7 @@ from repro.ml.artifact import (
     save_artifact,
 )
 from repro.ml.models import FeatureFingerprinter, LstmFingerprinter
+from tests.conftest import temp_files
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,24 @@ class TestRoundTrip:
         assert (tmp_path / "a" / ARTIFACT_JSON).read_text() == (
             tmp_path / "b" / ARTIFACT_JSON
         ).read_text()
+
+
+class TestCrashSafety:
+    def test_failed_weights_write_keeps_previous_artifact(
+        self, dataset, feature_model, tmp_path, fail_rename
+    ):
+        x, y = dataset
+        path = feature_model.save(tmp_path / "model", classes=CLASSES)
+        before = {name: (path / name).read_bytes() for name in (ARTIFACT_JSON, WEIGHTS_NPZ)}
+        retrained = FeatureFingerprinter(seed=4).fit(x, y[::-1], 4)
+        fail_rename(WEIGHTS_NPZ)
+        with pytest.raises(OSError, match="injected"):
+            retrained.save(path, classes=CLASSES[::-1])
+        assert {name: (path / name).read_bytes() for name in before} == before
+        assert temp_files(path) == []
+        np.testing.assert_array_equal(
+            load_artifact(path).predict_proba(x), feature_model.predict_proba(x)
+        )
 
 
 class TestValidation:

@@ -1,66 +1,9 @@
-"""Tests for classification metrics."""
+"""Tests for the open-world error decomposition."""
 
 import numpy as np
 import pytest
 
-from repro.ml.metrics import (
-    confusion_matrix,
-    macro_f1,
-    open_world_metrics,
-    per_class_metrics,
-)
-
-
-class TestConfusionMatrix:
-    def test_perfect_prediction_is_diagonal(self):
-        y = np.array([0, 1, 2, 1])
-        matrix = confusion_matrix(y, y, 3)
-        assert matrix.trace() == 4
-        assert matrix.sum() == 4
-
-    def test_counts_placed_correctly(self):
-        matrix = confusion_matrix([0, 0, 1], [1, 0, 1], 2)
-        assert matrix[0, 1] == 1
-        assert matrix[0, 0] == 1
-        assert matrix[1, 1] == 1
-
-    def test_validates_alignment(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([0, 1], [0], 2)
-
-    def test_validates_range(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([0, 3], [0, 1], 2)
-
-
-class TestPerClassMetrics:
-    def test_perfect(self):
-        matrix = np.diag([5, 3])
-        metrics = per_class_metrics(matrix)
-        assert all(m.precision == 1.0 and m.recall == 1.0 for m in metrics)
-        assert metrics[0].support == 5
-
-    def test_known_values(self):
-        # class 0: tp=2, fn=1, fp=1
-        matrix = np.array([[2, 1], [1, 3]])
-        metrics = per_class_metrics(matrix)
-        assert metrics[0].precision == pytest.approx(2 / 3)
-        assert metrics[0].recall == pytest.approx(2 / 3)
-        assert metrics[0].f1 == pytest.approx(2 / 3)
-
-    def test_absent_class_zero_metrics(self):
-        matrix = np.array([[4, 0], [0, 0]])
-        metrics = per_class_metrics(matrix)
-        assert metrics[1].precision == 0.0
-        assert metrics[1].recall == 0.0
-
-    def test_macro_f1(self):
-        matrix = np.diag([5, 5])
-        assert macro_f1(matrix) == 1.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            per_class_metrics(np.ones((2, 3)))
+from repro.ml.metrics import open_world_metrics
 
 
 class TestOpenWorldMetrics:

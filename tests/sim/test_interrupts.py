@@ -15,7 +15,6 @@ from repro.sim.interrupts import (
     InterruptType,
     LatencySpec,
     _stable_time_order,
-    is_movable,
     merge_batches,
 )
 
@@ -34,7 +33,7 @@ class TestTaxonomy:
             InterruptType.DISK,
             InterruptType.KEYBOARD,
         ):
-            assert is_movable(itype)
+            assert itype in MOVABLE_TYPES
 
     def test_paper_non_movable_examples(self):
         """Timer ticks, softirqs, resched IPIs and TLB shootdowns cannot move."""
@@ -44,7 +43,7 @@ class TestTaxonomy:
             InterruptType.RESCHED_IPI,
             InterruptType.TLB_SHOOTDOWN,
         ):
-            assert not is_movable(itype)
+            assert itype not in MOVABLE_TYPES
 
     def test_piggyback_types_are_non_movable(self):
         assert PIGGYBACK_TYPES <= NON_MOVABLE_TYPES

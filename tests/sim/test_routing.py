@@ -7,7 +7,6 @@ from repro.sim.routing import (
     AffinitySourceRouting,
     PinnedRouting,
     SoftirqPlacement,
-    SpreadRouting,
 )
 
 
@@ -38,13 +37,6 @@ class TestAffinityRouting:
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
             AffinitySourceRouting(0)
-
-
-class TestSpreadRouting:
-    def test_covers_all_cores(self, rng):
-        policy = SpreadRouting(4)
-        targets = policy.route_source("nic0", 1000, rng)
-        assert set(targets.tolist()) == {0, 1, 2, 3}
 
 
 class TestPinnedRouting:

@@ -131,11 +131,6 @@ class TestGapTimeline:
         assert gaps.next_execution_time(15.0) == 20.0
         assert gaps.next_execution_time(30.0) == 30.0
 
-    def test_gaps_overlapping(self):
-        gaps = self.make()
-        assert list(gaps.gaps_overlapping(15.0, 60.0)) == [0, 1]
-        assert list(gaps.gaps_overlapping(25.0, 45.0)) == []
-
     def test_empty_timeline(self):
         gaps = GapTimeline.empty()
         assert gaps.total_stolen_ns == 0.0

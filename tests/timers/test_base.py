@@ -1,33 +1,6 @@
 """Tests for the timer base utilities."""
 
-import pytest
-
-from repro.timers.base import MonotonicQueryMixin, PreciseTimer
-
-
-class _Stateful(MonotonicQueryMixin):
-    def probe(self, t):
-        self._check_monotonic(t)
-        return t
-
-
-class TestMonotonicQueryMixin:
-    def test_accepts_increasing(self):
-        timer = _Stateful()
-        for t in (0.0, 1.0, 1.0, 5.0):
-            timer.probe(t)
-
-    def test_rejects_decreasing(self):
-        timer = _Stateful()
-        timer.probe(10.0)
-        with pytest.raises(ValueError, match="backwards"):
-            timer.probe(9.0)
-
-    def test_reset_clears_watermark(self):
-        timer = _Stateful()
-        timer.probe(10.0)
-        timer._reset_monotonic()
-        timer.probe(0.0)
+from repro.timers.base import PreciseTimer
 
 
 class TestPreciseTimerReset:

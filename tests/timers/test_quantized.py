@@ -87,6 +87,92 @@ class TestQuantizedTimer:
         assert timer.read(t) - timer.read(t0) >= elapsed - 1e-6
 
 
+def _floor_read(t: float, delta: float) -> float:
+    """Floor quantization, ``floor(t / Δ) · Δ``, written out."""
+    return math.floor(t / delta) * delta
+
+
+def _floor_crossing(t0: float, elapsed: float, delta: float) -> float:
+    """The first bucket boundary ``ceil(elapsed / Δ)`` buckets on, one
+    bucket later where floating-point rounding floors it short."""
+    if elapsed == 0:
+        return float(t0)
+    bucket0 = math.floor(t0 / delta)
+    buckets = math.ceil(elapsed / delta)
+    crossing = (bucket0 + buckets) * delta
+    if _floor_read(crossing, delta) - _floor_read(t0, delta) < elapsed:
+        crossing = (bucket0 + buckets + 1) * delta
+    return crossing
+
+
+class _FloorTimer(BrowserTimer):
+    """The floor formula as a timer, walked by the base boundary loop."""
+
+    def __init__(self, delta_ns: float):
+        self.delta_ns = float(delta_ns)
+
+    def read(self, t_real_ns: float) -> float:
+        return _floor_read(t_real_ns, self.delta_ns)
+
+    def first_crossing(self, t0_real_ns: float, elapsed_ns: float) -> float:
+        return _floor_crossing(t0_real_ns, elapsed_ns, self.delta_ns)
+
+
+#: Firefox's and Safari's Δ, Tor's, and one that is not a whole number
+#: of nanoseconds.
+_FLOOR_DELTAS_NS = (1 * MS, 100 * MS, 33_333.3)
+_FLOOR_PERIODS_NS = (5 * MS, 100 * MS, 500 * MS)
+_FLOOR_SEEDS = range(5)
+_FLOOR_HORIZON_NS = 8_000 * MS
+
+
+def _disjoint_gaps(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint gaps of 1 µs to 300 ms (log-uniform), the first
+    covering 0, so crossings land inside gaps at every Δ."""
+    rng = np.random.default_rng(seed)
+    starts = np.sort(rng.uniform(0.0, _FLOOR_HORIZON_NS, 400))
+    starts[0] = -50.0
+    lengths = np.exp(rng.uniform(np.log(1e3), np.log(300 * MS), len(starts)))
+    ends = np.minimum(starts + lengths, np.append(starts[1:], np.inf))
+    return starts, ends
+
+
+@pytest.mark.parametrize("period_ns", _FLOOR_PERIODS_NS)
+@pytest.mark.parametrize("delta_ns", _FLOOR_DELTAS_NS)
+class TestQuantizedIsFloorFormula:
+    """A quantized timer is the ε table's timer with ε ≡ 0: its reads,
+    crossings and fused boundary pass are the floor formula's."""
+
+    def test_read_and_crossing(self, delta_ns, period_ns):
+        timer = QuantizedTimer(delta_ns)
+        delta_ns = float(delta_ns)
+        for seed in _FLOOR_SEEDS:
+            rng = np.random.default_rng([seed, int(delta_ns), int(period_ns)])
+            t0s = rng.uniform(-1_000 * MS, 20_000 * MS, 500)
+            edges = rng.integers(0, 20_000 * MS / delta_ns, 100) * delta_ns
+            for t0 in [*t0s.tolist(), *edges.tolist(), *np.nextafter(edges, 0).tolist()]:
+                assert timer.read(t0) == _floor_read(t0, delta_ns)
+                assert timer.first_crossing(t0, period_ns) == _floor_crossing(
+                    t0, period_ns, delta_ns
+                )
+
+    def test_fused_walk(self, delta_ns, period_ns):
+        for seed in _FLOOR_SEEDS:
+            starts, ends = _disjoint_gaps(seed)
+            timer = QuantizedTimer(delta_ns)
+            fused = timer.period_boundaries(starts, ends, _FLOOR_HORIZON_NS, period_ns)
+            loop = BrowserTimer.period_boundaries(
+                timer, starts, ends, _FLOOR_HORIZON_NS, period_ns
+            )
+            floor = BrowserTimer.period_boundaries(
+                _FloorTimer(delta_ns), starts, ends, _FLOOR_HORIZON_NS, period_ns
+            )
+            _assert_same_walk(fused, loop)
+            _assert_same_walk(fused, floor)
+            # Some crossing landed in a gap and the walk resumed at its end.
+            assert np.isin(fused[1], ends).any()
+
+
 class TestJitteredTimer:
     def test_deviation_bounded_by_2_delta(self):
         """Chrome's guarantee: |T_secure - T_real| < 2Δ."""

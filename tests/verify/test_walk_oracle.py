@@ -6,7 +6,7 @@ from repro.core.attacker import SweepCountingAttacker
 from repro.core.collector import TraceCollector
 from repro.core.walk_ref import ReferenceTraceCollector
 from repro.timers.base import BrowserTimer
-from repro.timers.quantized import JitteredTimer
+from repro.timers.quantized import QuantizedTimer
 from repro.verify import oracles
 from repro.verify.compare import diff_structures
 from repro.verify.driver import sweep
@@ -35,10 +35,10 @@ class TestCollectWalkOracle:
     def test_nudged_boundary_pass_fails(self, monkeypatch):
         """One observed start moved by one ulp in the new walk only.
 
-        The reference walk never calls ``period_boundaries``; the jittered
-        timer's fused loop and the base loop are both nudged.
+        The reference walk never calls ``period_boundaries``; the quantized
+        and jittered timers' fused loop and the base loop are both nudged.
         """
-        for cls in (BrowserTimer, JitteredTimer):
+        for cls in (BrowserTimer, QuantizedTimer):
 
             def nudged(self, *args, boundaries=cls.period_boundaries):
                 begins, ends, observed = boundaries(self, *args)

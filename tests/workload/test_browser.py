@@ -52,12 +52,6 @@ class TestBrowserTraces:
     def test_horizon_ns(self):
         assert CHROME.horizon_ns == 15_000_000_000
 
-    def test_with_timer_swaps(self):
-        swapped = CHROME.with_timer(TOR_BROWSER.timer)
-        assert swapped.timer is TOR_BROWSER.timer
-        assert swapped.name == CHROME.name
-        assert CHROME.timer.resolution_ns == pytest.approx(0.1 * MS)  # original intact
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Browser(name="x", timer=CHROME.timer, load_stretch=0)

@@ -8,7 +8,6 @@ from repro.workload.catalog import (
     closed_world,
     marquee_sites,
     open_world,
-    site_labels,
 )
 
 
@@ -85,8 +84,5 @@ class TestOpenWorld:
 
 
 class TestLabels:
-    def test_site_labels(self):
-        assert site_labels(closed_world(3)) == list(CLOSED_WORLD_SITES[:3])
-
     def test_non_sensitive_label_is_not_a_site(self):
         assert NON_SENSITIVE_LABEL not in CLOSED_WORLD_SITES

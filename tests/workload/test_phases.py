@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.events import MS, SEC
+from repro.sim.events import SEC
 from repro.workload.phases import (
     KIND_PROFILES,
     ActivityBurst,
@@ -33,12 +33,6 @@ class TestActivityBurst:
             ActivityBurst(0, 1, BurstKind.NETWORK, 0.0)
         with pytest.raises(ValueError):
             ActivityBurst(0, 1, BurstKind.NETWORK, 1.5)
-
-    def test_overlap(self):
-        b = burst(1.0, 2.0)
-        assert b.overlap_ns(0, 2 * SEC) == pytest.approx(1 * SEC)
-        assert b.overlap_ns(5 * SEC, 6 * SEC) == 0.0
-        assert b.overlap_ns(1.5 * SEC, 2.5 * SEC) == pytest.approx(1 * SEC)
 
 
 class TestKindProfiles:
@@ -81,12 +75,6 @@ class TestActivityTimeline:
         bursts = [burst(0, 1, kind=BurstKind.COMPUTE, intensity=1.0) for _ in range(5)]
         timeline = ActivityTimeline(bursts, 10 * SEC)
         assert timeline.load_at(0.5 * SEC) == 1.0
-
-    def test_load_curve_shape(self):
-        timeline = ActivityTimeline([burst(1, 1)], 2 * SEC)
-        times, loads = timeline.load_curve(step_ns=100 * MS)
-        assert len(times) == len(loads) == 20
-        assert loads.max() > 0
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
