@@ -276,6 +276,9 @@ class ExecutionEngine:
         items = list(items)
         task = _TimedTask(fn, stage)
         record = self._stages.setdefault(stage, _Stage())
+        # Before a task runs here or a worker starts: workers inherit the
+        # stamped plan, and only they kill or hang.
+        engine_faults.claim_parent()
         started = time.perf_counter()
         try:
             with obs.span(

@@ -27,7 +27,10 @@ variable (a ``key=value`` spec, e.g. ``rate=0.2,modes=raise+kill,seed=3``)
 so forked and spawned workers alike pick the plan up; the engine calls
 :func:`maybe_inject` at the top of every task.  ``kill`` and ``hang``
 degrade to ``raise`` in the parent process, so inline (serial or
-fallback) execution never kills or stalls the main interpreter.
+fallback) execution never kills or stalls the main interpreter.  A spec
+set by hand names no parent; the engine stamps it with its own pid
+(:func:`claim_parent`) before it runs a task inline or starts a pool,
+so the workers it starts inherit the stamp.
 """
 
 from __future__ import annotations
@@ -166,6 +169,20 @@ def activate(plan: FaultPlan) -> FaultPlan:
         plan = dataclasses.replace(plan, parent_pid=os.getpid())
     os.environ[FAULTS_ENV_VAR] = plan.spec()
     return plan
+
+
+def claim_parent() -> None:
+    """Make this process the parent of a plan that names none.
+
+    A plan parsed from a hand-set :data:`FAULTS_ENV_VAR` has
+    ``parent_pid=0``, so every process, the scheduler included, would
+    take itself for a worker and ``kill`` or ``hang`` there.  Re-exports
+    the plan stamped with this pid; a plan that names a parent is left
+    alone, so a worker never claims its parent's plan.
+    """
+    plan = active_plan()
+    if plan is not None and plan.parent_pid == 0:
+        activate(plan)
 
 
 def deactivate() -> None:

@@ -61,30 +61,37 @@ class FeatureExtractor:
         """Features for a batch of traces ``(n, length)``, ``length >= 1``.
 
         A 1-sample trace has no differences and no spectrum past DC; both
-        blocks are zeros for it.
+        blocks are zeros for it.  Each row pass runs once: the row mean
+        serves the centring and the summary, the centred rows feed the
+        spectrum and are then squared in place for the standard deviation
+        (the operations ``np.std`` runs), and only the pooled band of the
+        spectrum is energy-normalized.  ``ReferenceFeatureExtractor`` in
+        :mod:`repro.ml.layers_ref` keeps the expression-per-feature form,
+        and the ``ml.features`` oracle holds the two to the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected (n, length), got {x.shape}")
-        with obs.span("ml.features", rows=x.shape[0], length=x.shape[1]):
+        n, length = x.shape
+        with obs.span("ml.features", rows=n, length=length):
             shape = mean_pool(x, self.shape_bins)
-            diffs = np.abs(np.diff(x, axis=1))
-            if diffs.shape[1] == 0:
-                diffs = np.zeros((len(x), 1))
+            diffs = np.subtract(x[:, 1:], x[:, :-1]) if length > 1 else np.zeros((n, 1))
+            np.abs(diffs, out=diffs)
             diff_pooled = mean_pool(diffs, self.diff_bins)
-            spectrum = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
+            mean = x.mean(axis=1, keepdims=True)
+            centred = np.subtract(x, mean)
+            spectrum = np.abs(np.fft.rfft(centred, axis=1))
             # Energy-normalize so per-load gain (session bandwidth, caching)
             # does not scale the spectral fingerprint, then pool narrowly:
             # burst micro-structure (packet trains, render cadence) shows up
             # as sharp lines in the 5-50 Hz band that survive 4-bin pooling.
-            spectrum = spectrum / (spectrum.sum(axis=1, keepdims=True) + 1e-12)
+            energy = spectrum.sum(axis=1, keepdims=True) + 1e-12
             band = spectrum[:, 1 : 1 + 4 * self.fft_bins]
-            if band.shape[1] == 0:
-                band = np.zeros((len(x), 1))
+            band = band / energy if band.shape[1] else np.zeros((n, 1))
             fft_feats = mean_pool(band, self.fft_bins)
-            stats = np.column_stack(
-                [x.mean(axis=1), x.std(axis=1), x.min(axis=1), diffs.mean(axis=1)]
-            )
+            np.square(centred, out=centred)
+            std = np.sqrt(np.add.reduce(centred, axis=1) / length)
+            stats = np.column_stack([mean[:, 0], std, x.min(axis=1), diffs.mean(axis=1)])
             return np.concatenate([shape, diff_pooled, fft_feats, stats], axis=1)
 
 

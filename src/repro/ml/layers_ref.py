@@ -25,6 +25,13 @@ place: separate ``W`` and ``b``, every intermediate a fresh array and
 one Adam update per parameter.  The ``ml.linear`` oracle holds the two
 to the same bits on ``W``, ``b`` and ``predict_proba``.
 
+:class:`ReferenceFeatureExtractor` keeps the transform that
+:class:`~repro.ml.features.FeatureExtractor` ran before it passed over
+each row once: one expression per feature block, so the row mean is
+taken twice, ``np.std`` centres the rows a second time, ``abs`` and the
+energy normalization allocate whole new matrices.  The ``ml.features``
+oracle holds the two to the same bits.
+
 Nothing here is exported through ``repro.ml``'s public surface; the
 verify harness and its tests are the only intended consumers.
 """
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.features import FeatureExtractor, mean_pool
 from repro.ml.layers import Conv1D, Layer, MaxPool1D, ReLU
 from repro.ml.linear import SoftmaxRegression
 from repro.ml.losses import softmax
@@ -162,6 +170,30 @@ class ReferenceSoftmaxRegression(SoftmaxRegression):
                 v_hat = v / (1 - beta2**t)
                 param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         return self.W, self.b
+
+
+class ReferenceFeatureExtractor(FeatureExtractor):
+    """The feature transform with one expression per feature block."""
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"expected (n, length), got {x.shape}")
+        shape = mean_pool(x, self.shape_bins)
+        diffs = np.abs(np.diff(x, axis=1))
+        if diffs.shape[1] == 0:
+            diffs = np.zeros((len(x), 1))
+        diff_pooled = mean_pool(diffs, self.diff_bins)
+        spectrum = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
+        spectrum = spectrum / (spectrum.sum(axis=1, keepdims=True) + 1e-12)
+        band = spectrum[:, 1 : 1 + 4 * self.fft_bins]
+        if band.shape[1] == 0:
+            band = np.zeros((len(x), 1))
+        fft_feats = mean_pool(band, self.fft_bins)
+        stats = np.column_stack(
+            [x.mean(axis=1), x.std(axis=1), x.min(axis=1), diffs.mean(axis=1)]
+        )
+        return np.concatenate([shape, diff_pooled, fft_feats, stats], axis=1)
 
 
 #: Each shipped layer class and the reference that replaces its kernels.

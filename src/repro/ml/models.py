@@ -21,6 +21,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro import obs
 from repro.ml.features import FeatureExtractor, Standardizer
 from repro.ml.layers import Conv1D, Dense, Dropout, MaxPool1D, ReLU
 from repro.ml.linear import SoftmaxRegression
@@ -189,8 +190,9 @@ class LstmFingerprinter(_ArtifactMixin):
         if not hasattr(self, "_network"):
             raise RuntimeError("classifier not fitted")
         x = _rows_of_length(x, self._input_length)
-        x = (x - self._input_mean) / self._input_std
-        return self._network.predict_proba(x[:, :, None])
+        with obs.span("ml.predict", backend="lstm", rows=len(x)):
+            x = (x - self._input_mean) / self._input_std
+            return self._network.predict_proba(x[:, :, None])
 
 
 @dataclass
@@ -229,8 +231,9 @@ class FeatureFingerprinter(_ArtifactMixin):
         if not hasattr(self, "_model"):
             raise RuntimeError("classifier not fitted")
         x = _rows_of_length(x, self._input_length)
-        features = self._standardizer.transform(self.extractor.transform(x))
-        return self._model.predict_proba(features)
+        with obs.span("ml.predict", backend="feature", rows=len(x)):
+            features = self._standardizer.transform(self.extractor.transform(x))
+            return self._model.predict_proba(features)
 
 
 def make_fingerprinter(backend: str, seed: int = 0) -> Fingerprinter:

@@ -27,6 +27,16 @@ Operational behavior:
 * **Structured errors** — every failure is a :class:`PredictResult`
   with ``ok=False`` and an ``error`` code from :data:`ERROR_CODES`;
   exceptions never propagate to other requests in the batch's queue.
+  A model that fails to load or to classify (a truncated
+  ``weights.npz``, rows of the wrong length) answers its batch with
+  ``model_error`` and the exception's text, and the worker goes on to
+  the next batch.
+* **One completion per call** — the requests of one :meth:`submit` or
+  :meth:`~FingerprintServer.predict_many` call share one completion,
+  set when the last of them resolves, so a bulk call wakes once, not
+  once per request.  ``submit`` returns a handle whose
+  ``done.wait(timeout)`` returns whether it was answered in time and
+  whose ``result`` holds the answer.
 * **Observability** — queue depth, batch sizes, error counts and each
   served request's queue wait, compute time and their sum are exported
   through :mod:`repro.obs` (``serve.queue_ms``, ``serve.compute_ms``,
@@ -86,20 +96,64 @@ def _failure(code: str, detail: str = "", wait_ms: float = 0.0) -> PredictResult
     return PredictResult(ok=False, error=code, detail=detail, wait_ms=wait_ms)
 
 
+class _Completion:
+    """Set once every request of one ``submit`` or ``predict_many`` call
+    has resolved.
+
+    A countdown over a latch: a lock held from creation and released by
+    the last resolution, so a waiter blocks in one ``acquire`` and wakes
+    once, and a one-request completion costs less than a
+    ``threading.Event``.  The caller resolves its own failures and the
+    worker the rest, so the count has a lock of its own.
+    """
+
+    __slots__ = ("_unresolved", "_lock", "_latch")
+
+    def __init__(self, requests: int):
+        self._unresolved = requests
+        self._lock = threading.Lock()
+        self._latch = threading.Lock()
+        if requests:
+            self._latch.acquire()
+
+    def resolve_one(self) -> None:
+        with self._lock:
+            self._unresolved -= 1
+            last = self._unresolved == 0
+        if last:
+            self._latch.release()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the call completes, or ``timeout`` seconds pass;
+        whether it completed."""
+        if self._unresolved == 0:
+            return True  # without queueing behind a waiter passing the latch
+        if timeout is None:
+            acquired = self._latch.acquire()
+        else:
+            acquired = self._latch.acquire(timeout=max(timeout, 0.0))
+        if acquired:
+            self._latch.release()  # every later wait passes too
+        return acquired
+
+
 @dataclass
 class _Pending:
-    """One queued request, resolved by the batching worker."""
+    """One request: its vector, and ``done``, the completion it shares
+    with the rest of its call."""
 
     vector: np.ndarray
     model: str
     enqueued: float
     deadline: Optional[float]  # absolute time.monotonic(), or None
-    done: threading.Event = field(default_factory=threading.Event)
+    done: _Completion = field(default_factory=lambda: _Completion(1))
     result: Optional[PredictResult] = None
 
     def resolve(self, result: PredictResult) -> None:
-        self.result = result
-        self.done.set()
+        """Answer the request; one already answered keeps its answer."""
+        if self.result is None:
+            self.result = result
+            self.done.resolve_one()
 
 
 class FingerprintServer:
@@ -194,7 +248,12 @@ class FingerprintServer:
         model: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> _Pending:
-        """Enqueue one trace vector; returns a waitable pending handle."""
+        """Enqueue one trace vector; returns its handle.
+
+        ``handle.done.wait(timeout)`` returns True once the request is
+        answered (False if ``timeout`` seconds pass first), and
+        ``handle.result`` then holds the :class:`PredictResult`.
+        """
         return self._enqueue([vector], model, deadline_ms)[0]
 
     def predict(
@@ -222,10 +281,11 @@ class FingerprintServer:
         packs them into full batches of ``max_batch`` — the natural
         bulk-classification entry point.  Those that do not fit in the
         queue fail with ``overloaded``, and they are always the last.
+        The call waits once, on the completion all its requests share.
         """
         handles = self._enqueue(vectors, model, deadline_ms)
-        for handle in handles:
-            handle.done.wait()
+        if handles:
+            handles[0].done.wait()
         return [handle.result for handle in handles]
 
     def _enqueue(
@@ -234,7 +294,8 @@ class FingerprintServer:
         """Validate ``vectors`` and queue the valid ones in order.
 
         The lock is taken and the worker notified once per call, so the
-        worker sees every vector of the call at the same time.
+        worker sees every vector of the call at the same time.  Every
+        handle of the call shares one completion.
         """
         now = time.monotonic()
         name = model if model is not None else self.default_model
@@ -242,7 +303,10 @@ class FingerprintServer:
         deadline = None
         if deadline_ms is not None and problem is None:
             deadline = now + deadline_ms / 1000.0
-        handles = [self._validated(vector, name, now, deadline, problem) for vector in vectors]
+        done = _Completion(len(vectors))
+        handles = [
+            self._validated(vector, name, now, deadline, problem, done) for vector in vectors
+        ]
         obs.counter("serve.requests").inc(len(handles))
         with self._cond:
             queued = 0
@@ -282,13 +346,19 @@ class FingerprintServer:
         return f"deadline_ms must be a finite number, got {deadline_ms!r}"
 
     def _validated(
-        self, vector, name, now: float, deadline: Optional[float], problem: Optional[str]
+        self,
+        vector,
+        name,
+        now: float,
+        deadline: Optional[float],
+        problem: Optional[str],
+        done: _Completion,
     ) -> _Pending:
         """A handle for one request, already resolved as ``bad_input`` when
         its fields have a ``problem`` or its vector is not a finite 1-D
         trace."""
         model = name if problem is None else ""
-        pending = _Pending(vector=np.empty(0), model=model, enqueued=now, deadline=deadline)
+        pending = _Pending(np.empty(0), model, now, deadline, done)
         if problem is not None:
             pending.resolve(_failure("bad_input", problem))
             return pending
@@ -296,7 +366,7 @@ class FingerprintServer:
             array = np.asarray(vector, dtype=np.float64)
             if array.ndim != 1 or array.size == 0:
                 raise ValueError(f"expected a 1-D trace vector, got shape {array.shape}")
-            if not np.all(np.isfinite(array)):
+            if not np.isfinite(array).all():
                 raise ValueError("trace vector contains NaN or infinity")
         except (TypeError, ValueError) as exc:
             pending.resolve(_failure("bad_input", str(exc)))
@@ -360,6 +430,8 @@ class FingerprintServer:
         return taken
 
     def _run_batch(self, batch: List[_Pending]) -> None:
+        """Serve one batch; whatever it raises answers the requests it left
+        unanswered with ``model_error``, and the worker serves on."""
         now = time.monotonic()
         live: List[_Pending] = []
         for pending in batch:
@@ -375,24 +447,24 @@ class FingerprintServer:
                 live.append(pending)
         if not live:
             return
-        model_name = live[0].model
         try:
-            loaded = self.registry.get(model_name)
-        except KeyError as exc:
-            for pending in live:
-                pending.resolve(_failure("bad_input", str(exc)))
-            return
-        obs.counter("serve.batches").inc()
-        obs.histogram("serve.batch_size").observe(float(len(live)))
-        started = time.monotonic()
-        try:
-            with obs.span("serve.batch", model=model_name, size=len(live)):
-                probs = self._classify(loaded, [p.vector for p in live])
+            self._serve(live)
         except Exception as exc:  # noqa: BLE001 - every failure becomes a result
             detail = f"{type(exc).__name__}: {exc}"
             for pending in live:
-                pending.resolve(_failure("model_error", detail))
-            return
+                if pending.result is None:
+                    pending.resolve(_failure("model_error", detail))
+
+    def _serve(self, live: List[_Pending]) -> None:
+        """Load the batch's model, classify its rows in one call and answer
+        each request with its row."""
+        model_name = live[0].model
+        loaded = self.registry.get(model_name)
+        obs.counter("serve.batches").inc()
+        obs.histogram("serve.batch_size").observe(float(len(live)))
+        started = time.monotonic()
+        with obs.span("serve.batch", model=model_name, size=len(live)):
+            probs = self._classify(loaded, [p.vector for p in live])
         compute_ms = (time.monotonic() - started) * 1000.0
         # One sample per served request in each histogram, so a request's
         # latency is its queue wait plus its batch's compute time.

@@ -46,6 +46,11 @@ oracle                   mode       certifies
                                     loop (``ml/layers_ref.py``): ``W``, ``b`` and
                                     ``predict_proba``, with and without L2, on
                                     saturating logits and on one row
+``ml.features``          bit        one-pass feature transform == the retained
+                                    expression per block (``ml/layers_ref.py``)
+                                    on counter-band rows, scales 1e-6 to 1e300,
+                                    NaN, ±inf and constant rows and rows of 1-3
+                                    samples, at default and tiny bin counts
 ======================== ========== =================================================
 
 All callables derive every RNG stream from the case alone, so a failing
@@ -68,7 +73,13 @@ from repro.engine.cache import TraceCache, cache_key
 from repro.engine.engine import ExecutionEngine
 from repro.ml.artifact import load_artifact
 from repro.ml.layers import Conv1D, MaxPool1D, ReLU
-from repro.ml.layers_ref import ReferenceAdam, ReferenceSoftmaxRegression, as_reference
+from repro.ml.features import FeatureExtractor
+from repro.ml.layers_ref import (
+    ReferenceAdam,
+    ReferenceFeatureExtractor,
+    ReferenceSoftmaxRegression,
+    as_reference,
+)
 from repro.ml.linear import SoftmaxRegression
 from repro.ml.models import FeatureFingerprinter, build_paper_network
 from repro.ml.optim import Adam
@@ -1069,6 +1080,59 @@ def _linear_optimized(case: Case) -> dict:
 
 
 # ----------------------------------------------------------------------
+# ml.features — one-pass feature transform vs the retained expressions
+# ----------------------------------------------------------------------
+
+#: Bin counts small enough that every length crops a remainder or pads.
+_FEATURE_TINY_BINS = (3, 2, 5)
+
+
+def _feature_batches(case: Case) -> dict:
+    """Seeded ``(rows, length)`` batches of one more row than the case's
+    traces and one sample plus four per millisecond of horizon (1601 at
+    the default case); per case site one batch of a seeded length, and
+    rows of 1, 2 and 3 samples."""
+    rng = np.random.default_rng([case.seed, 0xFEA7])
+    rows = case.traces + 1
+    length = 1 + int(4 * case.horizon_ms)
+    special = rng.normal(size=(rows + 3, length))
+    for row, value in enumerate((np.nan, np.inf, -np.inf)):
+        special[row, rng.integers(length)] = value
+    special[3] = 1.0  # no spectrum past DC and no spread
+    batches = {
+        "counter band": 1.0 + rng.normal(0.0, 0.05, size=(rows, length)),
+        "scaled": rng.normal(size=(rows, length))
+        * 10.0 ** rng.uniform(-6.0, 300.0, size=(rows, 1)),
+        "special": special,
+    }
+    for site in range(case.sites):
+        batches[f"site {site}"] = rng.normal(size=(rows, int(rng.integers(1, length + 1))))
+    for short in (1, 2, 3):
+        batches[f"length {short}"] = rng.normal(size=(rows, short))
+    return batches
+
+
+def _features_with(case: Case, extractor_cls) -> dict:
+    batches = _feature_batches(case)
+    extractors = {"default": extractor_cls(), "tiny": extractor_cls(*_FEATURE_TINY_BINS)}
+    # inf - inf and the squares of 1e300 warn; both sides compute them alike.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return {
+            f"{bins} {name}": extractor.transform(x)
+            for bins, extractor in extractors.items()
+            for name, x in batches.items()
+        }
+
+
+def _features_reference(case: Case) -> dict:
+    return _features_with(case, ReferenceFeatureExtractor)
+
+
+def _features_optimized(case: Case) -> dict:
+    return _features_with(case, FeatureExtractor)
+
+
+# ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
 
@@ -1247,5 +1311,23 @@ register(
         mode="bit",
         reference=_linear_reference,
         optimized=_linear_optimized,
+    )
+)
+
+register(
+    Oracle(
+        name="ml.features",
+        description=(
+            "FeatureExtractor.transform passing over each row once (one row "
+            "mean, one centring for the spectrum and the deviation, abs in "
+            "place, only the pooled band normalized) vs the retained "
+            "expression per block (ml/layers_ref.py): counter-band rows, "
+            "rows scaled 1e-6 to 1e300, NaN, ±inf and constant rows, a "
+            "seeded length per site and rows of 1-3 samples, at the default "
+            "and tiny bin counts"
+        ),
+        mode="bit",
+        reference=_features_reference,
+        optimized=_features_optimized,
     )
 )

@@ -30,10 +30,13 @@ from tests.conftest import TINY
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_faults(monkeypatch):
+def _no_ambient_faults(request, monkeypatch):
     """These tests assert exact retry/error counts; a CI-level
-    BIGGERFISH_FAULTS plan would skew them (test_faults.py opts in)."""
-    monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
+    BIGGERFISH_FAULTS plan would skew them (test_faults.py opts in).
+    ``TestParallelDeterminism`` keeps the plan: its results must not
+    move under faults."""
+    if request.cls is not TestParallelDeterminism:
+        monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
 
 
 def _square(x: int) -> int:

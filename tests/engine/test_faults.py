@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import ExecutionEngine, RunManifest, TaskFailedError
 from repro.engine import engine as engine_module
 from repro.engine import faults
@@ -158,6 +161,32 @@ class TestParentSafety:
         assert results == [x * x for x in items]
         assert engine.fault_snapshot()["retries"] == len(items)
 
+    def test_serial_map_under_an_env_set_kill_plan(self):
+        """A plan set in the environment by hand names no parent; the
+        engine claims it, so its inline kills raise and are retried.  In
+        a child interpreter: an inline kill would end the process."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("BIGGERFISH_")}
+        env[faults.FAULTS_ENV_VAR] = "rate=0.5,modes=kill,seed=1"
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "from repro.engine import ExecutionEngine\n"
+            "print(ExecutionEngine(jobs=1).map(abs, range(-10, 10)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str([abs(x) for x in range(-10, 10)])
+
+    def test_claim_parent_stamps_only_an_unclaimed_plan(self, monkeypatch):
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "rate=0.5,modes=kill,seed=1")
+        faults.claim_parent()
+        assert faults.active_plan().parent_pid == os.getpid()
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "rate=0.5,modes=kill,parent_pid=1")
+        faults.claim_parent()
+        assert faults.active_plan().parent_pid == 1
+
 
 class TestParallelRecovery:
     """Injected faults in worker processes; results stay bit-identical."""
@@ -179,6 +208,17 @@ class TestParallelRecovery:
         assert sorted(e["index"] for e in errors) == injected
         assert {e["kind"] for e in errors} == {"exception"}
         assert {e["error_type"] for e in errors} == {"InjectedFault"}
+
+    def test_env_set_kill_plan_still_kills_workers(self, monkeypatch):
+        """The engine claims a hand-set plan before it starts the pool, so
+        workers inherit the parent's pid and still die, even when the
+        parent read nothing before the map."""
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "rate=0.2,modes=kill,seed=7")
+        monkeypatch.setattr(faults, "_CACHED", None)
+        engine = ExecutionEngine(jobs=2)
+        assert engine.map(_square, self.ITEMS, stage="w") == self.EXPECTED
+        assert engine.fault_snapshot()["pool_respawns"] > 0
+        assert engine.fault_snapshot()["tasks_lost"] >= 1
 
     def test_killed_workers_respawn_pool(self):
         plan = FaultPlan(rate=0.2, modes=("kill",), seed=7)

@@ -211,6 +211,28 @@ class TestWarmPathSpans:
         assert run() == plain
 
 
+class TestPredictSpans:
+    """Each backend classifies under one ``ml.predict`` span that names the
+    backend and counts the rows."""
+
+    @pytest.mark.parametrize("backend", ["feature", "lstm"])
+    def test_predict_proba_is_one_span(self, spool, backend):
+        from repro.ml.models import FeatureFingerprinter, LstmFingerprinter
+
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(12, 60)), np.arange(12) % 3
+        if backend == "feature":
+            model = FeatureFingerprinter(epochs=5)
+        else:
+            model = LstmFingerprinter(conv_filters=4, lstm_units=4, epochs=1)
+        model.fit(x, y, 3).predict_proba(x[:5])
+        events = _read_events(spool)
+        (span,) = [e for e in events if e["name"] == "ml.predict"]
+        assert span["attrs"] == {"backend": backend, "rows": 5}
+        inside = {e["name"] for e in events if e["parent_id"] == span["span_id"]}
+        assert inside == ({"ml.features"} if backend == "feature" else set())
+
+
 class TestEnvActivation:
     def test_env_var_activates_lazily(self, tmp_path, monkeypatch):
         spool_dir = tmp_path / "env-spool"

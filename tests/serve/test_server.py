@@ -1,5 +1,7 @@
 """Tests for the micro-batching fingerprint server."""
 
+import json
+import shutil
 import statistics
 import sys
 import threading
@@ -14,6 +16,8 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.server import (
     ERROR_CODES,
     FingerprintServer,
+    PredictResult,
+    _Completion,
     _Pending,
 )
 
@@ -179,6 +183,136 @@ class TestWorkConserving:
         assert {r.error for r in results[8:]} == {"overloaded"}
 
 
+@pytest.fixture()
+def slowed(registry, monkeypatch):
+    """The registry model's ``predict_proba``, 20 ms slower per call;
+    ``finished`` records when each call returned."""
+    loaded = registry.get("default")
+    original = loaded.model.predict_proba
+    finished = []
+
+    def slow(batch):
+        time.sleep(0.02)
+        probs = original(batch)
+        finished.append(time.monotonic())
+        return probs
+
+    monkeypatch.setattr(loaded.model, "predict_proba", slow)
+    return finished
+
+
+class TestCompletion:
+    """The requests of one call share one completion, set by the last."""
+
+    def test_predict_many_handles_share_one_completion(self, registry, dataset, monkeypatch):
+        x, _ = dataset
+        calls = []
+        enqueue = FingerprintServer._enqueue
+
+        def recorded(self, *args):
+            calls.append(enqueue(self, *args))
+            return calls[-1]
+
+        monkeypatch.setattr(FingerprintServer, "_enqueue", recorded)
+        with FingerprintServer(registry, max_batch=4) as server:
+            results = server.predict_many(list(x[:10]))
+            single = server.submit(x[0])
+            assert single.done.wait(5.0)
+        handles, _ = calls
+        assert all(handle.done is handles[0].done for handle in handles)
+        assert single.done is not handles[0].done
+        assert [handle.result for handle in handles] == results
+        assert max(r.batch_size for r in results) == 4
+
+    def test_empty_predict_many_returns_at_once(self, registry):
+        with FingerprintServer(registry) as server:
+            started = time.monotonic()
+            assert server.predict_many([]) == []
+        assert time.monotonic() - started < 1.0
+
+    def test_mixed_call_waits_for_its_last_queued_request(
+        self, registry, artifact_dir, dataset, slowed
+    ):
+        """Bad vectors, valid ones and more valid ones than the queue
+        holds, in one call: every result comes back in order, and only
+        once the last queued request was served."""
+        x, _ = dataset
+        vectors = [x[0], np.full(120, np.nan), x[1], x[2], x[3], [], x[4], x[5], x[6]]
+        with FingerprintServer(registry, max_batch=1, max_queue=5) as server:
+            results = server.predict_many(vectors)
+            returned = time.monotonic()
+        assert [r.error for r in results] == [
+            None, "bad_input", None, None, None, "bad_input", None, "overloaded", "overloaded",
+        ]
+        assert len(slowed) == 5 and returned >= slowed[-1]
+        model = load_artifact(artifact_dir)
+        for index, row in zip((0, 2, 3, 4, 6), x[:5]):
+            np.testing.assert_array_equal(results[index].probs, model.predict_proba(row[None])[0])
+
+    def test_submit_handle_waits_with_a_timeout(self, registry, dataset, gate):
+        x, _ = dataset
+        with FingerprintServer(registry) as server:
+            first = server.submit(x[0])
+            assert gate.entered.wait(5.0)
+            second = server.submit(x[1])
+            assert second.done.wait(0.01) is False
+            assert first.done.wait(0.01) is False
+            assert second.result is None
+            gate.release.set()
+            assert second.done.wait(5.0) is True
+            assert first.done.wait(5.0) is True
+            assert second.done.wait(0.0) is True  # it stays complete
+        assert first.result.ok and second.result.ok
+
+    def test_resolving_twice_cannot_complete_the_call_early(self):
+        done = _Completion(2)
+        first, second = (_Pending(np.ones(3), "default", 0.0, None, done) for _ in range(2))
+        answer = PredictResult(ok=False, error="shutdown")
+        first.resolve(answer)
+        first.resolve(PredictResult(ok=False, error="deadline"))
+        assert done.wait(0.01) is False
+        assert first.result is answer
+        second.resolve(answer)
+        assert done.wait(0.01) is True
+
+
+class TestModelFailures:
+    """A model that fails answers its batch with ``model_error``; the
+    worker lives on and serves the next batch."""
+
+    def test_model_that_fails_to_load(self, artifact_dir, dataset, tmp_path):
+        x, _ = dataset
+        broken = tmp_path / "broken"
+        shutil.copytree(artifact_dir, broken)
+        weights = broken / "weights.npz"
+        weights.write_bytes(weights.read_bytes()[:100])
+        registry = ModelRegistry()
+        registry.add("broken", broken)
+        registry.add("good", artifact_dir)
+        with FingerprintServer(registry, default_model="broken") as server:
+            handle = server.submit(x[0])
+            assert handle.done.wait(3.0)
+            assert handle.result.error == "model_error"
+            assert "ArtifactError" in handle.result.detail
+            assert server._worker.is_alive()
+            assert server.predict(x[0], model="good").ok
+            results = server.predict_many(list(x[:3]))
+        assert [r.error for r in results] == ["model_error"] * 3
+
+    def test_model_whose_rows_cannot_be_read(self, registry, dataset, monkeypatch):
+        """One number per row passes the row-count check and fails in the
+        fan-out."""
+        x, _ = dataset
+        loaded = registry.get("default")
+        monkeypatch.setattr(loaded.model, "predict_proba", lambda batch: np.zeros(len(batch)))
+        with FingerprintServer(registry, max_batch=2) as server:
+            handles = [server.submit(row) for row in x[:3]]
+            assert all(handle.done.wait(3.0) for handle in handles)
+            assert server._worker.is_alive()
+        assert {h.result.error for h in handles} == {"model_error"}
+        assert "IndexError" in handles[0].result.detail
+
+
 class TestTimings:
     def test_wait_and_compute_are_timed_apart(self, registry, dataset, gate):
         """``wait_ms`` ends where the model call starts; ``compute_ms`` is
@@ -217,6 +351,28 @@ class TestTimings:
         latency = histograms["serve.latency_ms"]
         assert latency["count"] == 10
         assert latency["sum"] == pytest.approx(queue["sum"] + compute["sum"])
+
+
+    def test_served_batch_records_ml_predict(self, registry, dataset, tmp_path, monkeypatch):
+        """The model call is an ``ml.predict`` span inside its
+        ``serve.batch`` span."""
+        x, _ = dataset
+        monkeypatch.delenv(obs.PROFILE_DIR_ENV_VAR, raising=False)
+        spool = obs.enable(tmp_path / "spool")
+        try:
+            with FingerprintServer(registry, max_batch=4) as server:
+                assert all(r.ok for r in server.predict_many(list(x[:4])))
+        finally:
+            obs.disable()
+        lines = [
+            json.loads(line)
+            for path in sorted(spool.glob("*.jsonl"))
+            for line in path.read_text().splitlines()
+        ]
+        spans = {e["span_id"]: e for e in lines if e["type"] == "span"}
+        (predict,) = [e for e in spans.values() if e["name"] == "ml.predict"]
+        assert predict["attrs"] == {"backend": "feature", "rows": 4}
+        assert spans[predict["parent_id"]]["name"] == "serve.batch"
 
 
 class TestErrorPaths:

@@ -82,6 +82,7 @@ class TestRegistry:
             "engine.parallel",
             "engine.trace_cache",
             "ml.artifact",
+            "ml.features",
             "ml.linear",
             "ml.network",
             "serve.batched",
