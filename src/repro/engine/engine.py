@@ -126,7 +126,8 @@ class _TimedTask:
 
     ``index``/``attempt`` identify the attempt for the fault-injection
     hook (consulted before the task function runs, so a sabotaged
-    attempt has no side effects to double on retry).
+    attempt has no side effects to double on retry), and ``in_pool``
+    lets it kill or hang only a pool worker.
     """
 
     fn: Callable
@@ -136,7 +137,7 @@ class _TimedTask:
     in_pool: bool = False
 
     def __call__(self, item):
-        engine_faults.maybe_inject(self.stage or "", self.index, self.attempt)
+        engine_faults.maybe_inject(self.stage or "", self.index, self.attempt, self.in_pool)
         started = time.perf_counter()
         with obs.span("engine.task", stage=self.stage or ""):
             result = self.fn(item)
@@ -276,9 +277,6 @@ class ExecutionEngine:
         items = list(items)
         task = _TimedTask(fn, stage)
         record = self._stages.setdefault(stage, _Stage())
-        # Before a task runs here or a worker starts: workers inherit the
-        # stamped plan, and only they kill or hang.
-        engine_faults.claim_parent()
         started = time.perf_counter()
         try:
             with obs.span(

@@ -25,18 +25,16 @@ attempt has no side effects to double on retry.
 Activation travels through the :data:`FAULTS_ENV_VAR` environment
 variable (a ``key=value`` spec, e.g. ``rate=0.2,modes=raise+kill,seed=3``)
 so forked and spawned workers alike pick the plan up; the engine calls
-:func:`maybe_inject` at the top of every task.  ``kill`` and ``hang``
-degrade to ``raise`` in the parent process, so inline (serial or
-fallback) execution never kills or stalls the main interpreter.  A spec
-set by hand names no parent; the engine stamps it with its own pid
-(:func:`claim_parent`) before it runs a task inline or starts a pool,
-so the workers it starts inherit the stamp.
+:func:`maybe_inject` at the top of every task and says whether its pool
+runs the task.  ``kill`` and ``hang`` fire only in a pool task; a task
+run inline (serial, or the fallback after a broken pool) raises
+instead, so the interpreter running the engine, or any child
+interpreter it starts, is never killed or stalled.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import os
 import time
@@ -63,9 +61,7 @@ class FaultPlan:
     kinds drawn from (uniformly, by hash); ``seed`` makes two plans
     disagree about *which* tasks are hit; ``max_attempt`` bounds how many
     attempts at one task are sabotaged (1 = first attempt only);
-    ``hang_s`` is the sleep for ``hang`` faults; ``parent_pid`` is the
-    process where ``kill``/``hang`` degrade to ``raise`` (filled in by
-    :func:`activate`).
+    ``hang_s`` is the sleep for ``hang`` faults.
     """
 
     rate: float = 0.0
@@ -73,7 +69,6 @@ class FaultPlan:
     seed: int = 0
     max_attempt: int = 1
     hang_s: float = 2.0
-    parent_pid: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -108,8 +103,7 @@ class FaultPlan:
         """Serialize to the ``key=value,...`` form carried in the env."""
         return (
             f"rate={self.rate!r},modes={'+'.join(self.modes)},seed={self.seed},"
-            f"max_attempt={self.max_attempt},hang_s={self.hang_s!r},"
-            f"parent_pid={self.parent_pid}"
+            f"max_attempt={self.max_attempt},hang_s={self.hang_s!r}"
         )
 
     @classmethod
@@ -130,7 +124,7 @@ class FaultPlan:
                     kwargs["rate"] = float(value)
                 elif key == "modes":
                     kwargs["modes"] = tuple(value.split("+"))
-                elif key in ("seed", "max_attempt", "parent_pid"):
+                elif key in ("seed", "max_attempt"):
                     kwargs[key] = int(value)
                 elif key == "hang_s":
                     kwargs["hang_s"] = float(value)
@@ -162,27 +156,10 @@ def active_plan() -> Optional[FaultPlan]:
 def activate(plan: FaultPlan) -> FaultPlan:
     """Export ``plan`` through the environment so workers inherit it.
 
-    Fills in ``parent_pid`` with this process so ``kill``/``hang`` can
-    never take down the scheduler itself.  Returns the exported plan.
+    Returns the exported plan.
     """
-    if plan.parent_pid == 0:
-        plan = dataclasses.replace(plan, parent_pid=os.getpid())
     os.environ[FAULTS_ENV_VAR] = plan.spec()
     return plan
-
-
-def claim_parent() -> None:
-    """Make this process the parent of a plan that names none.
-
-    A plan parsed from a hand-set :data:`FAULTS_ENV_VAR` has
-    ``parent_pid=0``, so every process, the scheduler included, would
-    take itself for a worker and ``kill`` or ``hang`` there.  Re-exports
-    the plan stamped with this pid; a plan that names a parent is left
-    alone, so a worker never claims its parent's plan.
-    """
-    plan = active_plan()
-    if plan is not None and plan.parent_pid == 0:
-        activate(plan)
 
 
 def deactivate() -> None:
@@ -200,11 +177,13 @@ def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
         deactivate()
 
 
-def maybe_inject(stage: str, index: int, attempt: int) -> None:
+def maybe_inject(stage: str, index: int, attempt: int, in_pool: bool = False) -> None:
     """Sabotage this task attempt if the active plan says so.
 
     Called by the engine at the top of every task, before the task
-    function runs.  No-op (one env lookup) when no plan is active.
+    function runs; ``in_pool`` says whether a pool worker runs it.
+    ``kill`` and ``hang`` fire only there, and raise anywhere else.
+    No-op (one env lookup) when no plan is active.
     """
     plan = active_plan()
     if plan is None:
@@ -212,10 +191,9 @@ def maybe_inject(stage: str, index: int, attempt: int) -> None:
     mode = plan.decision(stage, index, attempt)
     if mode is None:
         return
-    in_worker = os.getpid() != plan.parent_pid
-    if mode == "kill" and in_worker:
+    if mode == "kill" and in_pool:
         os._exit(KILL_EXIT_CODE)
-    if mode == "hang" and in_worker:
+    if mode == "hang" and in_pool:
         time.sleep(plan.hang_s)
     raise InjectedFault(
         f"injected {mode} fault (stage={stage!r}, task={index}, attempt={attempt})"

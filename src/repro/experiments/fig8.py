@@ -7,8 +7,11 @@ spans under each timer:
   loses 5 ms granularity but measures 100 ms windows precisely;
 * jittered (Δ = 0.1 ms, Chrome): tightly clustered around 5 ms
   (4.8–5.2 ms, roughly Gaussian);
-* randomized (ours): anywhere from ~0 to ~100 ms — the attacker cannot
-  know how much real time one loop took.
+* randomized (ours, Δ = 1 ms): the paper's Fig 8c spans ~0 to ~100 ms.
+  Here a loop spans 1 to 31 ms, median 15 ms (400 periods, seed 0, at
+  smoke and default scale alike): too wide for the attacker to know how
+  much real time one loop took, but a third of the paper's range
+  (EXPERIMENTS.md, Figure 8).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ lives in :mod:`repro.ml.lstm`.
 Conventions: inputs are ``(batch, time, channels)`` for temporal layers
 and ``(batch, features)`` for dense layers.  Each layer implements
 ``forward(x, training)`` and ``backward(grad)`` (which must be called
-after a forward pass and returns the gradient w.r.t. the input), and
-exposes trainable arrays via ``params()`` / ``grads()``.
+after a training forward pass and returns the gradient w.r.t. the
+input), and exposes trainable arrays via ``params()`` / ``grads()``.
+Array ownership is set out on :class:`Layer`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,20 @@ import numpy as np
 
 
 class Layer(abc.ABC):
-    """Base class for all layers."""
+    """Base class for all layers.
+
+    Ownership: inside :class:`~repro.ml.network.Sequential` every
+    activation and gradient handed to a layer belongs to the chain, so a
+    layer may overwrite the array it is handed and return it, as
+    ``ReLU`` does forward and backward.  That is safe because no layer
+    keeps an array it returns, whether it computed it or passed its
+    input through (``Dropout`` at inference, ``Flatten``): the array is
+    the chain's, read by the next layer only.  A layer may keep an input
+    it does not return (``Dense``, ``Conv1D`` and ``LSTM`` do, for
+    ``backward``).  ``Sequential`` hands its first layer a copy of the
+    caller's input, so the caller's array to ``forward`` or
+    ``predict_proba`` is never written.
+    """
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -31,6 +45,11 @@ class Layer(abc.ABC):
     @abc.abstractmethod
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad`` (d-loss/d-output) to d-loss/d-input."""
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Only the parameter gradients of :meth:`backward`, for a first
+        layer whose input gradient nobody reads."""
+        self.backward(grad)
 
     def params(self) -> Dict[str, np.ndarray]:
         """Trainable parameter arrays, by name."""
@@ -77,19 +96,24 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    """Elementwise rectifier."""
+    """Elementwise rectifier, ``x * (x > 0)``, written into its argument.
+
+    Forward overwrites the activation it is handed and backward the
+    gradient (see :class:`Layer` on ownership); each returns its
+    argument.  Negatives become ``-0.0``.
+    """
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._mask = x > 0
-        return x * self._mask
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return grad * self._mask
+        return np.multiply(grad, self._mask, out=grad)
 
 
 class Dropout(Layer):
@@ -176,14 +200,18 @@ class Conv1D(Layer):
         out += self.b
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad: np.ndarray) -> None:
         if self._patches is None or self._in_shape is None:
             raise RuntimeError("backward called before forward")
-        n, l_out, _ = grad.shape
         flat_patches = self._patches.reshape(-1, self.W.shape[0])
         flat_grad = grad.reshape(-1, self.filters)
         self.dW = flat_patches.T @ flat_grad
         self.db = flat_grad.sum(axis=0)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.backward_params(grad)
+        n, l_out, _ = grad.shape
+        flat_grad = grad.reshape(-1, self.filters)
         d_patches = (flat_grad @ self.W.T).reshape(
             n, l_out, self.in_channels, self.kernel_size
         )
@@ -206,7 +234,8 @@ class MaxPool1D(Layer):
 
     The gradient of a block goes to its first maximum, as ``argmax``
     picks it: ``-0.0`` and ``+0.0`` tie, and a NaN is the maximum of its
-    block.
+    block.  Only a training forward finds those positions, so only a
+    training forward can be followed by ``backward``.
     """
 
     def __init__(self, pool_size: int):
@@ -232,7 +261,10 @@ class MaxPool1D(Layer):
         cropped = x[:, : l_out * self.pool_size]
         blocks = cropped.reshape(n, l_out, self.pool_size, channels)
         out = blocks.max(axis=2)
-        if np.isnan(out).any():
+        self._in_shape = x.shape
+        if not training:
+            self._argmax = None
+        elif np.isnan(out).any():
             # A NaN equals nothing, so only argmax finds the first one.
             self._argmax = blocks.argmax(axis=2).astype(self._index_dtype)
         else:
@@ -246,12 +278,11 @@ class MaxPool1D(Layer):
                 before &= np.not_equal(blocks[:, :, j], out, out=differs)
                 first += before
             self._argmax = first
-        self._in_shape = x.shape
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._argmax is None or self._in_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training forward")
         n, l_out, channels = grad.shape
         length = self._in_shape[1]
         block = self.pool_size * channels

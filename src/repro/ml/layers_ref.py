@@ -4,14 +4,15 @@
 comparing positions with the block max and scatters its gradient through
 one flat index; :class:`~repro.ml.layers.Conv1D` folds patch gradients
 back onto its input through strided slices and adds its bias in place;
-:class:`~repro.ml.optim.Adam` updates through two scratch arrays per
-parameter.  This module keeps the code those kernels replaced alive as an
-executable specification: a strided ``argmax`` and a ``meshgrid``
-scatter for pooling, an index-array col2im for the convolution, and
-out-of-place arithmetic for Adam, each exactly as it was written.
-:class:`ReferenceReLU` is today's ``ReLU``, kept so that a faster
-rectifier has something to be compared with (``np.maximum(x, 0.0)``
-emits ``+0.0`` where this one emits ``-0.0``).
+:class:`~repro.ml.optim.Adam` updates in place, chunk by chunk, through
+two scratch arrays per parameter; :class:`~repro.ml.layers.ReLU`
+rectifies the array it is handed.  This module keeps the code those
+kernels replaced alive as an executable specification: a strided
+``argmax`` and a ``meshgrid`` scatter for pooling, an index-array
+col2im for the convolution, out-of-place arithmetic for Adam, and a
+:class:`ReferenceReLU` that returns a new array, each exactly as it was
+written (``np.maximum(x, 0.0)`` would emit ``+0.0`` where these
+rectifiers emit ``-0.0``).
 
 Each class subclasses the shipped layer and overrides only the methods
 that differ, so construction, parameters and gradients are shared.  The

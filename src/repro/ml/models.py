@@ -95,15 +95,19 @@ def build_paper_network(
     """The paper's CNN+LSTM, parameterized by width.
 
     With ``conv_filters=256, lstm_units=32`` this is exactly the
-    published architecture.
+    published architecture.  Each kernel and pool shrinks to the length
+    that reaches it, so rows of any positive length build; rows of 17
+    samples or more keep the published sizes at the first pair.
     """
+    if input_length < 1:
+        raise ValueError(f"input length must be positive, got {input_length}")
     kernel, stride, pool = 8, 3, 4
-    conv1 = Conv1D(1, conv_filters, kernel, stride, rng)
-    pool1 = MaxPool1D(pool)
-    length = pool1.output_length(conv1.output_length(input_length))
+    conv1 = Conv1D(1, conv_filters, min(kernel, input_length), stride, rng)
+    length = conv1.output_length(input_length)
+    pool1 = MaxPool1D(min(pool, length))
+    length = pool1.output_length(length)
     conv2 = Conv1D(conv_filters, conv_filters, min(kernel, length), stride, rng)
-    pool2_size = min(pool, max(conv2.output_length(length), 1))
-    pool2 = MaxPool1D(pool2_size)
+    pool2 = MaxPool1D(min(pool, conv2.output_length(length)))
     lstm = LSTM(conv_filters, lstm_units, rng)
     return Sequential(
         [

@@ -38,6 +38,12 @@ class Sequential:
         self.loss = SoftmaxCrossEntropy()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """The last layer's output; ``x`` itself is never written.
+
+        The first layer gets a copy of ``x``, so every array a layer is
+        handed belongs to the chain (see :class:`~repro.ml.layers.Layer`).
+        """
+        x = np.array(x)
         for layer in self.layers:
             x = layer.forward(x, training=training)
         return x
@@ -54,12 +60,17 @@ class Sequential:
         return self.predict_proba(x).argmax(axis=1)
 
     def train_batch(self, x: np.ndarray, labels: np.ndarray, optimizer: Optimizer) -> float:
-        """One optimization step; returns the batch loss."""
+        """One optimization step; returns the batch loss.
+
+        The first layer computes its parameter gradients only: the
+        gradient with respect to the batch is never read.
+        """
         logits = self.forward(x, training=True)
         loss_value = self.loss.forward(logits, labels)
         grad = self.loss.backward()
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+        self.layers[0].backward_params(grad)
         optimizer.step(self.parameters(), self.gradients())
         return loss_value
 

@@ -38,9 +38,11 @@ oracle                   mode       certifies
                                     Δ = 7 ms > P; plus unfloored ``count_many``
                                     == per-period ``count``
 ``ml.network``           bit        paper CNN+LSTM trained a few Adam steps with the
-                                    shipped conv/pool/ReLU kernels and Adam ==
+                                    shipped conv/pool/ReLU kernels and Adam, layer
+                                    by layer and through ``train_batch`` ==
                                     the retained ones (``ml/layers_ref.py``), plus
-                                    layer probes on ties, NaN, ±inf and strides
+                                    layer probes on ties, NaN, ±inf and strides,
+                                    and Adam probes across its chunk edges
 ``ml.linear``            bit        softmax regression trained in place on one
                                     ``(W; b)`` block == the retained out-of-place
                                     loop (``ml/layers_ref.py``): ``W``, ``b`` and
@@ -82,7 +84,7 @@ from repro.ml.layers_ref import (
 )
 from repro.ml.linear import SoftmaxRegression
 from repro.ml.models import FeatureFingerprinter, build_paper_network
-from repro.ml.optim import Adam
+from repro.ml.optim import _CHUNK, Adam
 from repro.sim.events import MS, SEC
 from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts import InterruptType
@@ -889,9 +891,16 @@ def _walk_optimized(case: Case) -> dict:
 _NET_FILTERS = 6
 _NET_UNITS = 5
 _NET_STEPS = 3
-#: The shortest input the paper network takes: the first conv (kernel 8,
-#: stride 3) must leave one block for the first pool (4).
+#: The shortest input the paper network takes at its published sizes:
+#: the first conv (kernel 8, stride 3) leaves one whole block for the
+#: first pool (4).  Shorter rows build with a smaller kernel and pool.
 _NET_MIN_LENGTH = 17
+#: Adam probe sizes, in elements: one, and each side of the shipped
+#: update's first and third chunk edges.
+_ADAM_SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+#: Gradient values mixed into the Adam probes: signed zeros, extremes of
+#: scale, infinities and NaN.
+_ADAM_SPECIALS = (-0.0, 0.0, 1e-300, -1e300, np.inf, -np.inf, np.nan)
 #: Pool-probe values: -0.0/+0.0 ties, ties of equal numbers, infinities.
 _POOL_VALUES = (-0.0, 0.0, 1.0, -1.0, 2.0, np.inf, -np.inf)
 #: Conv probes: strides below, at and above a kernel of 3, on one input
@@ -947,8 +956,10 @@ def _train_step(network, optimizer, x, labels) -> dict:
     }
 
 
-def _train_network(case: Case, reference: bool) -> dict:
-    classes, rows, length = _network_shape(case)
+def _paper_network(case: Case, reference: bool):
+    """The case's paper network at small widths, with the shipped or the
+    reference kernels."""
+    classes, _, length = _network_shape(case)
     network = build_paper_network(
         length,
         classes,
@@ -958,23 +969,67 @@ def _train_network(case: Case, reference: bool) -> dict:
     )
     for layer in network.layers:
         _kernels(layer, reference)
+    return network
+
+
+def _train_network(case: Case, reference: bool) -> dict:
+    """The steps layer by layer with full backwards at every layer, and
+    the same steps through the shipped ``Sequential.train_batch``, whose
+    first layer skips its input gradient, as the reference's steps."""
+    classes, rows, length = _network_shape(case)
+    network = _paper_network(case, reference)
     optimizer = ReferenceAdam() if reference else Adam()
     rng = np.random.default_rng([case.seed, 0xDA7A])
-    steps = [
-        _train_step(
-            network,
-            optimizer,
-            rng.normal(size=(rows, length, 1)),
-            rng.integers(0, classes, size=rows),
-        )
+    batches = [
+        (rng.normal(size=(rows, length, 1)), rng.integers(0, classes, size=rows))
         for _ in range(_NET_STEPS)
     ]
+    steps = [_train_step(network, optimizer, x, labels) for x, labels in batches]
+    if reference:
+        train_batch = [
+            {key: step[key] for key in ("loss", "grads", "params")} for step in steps
+        ]
+    else:
+        shipped, shipped_optimizer = _paper_network(case, reference=False), Adam()
+        train_batch = []
+        for x, labels in batches:
+            loss = shipped.train_batch(x, labels, shipped_optimizer)
+            train_batch.append(
+                {
+                    "loss": loss,
+                    "grads": _copies(shipped.gradients()),
+                    "params": _copies(shipped.parameters()),
+                }
+            )
     x_eval = rng.normal(size=(rows, length, 1))
     return {
         "steps": steps,
+        "train_batch": train_batch,
         "activations": _outputs(network, x_eval, training=False),
         "probs": network.predict_proba(x_eval),
     }
+
+
+def _adam_probes(case: Case, reference: bool) -> dict:
+    """A few Adam steps on parameters of one element and on each side of
+    the chunk edges, flat and as rows that straddle an edge, with
+    special gradient values mixed in."""
+    rng = np.random.default_rng([case.seed, 0xADA])
+    shapes = {(0, f"size={size}"): (size,) for size in _ADAM_SIZES}
+    shapes[(1, "rows")] = (5, _CHUNK // 2 + 1)
+    params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+    optimizer = ReferenceAdam() if reference else Adam()
+    for _ in range(_NET_STEPS):
+        grads = {}
+        for key, shape in shapes.items():
+            grad = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            grads[key] = np.where(
+                rng.random(shape) < 0.01, rng.choice(_ADAM_SPECIALS, size=shape), grad
+            )
+        # inf / inf and the square of 1e300 warn; both sides compute them alike.
+        with np.errstate(invalid="ignore", over="ignore"):
+            optimizer.step(params, grads)
+    return _copies(params)
 
 
 def _pool_probes(case: Case, reference: bool) -> dict:
@@ -990,7 +1045,7 @@ def _pool_probes(case: Case, reference: bool) -> dict:
         inputs = {"special": special, "nan": with_nan, "relu": rectified}
         for name, x in inputs.items():
             layer = _kernels(MaxPool1D(pool), reference)
-            out = layer.forward(x)
+            out = layer.forward(x, training=True)
             grad = np.where(rng.random(out.shape) < 0.2, -0.0, rng.normal(size=out.shape))
             probes[f"pool={pool} {name}"] = {"out": out, "dx": layer.backward(grad)}
     return probes
@@ -1013,6 +1068,7 @@ def _conv_probes(case: Case, reference: bool) -> dict:
 
 def _network_with(case: Case, reference: bool) -> dict:
     return {
+        "adam": _adam_probes(case, reference),
         "network": _train_network(case, reference),
         "pool": _pool_probes(case, reference),
         "conv": _conv_probes(case, reference),
@@ -1289,9 +1345,10 @@ register(
             "the paper CNN+LSTM at small widths trained a few Adam steps with "
             "the shipped Conv1D, MaxPool1D, ReLU and Adam vs the retained ones "
             "(ml/layers_ref.py): every loss, activation, input and parameter "
-            "gradient, parameter and final predict_proba; plus pool probes on "
-            "ties, NaN and ±inf and conv probes at strides below, at and above "
-            "the kernel"
+            "gradient, parameter and final predict_proba, layer by layer and "
+            "through Sequential.train_batch; plus pool probes on ties, NaN and "
+            "±inf, conv probes at strides below, at and above the kernel, and "
+            "Adam probes on parameters across its chunk edges"
         ),
         mode="bit",
         reference=_network_reference,

@@ -47,6 +47,19 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _map_in_child_interpreter(env: dict) -> subprocess.CompletedProcess:
+    """A serial ``map`` of ``abs`` over -10..9 in a fresh interpreter."""
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "from repro.engine import ExecutionEngine\n"
+        "print(ExecutionEngine(jobs=1).map(abs, range(-10, 10)))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
 def _injected_indices(plan: FaultPlan, stage: str, n: int) -> dict:
     """Mode -> task indices the plan sabotages on the first attempt."""
     hits: dict = {}
@@ -60,8 +73,7 @@ def _injected_indices(plan: FaultPlan, stage: str, n: int) -> dict:
 class TestFaultPlan:
     def test_spec_parse_round_trip(self):
         plan = FaultPlan(
-            rate=0.25, modes=("raise", "kill"), seed=9, max_attempt=3,
-            hang_s=0.5, parent_pid=1234,
+            rate=0.25, modes=("raise", "kill"), seed=9, max_attempt=3, hang_s=0.5,
         )
         assert FaultPlan.parse(plan.spec()) == plan
 
@@ -119,10 +131,10 @@ class TestFaultPlan:
 
 
 class TestActivation:
-    def test_activate_fills_parent_pid_and_exports(self):
+    def test_activate_exports(self):
         exported = faults.activate(FaultPlan(rate=0.1))
         try:
-            assert exported.parent_pid == os.getpid()
+            assert exported == FaultPlan(rate=0.1)
             assert faults.active_plan() == exported
         finally:
             faults.deactivate()
@@ -138,7 +150,7 @@ class TestActivation:
 
 
 class TestParentSafety:
-    """kill/hang must degrade to a plain raise in the scheduler process."""
+    """kill/hang fire only in pool tasks; anywhere else they raise."""
 
     def test_kill_degrades_to_raise_in_parent(self):
         with faults.injected(FaultPlan(rate=1.0, modes=("kill",))):
@@ -162,30 +174,26 @@ class TestParentSafety:
         assert engine.fault_snapshot()["retries"] == len(items)
 
     def test_serial_map_under_an_env_set_kill_plan(self):
-        """A plan set in the environment by hand names no parent; the
-        engine claims it, so its inline kills raise and are retried.  In
-        a child interpreter: an inline kill would end the process."""
+        """A plan set in the environment by hand: inline kills raise and
+        are retried.  In a child interpreter: an inline kill would end
+        the process."""
         env = {k: v for k, v in os.environ.items() if not k.startswith("BIGGERFISH_")}
         env[faults.FAULTS_ENV_VAR] = "rate=0.5,modes=kill,seed=1"
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-        code = (
-            "from repro.engine import ExecutionEngine\n"
-            "print(ExecutionEngine(jobs=1).map(abs, range(-10, 10)))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
+        done = _map_in_child_interpreter(env)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == str([abs(x) for x in range(-10, 10)])
 
-    def test_claim_parent_stamps_only_an_unclaimed_plan(self, monkeypatch):
+    def test_child_of_a_mapping_process_is_no_pool_worker(self, monkeypatch):
+        """A process maps under a kill plan, then starts a child
+        interpreter that maps too: the child's inline kills raise and are
+        retried, so it exits 0 rather than with the kill status."""
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "rate=0.5,modes=kill,seed=1")
-        faults.claim_parent()
-        assert faults.active_plan().parent_pid == os.getpid()
-        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "rate=0.5,modes=kill,parent_pid=1")
-        faults.claim_parent()
-        assert faults.active_plan().parent_pid == 1
+        assert ExecutionEngine(jobs=1).map(abs, range(-10, 10)) == [
+            abs(x) for x in range(-10, 10)
+        ]
+        done = _map_in_child_interpreter(dict(os.environ))
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert done.stdout.strip() == str([abs(x) for x in range(-10, 10)])
 
 
 class TestParallelRecovery:
@@ -210,9 +218,8 @@ class TestParallelRecovery:
         assert {e["error_type"] for e in errors} == {"InjectedFault"}
 
     def test_env_set_kill_plan_still_kills_workers(self, monkeypatch):
-        """The engine claims a hand-set plan before it starts the pool, so
-        workers inherit the parent's pid and still die, even when the
-        parent read nothing before the map."""
+        """A hand-set plan kills pool workers, even when the parent read
+        nothing before the map."""
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "rate=0.2,modes=kill,seed=7")
         monkeypatch.setattr(faults, "_CACHED", None)
         engine = ExecutionEngine(jobs=2)

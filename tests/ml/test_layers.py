@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.layers import Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU
-from repro.ml.layers_ref import ReferenceConv1D, ReferenceMaxPool1D
+from repro.ml.layers_ref import ReferenceConv1D, ReferenceMaxPool1D, ReferenceReLU
 from repro.verify.compare import diff_structures
 
 INF, NAN = np.inf, np.nan
@@ -37,7 +37,7 @@ def check_input_gradient(layer, x, tolerance=1e-5):
     """Backward's input gradient matches numeric differentiation of a
     random linear readout of the layer output."""
     rng = np.random.default_rng(0)
-    out = layer.forward(x, training=False)
+    out = layer.forward(x, training=True)
     readout = rng.normal(size=out.shape)
     analytic = layer.backward(readout)
 
@@ -97,6 +97,22 @@ class TestReLU:
         layer.forward(np.array([[-1.0, 2.0]]))
         grad = layer.backward(np.array([[5.0, 5.0]]))
         assert list(grad[0]) == [0.0, 5.0]
+
+    def test_forward_and_backward_overwrite_their_argument(self):
+        layer = ReLU()
+        x = np.array([[-1.0, 0.0, NAN, 2.0]])
+        assert layer.forward(x) is x
+        assert_same_bits(x, np.array([[-0.0, 0.0, NAN, 2.0]]))
+        grad = np.array([[5.0, -5.0, 5.0, -5.0]])
+        assert layer.backward(grad) is grad
+        assert_same_bits(grad, np.array([[0.0, -0.0, 0.0, -5.0]]))
+
+    def test_matches_reference(self, rng):
+        x = np.where(rng.random((3, 7, 4)) < 0.2, NAN, rng.normal(size=(3, 7, 4)))
+        grad = rng.normal(size=x.shape)
+        layer, reference = ReLU(), ReferenceReLU()
+        assert_same_bits(layer.forward(x.copy()), reference.forward(x))
+        assert_same_bits(layer.backward(grad.copy()), reference.backward(grad))
 
 
 class TestDropout:
@@ -184,7 +200,7 @@ class TestMaxPool1D:
     def test_gradient_routes_to_argmax(self):
         layer = MaxPool1D(2)
         x = np.array([[[1.0], [3.0], [2.0], [5.0]]])
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.array([[[10.0], [20.0]]]))
         np.testing.assert_allclose(grad[0, :, 0], [0.0, 10.0, 0.0, 20.0])
 
@@ -200,14 +216,14 @@ class TestMaxPool1D:
         x = np.ones((1, 600, 2))
         for pool, dtype in ((1, np.uint8), (4, np.uint8), (256, np.uint8), (300, np.uint16)):
             layer = MaxPool1D(pool)
-            layer.forward(x)
+            layer.forward(x, training=True)
             assert layer._argmax.dtype == dtype
 
 
 def route(block):
     """Input gradient of one pooled block given an output gradient of 1."""
     layer = MaxPool1D(len(block))
-    layer.forward(np.array(block, dtype=float)[None, :, None])
+    layer.forward(np.array(block, dtype=float)[None, :, None], training=True)
     return layer.backward(np.ones((1, 1, 1)))[0, :, 0]
 
 
@@ -243,7 +259,7 @@ class TestMaxPool1DRouting:
     def test_nan_block_outputs_nan_and_other_blocks_keep_routing(self):
         layer = MaxPool1D(2)
         x = np.array([[[NAN], [1.0], [-0.0], [0.0], [3.0], [3.0]]])
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert np.isnan(out[0, 0, 0]) and out[0, 2, 0] == 3.0
         grad = layer.backward(np.array([[[5.0], [6.0], [7.0]]]))
         assert_same_bits(grad[0, :, 0], np.array([5.0, 0.0, 6.0, 0.0, 7.0, 0.0]))
@@ -252,14 +268,14 @@ class TestMaxPool1DRouting:
         layer = MaxPool1D(1)
         x = rng.normal(size=(2, 5, 3))
         x[0, 0, 0] = -0.0
-        assert_same_bits(layer.forward(x), x)
+        assert_same_bits(layer.forward(x, training=True), x)
         grad = rng.normal(size=x.shape)
         assert_same_bits(layer.backward(grad), grad)
 
     def test_cropped_remainder_gets_positive_zero_gradient(self, rng):
         layer = MaxPool1D(3)
         x = rng.normal(size=(2, 8, 4))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         dx = layer.backward(rng.normal(size=out.shape))
         assert_same_bits(dx[:, 6:], np.zeros((2, 2, 4)))
 
@@ -268,7 +284,7 @@ class TestMaxPool1DRouting:
         values = np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF])
         for x in (rng.choice(values, size=(3, 4 * pool + 2, 5)), rng.normal(size=(3, 13, 5))):
             layer, reference = MaxPool1D(pool), ReferenceMaxPool1D(pool)
-            assert_same_bits(layer.forward(x), reference.forward(x))
+            assert_same_bits(layer.forward(x, training=True), reference.forward(x))
             grad = rng.normal(size=(3, x.shape[1] // pool, 5))
             assert_same_bits(layer.backward(grad), reference.backward(grad))
 

@@ -41,6 +41,30 @@ class TestBuildPaperNetwork:
         logits = net.forward(np.random.default_rng(0).random((2, 40, 1)))
         assert logits.shape == (2, 4)
 
+    @pytest.mark.parametrize("length", [17, 18, 40, 3000])
+    def test_first_pair_keeps_published_sizes_from_17_samples(self, rng, length):
+        conv1, _, pool1 = build_paper_network(length, 3, rng).layers[:3]
+        assert (conv1.kernel_size, conv1.stride, pool1.pool_size) == (8, 3, 4)
+
+    def test_trace_length_rows_build_the_published_network(self, rng):
+        layers = build_paper_network(3000, 3, rng).layers
+        assert [(layers[i].kernel_size, layers[i].stride) for i in (0, 3)] == [(8, 3)] * 2
+        assert [layers[i].pool_size for i in (2, 5)] == [4, 4]
+
+    @pytest.mark.parametrize("length", [1, 2, 8, 16])
+    def test_short_rows_fit_and_predict(self, length):
+        """16 samples are an 8 s trace at P = 500 ms."""
+        x, y = toy_traces(n_per_class=4)
+        x = x[:, :length]
+        model = LstmFingerprinter(conv_filters=4, lstm_units=3, epochs=2, seed=0)
+        probs = model.fit(x, y, n_classes=3).predict_proba(x)
+        assert probs.shape == (len(x), 3)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+
+    def test_empty_rows_rejected(self, rng):
+        with pytest.raises(ValueError, match="input length must be positive"):
+            build_paper_network(0, 3, rng)
+
 
 class TestFeatureFingerprinter:
     def test_learns_toy_problem(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.layers_ref import ReferenceAdam
-from repro.ml.optim import SGD, Adam
+from repro.ml.optim import _CHUNK, SGD, Adam
 from repro.verify.compare import diff_structures
 
 
@@ -14,8 +14,8 @@ def forbid_allocation(monkeypatch):
     def allocate(*args, **kwargs):
         raise AssertionError("optimizer state allocated after the first step")
 
-    monkeypatch.setattr(np, "zeros_like", allocate)
-    monkeypatch.setattr(np, "empty_like", allocate)
+    for name in ("zeros_like", "empty_like", "zeros", "empty"):
+        monkeypatch.setattr(np, name, allocate)
 
 
 def quadratic_descent(optimizer, steps=300, start=5.0):
@@ -116,3 +116,33 @@ class TestAdam:
             assert diff_structures(params, expected, mode="bit") is None
             assert diff_structures(grads, untouched, mode="bit") is None
         assert all(params[key] is arrays[key] for key in shapes)
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5],
+        ids=["one", "chunk-1", "chunk", "chunk+1", "3chunk+5"],
+    )
+    def test_chunked_update_equals_one_shot(self, size):
+        """Every element, the last chunk's included, goes through the same
+        operations as in the whole-array reference update."""
+        rng = np.random.default_rng(size)
+        params = {(0, "W"): rng.normal(size=(size,)), (1, "W"): rng.normal(size=(size, 2))}
+        expected = {key: array.copy() for key, array in params.items()}
+        adam, reference = Adam(), ReferenceAdam()
+        for _ in range(3):
+            grads = {key: rng.normal(size=array.shape) for key, array in params.items()}
+            grads[(0, "W")][-1] = -0.0
+            adam.step(params, grads)
+            reference.step(expected, grads)
+        assert diff_structures(params, expected, mode="bit") is None
+
+    def test_scratch_is_at_most_one_chunk(self):
+        adam = Adam()
+        params = {(0, "W"): np.zeros(3 * _CHUNK + 5), (1, "b"): np.zeros(3)}
+        adam.step(params, {key: np.ones_like(array) for key, array in params.items()})
+        assert [len(adam._state[key][2]) for key in params] == [_CHUNK, 3]
+
+    def test_non_contiguous_parameter_rejected(self):
+        param = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            Adam().step({(0, "W"): param}, {(0, "W"): np.ones_like(param)})

@@ -12,6 +12,8 @@ import pytest
 import repro.verify.oracles  # noqa: F401 - registers the oracles
 from repro.ml.layers import Conv1D, MaxPool1D, ReLU
 from repro.ml.layers_ref import ReferenceConv1D, ReferenceMaxPool1D, ReferenceReLU, as_reference
+from repro.ml.network import Sequential
+from repro.ml.optim import _CHUNK, Adam
 from repro.verify.oracle import Case, get_oracle
 from repro.verify.shrink import shrink
 
@@ -62,6 +64,8 @@ class TestCatchesBrokenKernels:
 
         def last_maximum(self, x, training=False):
             out = forward(self, x, training)
+            if not training:
+                return out  # an inference forward routes nothing
             n, length, channels = x.shape
             blocks = x[:, : out.shape[1] * self.pool_size].reshape(
                 n, out.shape[1], self.pool_size, channels
@@ -99,6 +103,35 @@ class TestCatchesBrokenKernels:
         assert failure is not None
         assert failure.startswith("$.conv.channels=1 stride=2.dW")
         assert "(1 of 12 elements differ)" in failure
+
+    def test_train_batch_without_first_layer_gradients_fails(self, monkeypatch):
+        def skips_first_layer(self, x, labels, optimizer):
+            loss = self.loss.forward(self.forward(x, training=True), labels)
+            grad = self.loss.backward()
+            for layer in reversed(self.layers[1:]):
+                grad = layer.backward(grad)
+            optimizer.step(self.parameters(), self.gradients())
+            return loss
+
+        monkeypatch.setattr(Sequential, "train_batch", skips_first_layer)
+        failure = run()
+        assert failure is not None
+        assert failure.startswith("$.network.train_batch[0].grads.0.W")
+
+    def test_adam_dropping_the_last_element_of_a_full_chunk_fails(self, monkeypatch):
+        """The small network's parameters fit in one partial chunk; only
+        the chunk-edge probes reach a full one."""
+        update = Adam._update
+
+        def short_by_one(self, *arrays_and_biases):
+            *arrays, bias1, bias2 = arrays_and_biases
+            n = len(arrays[0]) - (len(arrays[0]) == _CHUNK)
+            update(self, *(array[:n] for array in arrays), bias1, bias2)
+
+        monkeypatch.setattr(Adam, "_update", short_by_one)
+        failure = run()
+        assert failure is not None
+        assert failure.startswith(f"$.adam.0.size={_CHUNK}: first mismatch at element {_CHUNK - 1}")
 
     def test_failure_shrinks_to_the_floor(self, monkeypatch):
         monkeypatch.setattr(ReLU, "forward", positive_zero)
