@@ -13,8 +13,8 @@ Usage::
 
 Exit status: 0 success, 1 verification failures or build errors, 2 usage
 errors (unknown subcommand, bad shapes, a bad ``--jobs`` / ``--retries`` /
-``--task-timeout`` / ``--shard-sites`` value or environment setting,
-config mismatch on resume).
+``--task-timeout`` value or environment setting, a bad ``--shard-sites``
+value, config mismatch on resume).
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from repro.data.manifest import DataError, DatasetConfig, DatasetManifest
 from repro.data.reader import ShardedDataset, verify_store
 from repro.data.writer import (
     BROWSER_KEYS,
-    SHARD_SITES_ENV_VAR,
+    DEFAULT_SHARD_SITES,
     build_dataset,
     merge_stores,
-    resolve_shard_sites,
 )
 from repro.engine.engine import ExecutionEngine
 
@@ -85,9 +84,9 @@ def add_parser(sub, engine_flags: argparse.ArgumentParser) -> None:
     build.add_argument(
         "--shard-sites",
         type=int,
-        default=None,
+        default=DEFAULT_SHARD_SITES,
         metavar="N",
-        help=f"catalog sites per shard (default: ${SHARD_SITES_ENV_VAR} or 8)",
+        help=f"catalog sites per shard (default: {DEFAULT_SHARD_SITES})",
     )
 
     ls = commands.add_parser(
@@ -132,8 +131,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         engine = ExecutionEngine(
             jobs=args.jobs, retries=args.retries, task_timeout=args.task_timeout
         )
-        shard_sites = resolve_shard_sites(args.shard_sites)
-    except ValueError as exc:  # a bad engine setting or --shard-sites
+    except ValueError as exc:  # a bad engine setting
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = DatasetConfig(
@@ -147,7 +145,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     manifest = build_dataset(
         args.store,
         config,
-        shard_sites=shard_sites,
+        shard_sites=args.shard_sites,
         engine=engine,
         progress=_progress,
     )

@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,11 +117,12 @@ def shard_checksum(path) -> str:
 
 @contextmanager
 def _open_archive(path, source=None):
-    """Open a shard's zip (from ``source`` if given); damage raises ShardFormatError."""
+    """Open a shard's zip (from ``source`` if given); damage to the archive
+    or to a compressed member's stream raises ShardFormatError."""
     try:
         with zipfile.ZipFile(path if source is None else source) as archive:
             yield archive
-    except zipfile.BadZipFile as exc:
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
         raise ShardFormatError(
             f"{path}: damaged shard archive ({exc}); "
             "check its store with 'biggerfish data verify'"
@@ -143,6 +145,19 @@ def read_meta(path) -> dict:
     if not isinstance(meta, dict):
         raise ShardFormatError(f"{path}: {META_MEMBER} is not a JSON object")
     return meta
+
+
+def check_members(path) -> None:
+    """Read every member of the shard through its CRC-32 check.
+
+    :func:`open_x_mmap` maps ``x.npy`` without reading it, so a damaged
+    payload byte shows only here (or in a checksum recorded earlier).
+    Raises :class:`ShardFormatError` naming the first damaged member.
+    """
+    with _open_archive(path) as archive:
+        damaged = archive.testzip()
+    if damaged is not None:
+        raise ShardFormatError(f"{path}: archive member {damaged!r} fails its CRC check")
 
 
 def _member_bytes(archive: zipfile.ZipFile, path, name: str) -> bytes:

@@ -16,8 +16,9 @@ Builds are **resumable**: shard files are written atomically (temp name
 re-run with the same config skips every shard whose file already hashes
 to its recorded checksum — only missing or corrupt shards are rebuilt.
 An existing shard file that predates its manifest entry (a build killed
-between the rename and the manifest update) is adopted after a
-structural validation instead of being rebuilt.
+between the rename and the manifest update) is adopted instead of being
+rebuilt once every archive member passes its CRC check and its metadata,
+labels and matrix shape match the shard it should be.
 
 A store never mixes simulator versions: every shard records the
 ``repro.__version__`` that collected it, a build refuses to resume a
@@ -32,9 +33,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.config import read_setting
 from repro.data.format import (
     ShardFormatError,
+    check_members,
     read_labels,
     read_meta,
     shard_checksum,
@@ -49,22 +50,11 @@ from repro.data.manifest import (
 )
 from repro.jsondoc import write_atomic
 
-#: Environment variable overriding the default sites-per-shard.
-SHARD_SITES_ENV_VAR = "BIGGERFISH_DATA_SHARD_SITES"
-
 #: Default number of catalog sites per shard.
 DEFAULT_SHARD_SITES = 8
 
 #: Browser keys the config accepts (lower-case, CLI-friendly).
 BROWSER_KEYS = ("chrome", "firefox", "safari", "tor")
-
-
-def resolve_shard_sites(shard_sites: Optional[int] = None) -> int:
-    """Explicit value, else ``$BIGGERFISH_DATA_SHARD_SITES``, else 8."""
-    return read_setting(
-        shard_sites, SHARD_SITES_ENV_VAR, DEFAULT_SHARD_SITES,
-        name="shard_sites", minimum=1,
-    )
 
 
 def config_browser(config: DatasetConfig):
@@ -176,14 +166,16 @@ def _adopt_existing(
 ) -> Optional[Tuple[ShardEntry, int]]:
     """Validate an unmanifested shard file left by an interrupted build.
 
-    Atomic renames mean any file present is complete; it is adopted iff
+    Atomic renames mean any file present is complete, but not that it is
+    intact; it is adopted iff every archive member passes its CRC check,
     its metadata names exactly this config, site range and simulator
-    version and its label count matches the expected row count.
-    Anything else is rebuilt.
+    version, and its label count and matrix shape match the expected row
+    count.  Anything else is rebuilt.
     """
     from repro import __version__
 
     try:
+        check_members(path)
         meta = read_meta(path)
         labels = read_labels(path)
     except (ShardFormatError, OSError, ValueError):
@@ -220,7 +212,7 @@ def build_dataset(
     store_dir,
     config: DatasetConfig,
     *,
-    shard_sites: Optional[int] = None,
+    shard_sites: int = DEFAULT_SHARD_SITES,
     engine=None,
     progress=None,
 ) -> DatasetManifest:
@@ -233,9 +225,10 @@ def build_dataset(
     """
     from repro import __version__
 
+    if shard_sites < 1:
+        raise DataError(f"shard_sites must be >= 1, got {shard_sites}")
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
-    shard_sites = resolve_shard_sites(shard_sites)
     ranges = partition_sites(config.n_sites, shard_sites)
 
     previous: dict = {}

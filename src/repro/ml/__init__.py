@@ -10,7 +10,7 @@ from repro.ml.artifact import (
 from repro.ml.crossval import CrossValResult, cross_validate, stratified_kfold
 from repro.ml.encoding import LabelEncoder
 from repro.ml.features import FeatureExtractor, Standardizer, mean_pool
-from repro.ml.layers import Conv1D, Dense, Dropout, Flatten, Layer, MaxPool1D, ReLU
+from repro.ml.layers import Conv1D, Dense, Dropout, Layer, MaxPool1D, ReLU
 from repro.ml.linear import SoftmaxRegression
 from repro.ml.losses import SoftmaxCrossEntropy, softmax
 from repro.ml.lstm import LSTM
@@ -23,7 +23,7 @@ from repro.ml.models import (
     make_fingerprinter,
 )
 from repro.ml.network import Sequential
-from repro.ml.optim import SGD, Adam, Optimizer
+from repro.ml.optim import Adam, Optimizer
 from repro.ml.train import Trainer, TrainingHistory, evaluate_accuracy
 
 __all__ = [
@@ -32,9 +32,9 @@ __all__ = [
     "CrossValResult", "cross_validate", "stratified_kfold", "LabelEncoder",
     "FeatureExtractor", "Standardizer", "mean_pool", "Conv1D", "Dense",
     "OpenWorldMetrics", "open_world_metrics",
-    "Dropout", "Flatten", "Layer", "MaxPool1D", "ReLU", "SoftmaxRegression",
+    "Dropout", "Layer", "MaxPool1D", "ReLU", "SoftmaxRegression",
     "SoftmaxCrossEntropy", "softmax", "LSTM", "FeatureFingerprinter",
     "Fingerprinter", "LstmFingerprinter", "build_paper_network",
-    "make_fingerprinter", "Sequential", "SGD", "Adam", "Optimizer",
+    "make_fingerprinter", "Sequential", "Adam", "Optimizer",
     "Trainer", "TrainingHistory", "evaluate_accuracy",
 ]

@@ -99,19 +99,19 @@ class Standardizer:
     """Column-wise z-scoring fitted on the training split only."""
 
     def __init__(self) -> None:
-        self._mean: np.ndarray | None = None
-        self._std: np.ndarray | None = None
+        self.mean: np.ndarray | None = None
+        self.std: np.ndarray | None = None
 
     def fit(self, x: np.ndarray) -> "Standardizer":
-        self._mean = x.mean(axis=0)
-        self._std = x.std(axis=0)
-        self._std = np.where(self._std < 1e-12, 1.0, self._std)
+        self.mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        self.std = np.where(std < 1e-12, 1.0, std)
         return self
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        if self._mean is None or self._std is None:
+        if self.mean is None or self.std is None:
             raise RuntimeError("standardizer not fitted")
-        return (x - self._mean) / self._std
+        return (x - self.mean) / self.std
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)

@@ -30,11 +30,13 @@ class Layer(abc.ABC):
     layer may overwrite the array it is handed and return it, as
     ``ReLU`` does forward and backward.  That is safe because no layer
     keeps an array it returns, whether it computed it or passed its
-    input through (``Dropout`` at inference, ``Flatten``): the array is
-    the chain's, read by the next layer only.  A layer may keep an input
-    it does not return (``Dense``, ``Conv1D`` and ``LSTM`` do, for
-    ``backward``).  ``Sequential`` hands its first layer a copy of the
-    caller's input, so the caller's array to ``forward`` or
+    input through (``Dropout`` at inference): the array is the chain's,
+    read by the next layer only.  After a training forward a layer may
+    keep an input it does not return (``Dense``, ``Conv1D`` and ``LSTM``
+    do, for ``backward``); an inference forward keeps nothing that only
+    ``backward`` reads, so ``backward`` after one raises
+    ``RuntimeError``.  ``Sequential`` hands its first layer a copy of
+    the caller's input, so the caller's array to ``forward`` or
     ``predict_proba`` is never written.
     """
 
@@ -78,12 +80,12 @@ class Dense(Layer):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._x = x if training else None
         return x @ self.W + self.b
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training forward")
         self.dW = self._x.T @ grad
         self.db = grad.sum(axis=0)
         return grad @ self.W.T
@@ -107,12 +109,13 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.multiply(x, self._mask, out=x)
+        mask = x > 0
+        self._mask = mask if training else None
+        return np.multiply(x, mask, out=x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training forward")
         return np.multiply(grad, self._mask, out=grad)
 
 
@@ -136,22 +139,6 @@ class Dropout(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad if self._mask is None else grad * self._mask
-
-
-class Flatten(Layer):
-    """Collapse everything after the batch dimension."""
-
-    def __init__(self) -> None:
-        self._shape: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(len(x), -1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad.reshape(self._shape)
 
 
 class Conv1D(Layer):
@@ -194,7 +181,7 @@ class Conv1D(Layer):
         windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_size, axis=1)
         windows = windows[:, :: self.stride][:, :l_out]  # (n, l_out, C, K)
         patches = windows.reshape(n, l_out, channels * self.kernel_size)
-        self._patches = patches
+        self._patches = patches if training else None
         self._in_shape = x.shape
         out = patches @ self.W
         out += self.b
@@ -202,7 +189,7 @@ class Conv1D(Layer):
 
     def backward_params(self, grad: np.ndarray) -> None:
         if self._patches is None or self._in_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training forward")
         flat_patches = self._patches.reshape(-1, self.W.shape[0])
         flat_grad = grad.reshape(-1, self.filters)
         self.dW = flat_patches.T @ flat_grad

@@ -66,12 +66,12 @@ class LSTM(Layer):
         self._cache = {
             "x": x, "i": gates_i, "f": gates_f, "g": gates_g, "o": gates_o,
             "c": cells, "tc": tanh_cells, "h": hiddens,
-        }
+        } if training else None
         return h
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training forward")
         cache = self._cache
         x = cache["x"]
         n, T, _ = x.shape

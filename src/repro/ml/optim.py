@@ -1,9 +1,8 @@
 """Gradient-descent optimizers.
 
-The paper trains with Adam at learning rate 0.001 (footnote 2); plain
-SGD with momentum is provided for tests and ablations.  Optimizers
-mutate parameter arrays in place, keyed by ``(layer_index, name)`` so
-state survives across steps.
+The paper trains with Adam at learning rate 0.001 (footnote 2).
+Optimizers mutate parameter arrays in place, keyed by
+``(layer_index, name)`` so state survives across steps.
 """
 
 from __future__ import annotations
@@ -27,32 +26,6 @@ class Optimizer(abc.ABC):
     @abc.abstractmethod
     def step(self, params: Dict[ParamKey, np.ndarray], grads: Dict[ParamKey, np.ndarray]) -> None:
         """Apply one update in place."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: Dict[ParamKey, np.ndarray] = {}
-
-    def step(self, params, grads) -> None:
-        for key, param in params.items():
-            grad = grads[key]
-            if self.momentum:
-                v = self._velocity.get(key)
-                if v is None:
-                    v = self._velocity[key] = np.zeros_like(param)
-                v *= self.momentum
-                v -= self.learning_rate * grad
-                param += v
-            else:
-                param -= self.learning_rate * grad
 
 
 class Adam(Optimizer):

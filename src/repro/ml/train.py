@@ -28,8 +28,6 @@ class TrainingHistory:
     val_accuracies: list[float] = field(default_factory=list)
     best_epoch: int = -1
     stopped_early: bool = False
-    #: Wall-clock seconds per completed epoch.
-    epoch_seconds: list[float] = field(default_factory=list)
     #: Why training ended: "early_stop", "max_epochs" or "no_validation".
     stop_reason: str = ""
 
@@ -81,7 +79,7 @@ class Trainer:
                     epoch_losses.append(loss)
                 history.losses.append(float(np.mean(epoch_losses)))
                 if not has_validation:
-                    self._finish_epoch(history, epoch_started)
+                    self._finish_epoch(epoch_started)
                     continue
                 accuracy = evaluate_accuracy(network, x_val, y_val)
                 history.val_accuracies.append(accuracy)
@@ -94,9 +92,9 @@ class Trainer:
                     epochs_without_improvement += 1
                     if epochs_without_improvement >= self.patience:
                         history.stopped_early = True
-                        self._finish_epoch(history, epoch_started)
+                        self._finish_epoch(epoch_started)
                         break
-                self._finish_epoch(history, epoch_started)
+                self._finish_epoch(epoch_started)
             if history.stopped_early:
                 history.stop_reason = "early_stop"
             elif has_validation:
@@ -113,9 +111,8 @@ class Trainer:
         return history
 
     @staticmethod
-    def _finish_epoch(history: TrainingHistory, epoch_started: float) -> None:
+    def _finish_epoch(epoch_started: float) -> None:
         elapsed = time.perf_counter() - epoch_started
-        history.epoch_seconds.append(elapsed)
         obs.histogram("ml.epoch_seconds").observe(elapsed)
         obs.counter("ml.epochs").inc()
 

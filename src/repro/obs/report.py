@@ -19,27 +19,15 @@ a directory holding only the profile shows its spans and no stages.
 from __future__ import annotations
 
 import pathlib
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.engine.manifest import MANIFEST_FILENAME, MANIFEST_SCHEMA
+from repro.experiments.base import format_rows
 from repro.jsondoc import read_json
 from repro.obs.export import PROFILE_FILENAME, Profile, read_profile, summarize
 
 #: Slowest-span rows printed by default.
 DEFAULT_TOP_N = 10
-
-
-def _format_rows(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Fixed-width text table (kept local so obs stays dependency-light)."""
-    columns = [list(col) for col in zip(header, *rows)]
-    widths = [max(len(cell) for cell in col) for col in columns]
-
-    def render(cells):
-        return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
-
-    lines = [render(header), render(["-" * w for w in widths])]
-    lines.extend(render(row) for row in rows)
-    return "\n".join(lines)
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -138,7 +126,7 @@ def _stage_section(manifest: Optional[dict]) -> List[str]:
     if not rows:
         return ["(no stage timings recorded)"]
     header = ["experiment", "stage", "wall", "tasks", "task min", "mean", "max"]
-    return ["per-stage breakdown:", _format_rows(header, rows)]
+    return ["per-stage breakdown:", format_rows(header, rows)]
 
 
 def _faults_section(manifest: Optional[dict]) -> List[str]:
@@ -171,7 +159,7 @@ def _faults_section(manifest: Optional[dict]) -> List[str]:
                 )
     if rows:
         header = ["experiment", "stage", "task", "attempt", "kind", "error"]
-        lines.extend(["task errors:", _format_rows(header, rows)])
+        lines.extend(["task errors:", format_rows(header, rows)])
     return lines
 
 
@@ -196,7 +184,7 @@ def _span_section(summary: dict) -> List[str]:
     return [
         f"spans ({summary['events']} events from {summary['processes']} "
         f"process(es), peak rss {_fmt_rss(summary['peak_rss_kb'])}):",
-        _format_rows(header, rows),
+        format_rows(header, rows),
         f"run wall {_fmt_seconds(wall)} (top-level spans of the first "
         f"process), {share} of it in no nested span",
     ]
@@ -212,7 +200,7 @@ def _top_spans_section(summary: dict, top_n: int) -> List[str]:
     if not rows:
         return ["(no spans recorded)"]
     header = ["slowest spans", "wall", "pid", "attrs"]
-    return [_format_rows(header, rows)]
+    return [format_rows(header, rows)]
 
 
 def _metrics_section(summary: dict) -> List[str]:
@@ -227,7 +215,7 @@ def _metrics_section(summary: dict) -> List[str]:
         rows.append([name, "histogram", f"n={hist['count']} mean={mean:.4g}"])
     if not rows:
         return []
-    return ["metrics:", _format_rows(["metric", "kind", "value"], rows)]
+    return ["metrics:", format_rows(["metric", "kind", "value"], rows)]
 
 
 def _cache_section(manifest: Optional[dict]) -> List[str]:

@@ -1058,7 +1058,7 @@ def _conv_probes(case: Case, reference: bool) -> dict:
     probes = {}
     for channels, stride in itertools.product(_CONV_CHANNELS, _CONV_STRIDES):
         layer = _kernels(Conv1D(channels, 4, _CONV_KERNEL, stride, rng), reference)
-        out = layer.forward(rng.normal(size=(2, 17, channels)))
+        out = layer.forward(rng.normal(size=(2, 17, channels)), training=True)
         dx = layer.backward(rng.normal(size=out.shape))
         probes[f"channels={channels} stride={stride}"] = {
             "out": out, "dx": dx, "dW": layer.dW, "db": layer.db,

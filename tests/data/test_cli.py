@@ -130,11 +130,11 @@ def test_no_subcommand_prints_help(capsys):
         (["--jobs", "-3"], {}),
         (["--retries", "-5"], {}),
         ([], {"BIGGERFISH_JOBS": "abc"}),
-        ([], {"BIGGERFISH_DATA_SHARD_SITES": "abc"}),
+        (["--shard-sites", "0"], {}),
     ],
     ids=[
         "jobs-zero", "jobs-negative", "retries-negative", "jobs-env-not-an-int",
-        "shard-sites-env-not-an-int",
+        "shard-sites-zero",
     ],
 )
 def test_build_rejects_bad_engine_flags(tmp_path, capsys, monkeypatch, flags, env):

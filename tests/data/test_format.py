@@ -1,6 +1,7 @@
 """Tests for the shard on-disk format (repro.data.format)."""
 
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ class TestMmap:
             read_labels(path)
         with pytest.raises(ShardFormatError):
             read_meta(path)
+
+    def test_damaged_deflate_stream_is_a_shard_format_error(self, tmp_path):
+        path = tmp_path / "shard.npz"
+        make_shard(path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo(LABELS_MEMBER)
+        blob = bytearray(path.read_bytes())
+        # Block type 3 is reserved: zlib refuses the stream outright.
+        blob[info.header_offset + 30 + len(info.filename) + len(info.extra)] |= 0b110
+        path.write_bytes(bytes(blob))
+        with zipfile.ZipFile(path) as archive, pytest.raises(zlib.error):
+            archive.read(LABELS_MEMBER)
+        with pytest.raises(ShardFormatError, match="damaged shard archive"):
+            read_labels(path)
 
     def test_labels_read_without_touching_x(self, tmp_path):
         # Truncate the file through the middle of x.npy: labels/meta live

@@ -1,6 +1,7 @@
 """Tests for store building, reading, streaming and merging."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.data import (
     merge_stores,
     verify_store,
 )
-from repro.data.format import X_MEMBER, ShardFormatError, read_meta
+from repro.data.format import X_MEMBER, ShardFormatError, open_x_mmap, read_meta
 from repro.data.manifest import MANIFEST_NAME
 from repro.data.writer import collector_for, config_sites, partition_sites
 
@@ -105,6 +106,24 @@ class TestResume:
         build_dataset(store_dir, CONFIG, shard_sites=2)
         assert verify_store(store_dir) == []
         assert (store_dir / "shard-0000.npz").stat().st_mtime_ns == orphan_mtime
+
+    def test_rebuilds_orphan_shard_whose_payload_fails_its_crc(self, tmp_path, reference):
+        """One flipped byte of ``x.npy`` leaves the metadata, labels and
+        matrix shape as they were; only the member's CRC shows it."""
+        donor_dir, _ = build(tmp_path, "donor")
+        store_dir = tmp_path / "interrupted"
+        store_dir.mkdir()
+        orphan = store_dir / "shard-0000.npz"
+        blob = bytearray((donor_dir / "shard-0000.npz").read_bytes())
+        blob[open_x_mmap(donor_dir / "shard-0000.npz").offset + 5] ^= 0x40
+        orphan.write_bytes(bytes(blob))
+        with zipfile.ZipFile(orphan) as archive:
+            assert archive.testzip() == X_MEMBER
+        build_dataset(store_dir, CONFIG, shard_sites=2)
+        assert verify_store(store_dir) == []
+        x, labels = ShardedDataset(store_dir).stacked()
+        np.testing.assert_array_equal(x, reference[0])
+        assert labels == reference[1]
 
     def test_resume_rejects_another_simulator_version(self, tmp_path, monkeypatch):
         store_dir, _ = build(tmp_path)

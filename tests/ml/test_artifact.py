@@ -1,10 +1,13 @@
 """Tests for schema-versioned model artifacts (save/load round trips)."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.ml.artifact import (
     ARTIFACT_JSON,
     SCHEMA_VERSION,
@@ -14,8 +17,93 @@ from repro.ml.artifact import (
     load_info,
     save_artifact,
 )
-from repro.ml.models import FeatureFingerprinter, LstmFingerprinter
+from repro.ml.features import FeatureExtractor
+from repro.ml.models import BACKENDS, FeatureFingerprinter, LstmFingerprinter
 from tests.conftest import temp_files
+
+#: Artifacts written by repro 1.4.0 while ``repro.ml.artifact`` still
+#: restated each backend's fields: these models fitted on 18 rows of 40
+#: samples, three classes of six, ``rng = np.random.default_rng(5)``,
+#: ``np.concatenate([1 + rng.normal(0, 0.2, 40) + rng.normal(0, 0.05, (6, 40))
+#: for _ in range(3)])``, saved with classes a/b/c.com and provenance
+#: ``{"seed": 7, "scale": "golden"}``.  Every field is off its default.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MODELS = {
+    "feature": FeatureFingerprinter(
+        extractor=FeatureExtractor(shape_bins=6, diff_bins=4, fft_bins=5),
+        learning_rate=0.1, l2=1e-3, epochs=20, seed=7,
+    ),
+    "lstm": LstmFingerprinter(
+        conv_filters=3, lstm_units=2, dropout=0.5, epochs=2, batch_size=8,
+        patience=2, learning_rate=0.005, validation_fraction=0.2, seed=7,
+    ),
+}
+
+
+def npz_arrays(path) -> dict:
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+def same_arrays(a: dict, b: dict) -> bool:
+    """Same keys, and per key the same dtype, shape and bytes."""
+    return a.keys() == b.keys() and all(
+        a[key].dtype == b[key].dtype
+        and a[key].shape == b[key].shape
+        and a[key].tobytes() == b[key].tobytes()
+        for key in a
+    )
+
+
+class TestGoldenArtifacts:
+    """Committed artifacts load into the backend's state bit for bit and
+    save back to the same manifest.  Nothing here runs a fit or compares
+    a prediction, so no BLAS result is involved."""
+
+    @pytest.mark.parametrize("backend", sorted(GOLDEN_MODELS))
+    def test_state_is_the_committed_config_and_arrays(self, backend):
+        path = GOLDEN / backend
+        model = BACKENDS[backend].load(path)
+        assert type(model) is BACKENDS[backend]
+        assert model == GOLDEN_MODELS[backend]
+        config, arrays = model._state()
+        committed = json.loads((path / ARTIFACT_JSON).read_text())["config"]
+        assert json.dumps(config, sort_keys=True) == json.dumps(committed, sort_keys=True)
+        assert same_arrays(arrays, npz_arrays(path / WEIGHTS_NPZ))
+
+    @pytest.mark.parametrize("backend", sorted(GOLDEN_MODELS))
+    def test_saving_again_writes_the_same_manifest(self, backend, tmp_path):
+        path = GOLDEN / backend
+        text = (path / ARTIFACT_JSON).read_text()
+        document = json.loads(text)
+        model = load_artifact(path)
+        model.save(tmp_path / "m", classes=document["classes"], provenance=document["provenance"])
+        expected = text.replace(
+            f'"repro_version": "{document["repro_version"]}"',
+            f'"repro_version": "{repro.__version__}"',
+        )
+        assert (tmp_path / "m" / ARTIFACT_JSON).read_text() == expected
+        assert same_arrays(
+            npz_arrays(tmp_path / "m" / WEIGHTS_NPZ), npz_arrays(path / WEIGHTS_NPZ)
+        )
+
+    @pytest.mark.parametrize("backend", sorted(GOLDEN_MODELS))
+    def test_state_config_holds_every_dataclass_field(self, backend):
+        model = load_artifact(GOLDEN / backend)
+        config, _ = model._state()
+        for item in dataclasses.fields(model):
+            value = getattr(model, item.name)
+            if dataclasses.is_dataclass(value):
+                for inner in dataclasses.fields(value):
+                    assert config[inner.name] == getattr(value, inner.name), inner.name
+            else:
+                assert config[item.name] == value, item.name
+
+    def test_typed_load_names_the_class(self):
+        assert type(FeatureFingerprinter.load(GOLDEN / "feature")) is FeatureFingerprinter
+        assert type(LstmFingerprinter.load(GOLDEN / "lstm")) is LstmFingerprinter
+        with pytest.raises(ArtifactError, match="LstmFingerprinter, not a FeatureFingerprinter"):
+            FeatureFingerprinter.load(GOLDEN / "lstm")
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ml.layers import Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU
+from repro.ml.layers import Conv1D, Dense, Dropout, MaxPool1D, ReLU
 from repro.ml.layers_ref import ReferenceConv1D, ReferenceMaxPool1D, ReferenceReLU
+from repro.ml.lstm import LSTM
 from repro.verify.compare import diff_structures
 
 INF, NAN = np.inf, np.nan
@@ -50,7 +51,7 @@ def check_input_gradient(layer, x, tolerance=1e-5):
 
 def check_param_gradient(layer, x, tolerance=1e-5):
     rng = np.random.default_rng(1)
-    out = layer.forward(x, training=False)
+    out = layer.forward(x, training=True)
     readout = rng.normal(size=out.shape)
     layer.backward(readout)
     analytic = {k: v.copy() for k, v in layer.grads().items()}
@@ -62,6 +63,28 @@ def check_param_gradient(layer, x, tolerance=1e-5):
             analytic[name], numeric, rtol=1e-4, atol=tolerance,
             err_msg=f"param {name}",
         )
+
+
+#: Every layer whose backward reads state its forward kept, with an input shape.
+STATEFUL_LAYERS = {
+    "dense": (lambda rng: Dense(4, 3, rng), (5, 4)),
+    "relu": (lambda rng: ReLU(), (5, 4)),
+    "conv1d": (lambda rng: Conv1D(2, 3, 3, 2, rng), (2, 11, 2)),
+    "maxpool1d": (lambda rng: MaxPool1D(3), (2, 10, 4)),
+    "lstm": (lambda rng: LSTM(2, 3, rng), (2, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATEFUL_LAYERS))
+def test_backward_after_an_inference_forward_raises(rng, name):
+    """An inference forward drops what an earlier training forward kept."""
+    make, shape = STATEFUL_LAYERS[name]
+    layer = make(rng)
+    x = rng.normal(size=shape)
+    out = layer.forward(x.copy(), training=True)
+    layer.forward(x.copy(), training=False)
+    with pytest.raises(RuntimeError, match="before a training forward"):
+        layer.backward(np.ones_like(out))
 
 
 class TestDense:
@@ -94,14 +117,14 @@ class TestReLU:
 
     def test_gradient_masks(self):
         layer = ReLU()
-        layer.forward(np.array([[-1.0, 2.0]]))
+        layer.forward(np.array([[-1.0, 2.0]]), training=True)
         grad = layer.backward(np.array([[5.0, 5.0]]))
         assert list(grad[0]) == [0.0, 5.0]
 
     def test_forward_and_backward_overwrite_their_argument(self):
         layer = ReLU()
         x = np.array([[-1.0, 0.0, NAN, 2.0]])
-        assert layer.forward(x) is x
+        assert layer.forward(x, training=True) is x
         assert_same_bits(x, np.array([[-0.0, 0.0, NAN, 2.0]]))
         grad = np.array([[5.0, -5.0, 5.0, -5.0]])
         assert layer.backward(grad) is grad
@@ -111,7 +134,7 @@ class TestReLU:
         x = np.where(rng.random((3, 7, 4)) < 0.2, NAN, rng.normal(size=(3, 7, 4)))
         grad = rng.normal(size=x.shape)
         layer, reference = ReLU(), ReferenceReLU()
-        assert_same_bits(layer.forward(x.copy()), reference.forward(x))
+        assert_same_bits(layer.forward(x.copy(), training=True), reference.forward(x))
         assert_same_bits(layer.backward(grad.copy()), reference.backward(grad))
 
 
@@ -141,15 +164,6 @@ class TestDropout:
     def test_rate_validated(self, rng):
         with pytest.raises(ValueError):
             Dropout(1.0, rng)
-
-
-class TestFlatten:
-    def test_roundtrip(self):
-        layer = Flatten()
-        x = np.arange(24.0).reshape(2, 3, 4)
-        out = layer.forward(x)
-        assert out.shape == (2, 12)
-        assert layer.backward(out).shape == (2, 3, 4)
 
 
 class TestConv1D:
@@ -297,7 +311,7 @@ class TestConv1DMatchesReference:
         reference = ReferenceConv1D(channels, 6, 3, stride, np.random.default_rng(9))
         rng = np.random.default_rng([stride, channels])
         x = rng.normal(size=(3, 20, channels))
-        assert_same_bits(layer.forward(x), reference.forward(x))
+        assert_same_bits(layer.forward(x, training=True), reference.forward(x))
         grad = rng.normal(size=(3, layer.output_length(20), 6))
         assert_same_bits(layer.backward(grad), reference.backward(grad))
         assert_same_bits(layer.grads(), reference.grads())

@@ -47,7 +47,7 @@ class TestLSTMGradients:
         layer = LSTM(2, 3, rng)
         x = rng.normal(size=(2, 4, 2))
         readout = rng.normal(size=(2, 3))
-        layer.forward(x)
+        layer.forward(x, training=True)
         analytic = layer.backward(readout)
 
         def loss():
@@ -60,7 +60,7 @@ class TestLSTMGradients:
         layer = LSTM(2, 3, rng)
         x = rng.normal(size=(2, 4, 2))
         readout = rng.normal(size=(2, 3))
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(readout)
         analytic = {k: v.copy() for k, v in layer.grads().items()}
         for name, param in layer.params().items():

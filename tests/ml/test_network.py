@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.ml.layers import Dense, Dropout, Flatten, ReLU
+from repro.ml.layers import Dense, Dropout, ReLU
 from repro.ml.models import build_paper_network
 from repro.ml.network import Sequential
 from repro.ml.optim import Adam
@@ -103,7 +103,6 @@ def assert_same_bits(a, b):
 CHAINS = {
     "relu-first": lambda rng: Sequential([ReLU(), Dense(3, 2, rng)]),
     "through-dropout": lambda rng: Sequential([Dropout(0.5, rng), ReLU(), Dense(3, 2, rng)]),
-    "through-flatten": lambda rng: Sequential([Flatten(), ReLU(), Dense(3, 2, rng)]),
     "relu-last": lambda rng: Sequential([Dense(3, 4, rng), ReLU()]),
     "paper": lambda rng: build_paper_network(30, 2, rng, conv_filters=4, lstm_units=3),
 }
@@ -161,6 +160,32 @@ class TestOwnership:
         for layer in reversed(full.layers):
             grad = layer.backward(grad)
         assert_same_bits(trained.layers[0].grads(), full.layers[0].grads())
+
+
+def kept_arrays(layer) -> list:
+    """Names of the attributes through which ``layer`` holds an array
+    other than its parameters and gradients (looking into dicts)."""
+    own = {id(array) for array in (*layer.params().values(), *layer.grads().values())}
+    kept = []
+    for name, value in vars(layer).items():
+        items = value.values() if isinstance(value, dict) else [value]
+        if any(isinstance(item, np.ndarray) and id(item) not in own for item in items):
+            kept.append(name)
+    return kept
+
+
+class TestInferenceKeepsNoBackwardState:
+    def test_no_layer_holds_an_array_after_predict_proba(self):
+        """What a training step kept for backward is gone after a
+        prediction, the training forward's inputs and masks included."""
+        net = build_paper_network(60, 3, np.random.default_rng(2), conv_filters=4, lstm_units=3)
+        rng = np.random.default_rng(3)
+        x, labels = rng.normal(size=(4, 60, 1)), rng.integers(0, 3, size=4)
+        net.train_batch(x, labels, Adam())
+        assert kept_arrays(net.layers[0]) == ["_patches"]
+        net.predict_proba(x)
+        kept = {f"{i}.{type(layer).__name__}": kept_arrays(layer) for i, layer in enumerate(net.layers)}
+        assert kept == {key: [] for key in kept}
 
 
 class TestAllocationBounds:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.layers_ref import ReferenceAdam
-from repro.ml.optim import _CHUNK, SGD, Adam
+from repro.ml.optim import _CHUNK, Adam
 from repro.verify.compare import diff_structures
 
 
@@ -25,35 +25,6 @@ def quadratic_descent(optimizer, steps=300, start=5.0):
         grad = 2 * x
         optimizer.step({(0, "x"): x}, {(0, "x"): grad})
     return abs(float(x[0]))
-
-
-class TestSGD:
-    def test_descends_quadratic(self):
-        assert quadratic_descent(SGD(learning_rate=0.1)) < 1e-3
-
-    def test_momentum_accelerates(self):
-        slow = quadratic_descent(SGD(learning_rate=0.01), steps=50)
-        fast = quadratic_descent(SGD(learning_rate=0.01, momentum=0.9), steps=50)
-        assert fast < slow
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0)
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.1, momentum=1.0)
-
-    def test_updates_in_place(self):
-        x = np.array([1.0])
-        SGD(learning_rate=0.5).step({(0, "x"): x}, {(0, "x"): np.array([1.0])})
-        assert x[0] == 0.5
-
-    def test_velocity_allocated_on_first_step_only(self, monkeypatch):
-        x = np.array([1.0, 2.0])
-        sgd = SGD(learning_rate=0.1, momentum=0.9)
-        sgd.step({(0, "x"): x}, {(0, "x"): np.array([1.0, -1.0])})
-        forbid_allocation(monkeypatch)
-        sgd.step({(0, "x"): x}, {(0, "x"): np.array([1.0, -1.0])})
-        assert x[0] < 1.0 and x[1] > 2.0
 
 
 class TestAdam:
